@@ -5,6 +5,13 @@ domain exactly. The archive detects revisits (a candidate landing on an
 already-stored point), hands out per-leaf mutation boxes, reports when a
 sub-region has been sampled densely enough to count as a region of
 interest, and can block exploited sub-regions against further insertion.
+
+A node stores only its split, its links, its point and the two flags the
+policies need (``blocked``, ``last_touch``). Cell bounds and depth are
+derived: ``insert`` counts depth on its walk down from the root, and
+``region_of`` clips the domain along the ancestor path. Nothing cached
+has to be rebuilt when pruning moves a subtree up, so ``prune_lru`` costs
+one sort plus O(1) per removed leaf.
 """
 
 from __future__ import annotations
@@ -67,7 +74,8 @@ class BspNode:
 
     An internal node may also retain the point it held before it was
     split (the virtual-holder role); that point always duplicates a leaf
-    somewhere below it.
+    somewhere below it. A node stores no bounds and no depth: its cell is
+    ``BspArchive.region_of(node)`` and ``depth`` counts parent links.
     """
 
     __slots__ = (
@@ -77,25 +85,29 @@ class BspNode:
         "below",
         "above",
         "parent",
-        "depth",
         "blocked",
         "last_touch",
-        "lower",
-        "upper",
     )
 
-    def __init__(self, parent, depth, lower, upper, point=None):
+    def __init__(self, parent, point=None):
         self.point = point
         self.split_dim = -1
         self.split_value = 0.0
         self.below = None
         self.above = None
         self.parent = parent
-        self.depth = depth
         self.blocked = False
         self.last_touch = 0
-        self.lower = lower
-        self.upper = upper
+
+    @property
+    def depth(self) -> int:
+        """Number of parent links up to the root, walked on every read."""
+        depth = 0
+        node = self.parent
+        while node is not None:
+            depth += 1
+            node = node.parent
+        return depth
 
     @property
     def is_leaf(self) -> bool:
@@ -108,9 +120,6 @@ class BspNode:
     @property
     def kind(self) -> str:
         return "internal" if self.is_internal else "leaf"
-
-    def region(self) -> Region:
-        return Region(self.lower.copy(), self.upper.copy())
 
     def children(self):
         return (self.below, self.above) if self.below is not None else ()
@@ -168,12 +177,12 @@ class BspArchive:
         self.lv = int(lv)
         self.k = int(k)
         self.revisit_epsilon = float(revisit_epsilon)
-        self.root = BspNode(None, 0, domain.lower.copy(), domain.upper.copy())
+        self.root = BspNode(None)
         # single-child state for the very first point; None once split
         self._only_child: BspNode | None = None
         self.n_points = 0
         self._clock = 0
-        self.blocked_subroots: list[BspNode] = []
+        self.blocked_regions: list[Region] = []
         self.pending_roi: RoiSuggestion | None = None
 
     # -- insertion ---------------------------------------------------
@@ -201,133 +210,123 @@ class BspArchive:
             return Blocked()
 
         # empty tree: first point becomes a single leaf at depth 1
-        if self.n_points == 0 and node.point is None and node.below is None:
-            leaf = BspNode(node, 1, node.lower.copy(), node.upper.copy(),
-                           SearchPoint(coords.copy(), eval_index=clock))
+        if self.n_points == 0:
+            leaf = BspNode(node, SearchPoint(coords.copy(), eval_index=clock))
             leaf.last_touch = clock
             self._only_child = leaf
             self.n_points = 1
-            return self._finish_new_leaf(leaf)
+            return self._finish_new_leaf(leaf, 1)
 
+        depth = 0
         if self._only_child is not None:
             # one stored point: a second distinct point splits the root
             leaf = self._only_child
             leaf.last_touch = clock
-            delta = np.abs(coords - leaf.point.coords)
-            if delta.max() <= self.revisit_epsilon:
-                return Revisit(leaf)
-            split_dim = int(np.argmax(delta))
-            split_value = 0.5 * (coords[split_dim] + leaf.point.coords[split_dim])
-            lo = min(coords[split_dim], leaf.point.coords[split_dim])
-            hi = max(coords[split_dim], leaf.point.coords[split_dim])
-            if not (lo < split_value < hi):
-                return Revisit(leaf)  # coordinates too close to separate in float
-            root = self.root
-            root.split_dim = split_dim
-            root.split_value = split_value
-            new_leaf = self._attach_split_children(root, leaf.point, coords, clock)
-            self._only_child = None
-            self.n_points += 1
-            return self._finish_new_leaf(new_leaf)
+        else:
+            # the walk is the hot loop: plain attribute tests and Python
+            # floats cost less per level than properties and numpy scalars
+            x = coords.tolist()
+            while node.below is not None:
+                node = node.below if x[node.split_dim] < node.split_value else node.above
+                node.last_touch = clock
+                depth += 1
+                if node.blocked:
+                    return Blocked()
+            leaf = node
 
-        while node.is_internal:
-            node = node.below if coords[node.split_dim] < node.split_value else node.above
-            node.last_touch = clock
-            if node.blocked:
-                return Blocked()
-
-        leaf = node
         delta = np.abs(coords - leaf.point.coords)
         if delta.max() <= self.revisit_epsilon:
             return Revisit(leaf)
         split_dim = int(np.argmax(delta))
-        a = leaf.point.coords[split_dim]
-        b = coords[split_dim]
+        a = float(leaf.point.coords[split_dim])
+        b = float(coords[split_dim])
         split_value = 0.5 * (a + b)
         if not (min(a, b) < split_value < max(a, b)):
-            return Revisit(leaf)
-        leaf.split_dim = split_dim
-        leaf.split_value = split_value
-        new_leaf = self._attach_split_children(leaf, leaf.point, coords, clock)
-        self.n_points += 1
-        return self._finish_new_leaf(new_leaf)
-
-    def _attach_split_children(self, parent, old_point, new_coords, clock):
-        """Give ``parent`` two leaf children holding the old and new point."""
-        d = parent.split_dim
-        v = parent.split_value
-        lo_below = parent.lower.copy()
-        hi_below = parent.upper.copy()
-        hi_below[d] = v
-        lo_above = parent.lower.copy()
-        hi_above = parent.upper.copy()
-        lo_above[d] = v
-        below = BspNode(parent, parent.depth + 1, lo_below, hi_below)
-        above = BspNode(parent, parent.depth + 1, lo_above, hi_above)
+            return Revisit(leaf)  # coordinates too close to separate in float
+        # split ``node`` (the leaf itself, or the root while it has one
+        # child) into two leaves holding the old and the new point
+        node.split_dim = split_dim
+        node.split_value = split_value
+        below = BspNode(node)
+        above = BspNode(node)
         below.last_touch = clock
         above.last_touch = clock
-        new_point = SearchPoint(np.array(new_coords, dtype=float), eval_index=clock)
-        if old_point.coords[d] < v:
-            below.point, above.point = old_point, new_point
+        new_point = SearchPoint(coords.copy(), eval_index=clock)
+        if a < split_value:
+            below.point, above.point = leaf.point, new_point
             new_leaf = above
         else:
-            below.point, above.point = new_point, old_point
+            below.point, above.point = new_point, leaf.point
             new_leaf = below
-        parent.below = below
-        parent.above = above
-        return new_leaf
+        node.below = below
+        node.above = above
+        self._only_child = None
+        self.n_points += 1
+        return self._finish_new_leaf(new_leaf, depth + 1)
 
-    def _finish_new_leaf(self, leaf):
-        outcome = NewLeaf(leaf, leaf.depth)
+    def _finish_new_leaf(self, leaf, depth):
+        outcome = NewLeaf(leaf, depth)
         if self.pending_roi is None:
-            self.pending_roi = self.roi_trigger(leaf)
+            self.pending_roi = self.roi_trigger(leaf, depth)
         return outcome
 
     # -- queries -----------------------------------------------------
 
     def region_of(self, node: BspNode) -> Region:
-        """Cell of ``node``: the domain clipped by every ancestor split."""
+        """Cell of ``node``: the domain clipped by every ancestor split.
+
+        Bounds are copied from split values, never computed, so a cell
+        shares its faces bit for bit with its neighbours.
+        """
+        path = []
         top = node
         while top.parent is not None:
+            path.append(top)
             top = top.parent
         if top is not self.root:
             raise StructuralError("node does not belong to this archive")
-        return node.region()
+        lower = self.domain.lower.tolist()
+        upper = self.domain.upper.tolist()
+        for child in reversed(path):
+            parent = child.parent
+            if parent.below is child:
+                upper[parent.split_dim] = parent.split_value
+            elif parent.above is child:
+                lower[parent.split_dim] = parent.split_value
+            # the root's single child keeps the whole domain
+        return Region(np.array(lower), np.array(upper))
 
     def mutation_region(self, revisited_leaf: BspNode) -> Region:
         if not revisited_leaf.is_leaf:
             raise StructuralError("mutation region is defined for leaves only")
         return self.region_of(revisited_leaf)
 
-    def roi_trigger(self, new_leaf: BspNode) -> RoiSuggestion | None:
+    def roi_trigger(self, new_leaf: BspNode, depth: int) -> RoiSuggestion | None:
         """Region-of-interest check for a leaf just returned by insert.
 
-        Fires when the leaf sits at depth >= lv + k; the suggestion is
-        rooted at the leaf's ancestor at depth lv and carries every leaf
-        point stored underneath it.
+        ``depth`` is the leaf's depth as counted by insert. Fires when it
+        is >= lv + k; the suggestion is rooted at the leaf's ancestor at
+        depth lv and carries every leaf point stored underneath it.
         """
-        if new_leaf.depth < self.lv + self.k:
+        if depth < self.lv + self.k:
             return None
         node = new_leaf
-        while node.depth > self.lv:
+        for _ in range(depth - self.lv):
             node = node.parent
         if node is self.root:
             seeds = [leaf.point for leaf in self.iter_leaves()]
         else:
             seeds = [leaf.point for leaf in self._iter_leaves(node)]
-        return RoiSuggestion(node, node.region(), seeds, node.depth)
+        return RoiSuggestion(node, self.region_of(node), seeds, self.lv)
 
     def block(self, subroot: BspNode):
-        """Close ``subroot``'s cell to future insertion."""
-        self.region_of(subroot)  # membership check
-        subroot.blocked = True
-        self.blocked_subroots.append(subroot)
+        """Close ``subroot``'s cell to future insertion.
 
-    def in_blocked_region(self, coords: np.ndarray) -> bool:
-        for node in self.blocked_subroots:
-            if ((coords >= node.lower).all() and (coords <= node.upper).all()):
-                return True
-        return False
+        The cell's box is captured now and kept in ``blocked_regions``.
+        """
+        region = self.region_of(subroot)
+        subroot.blocked = True
+        self.blocked_regions.append(region)
 
     @property
     def n_leaves(self) -> int:
@@ -357,7 +356,8 @@ class BspArchive:
         Removes floor(fraction * n_leaves) leaves in order of oldest
         last_touch (ties: older stored point first). Each removal splices
         the removed leaf's sibling into the parent slot, so the surviving
-        cells still tile the domain.
+        cells still tile the domain. Costs one sort plus O(1) per removed
+        leaf.
         """
         if not (0.0 < fraction < 1.0):
             raise ParameterError("prune fraction must lie in (0, 1)")
@@ -389,22 +389,7 @@ class BspArchive:
             grand.below = sibling
         else:
             grand.above = sibling
-        self._rebase(sibling, parent.depth, parent.lower, parent.upper)
         self.n_points -= 1
-
-    def _rebase(self, node, depth, lower, upper):
-        """Recompute depth and cell bounds for a re-attached subtree."""
-        node.depth = depth
-        node.lower = lower
-        node.upper = upper
-        if node.is_internal:
-            d, v = node.split_dim, node.split_value
-            hi_below = upper.copy()
-            hi_below[d] = v
-            lo_above = lower.copy()
-            lo_above[d] = v
-            self._rebase(node.below, depth + 1, lower.copy(), hi_below)
-            self._rebase(node.above, depth + 1, lo_above, upper.copy())
 
     # -- debug dump ----------------------------------------------------
 
@@ -412,21 +397,21 @@ class BspArchive:
         """Pre-order text dump: depth kind split_dim split_value blocked coords."""
         lines = []
         if self._only_child is not None:
-            order = [self.root, self._only_child]
+            order = [(0, self.root), (1, self._only_child)]
         else:
             order = []
-            stack = [self.root]
+            stack = [(0, self.root)]
             while stack:
-                n = stack.pop()
-                order.append(n)
+                depth, n = stack.pop()
+                order.append((depth, n))
                 if n.is_internal:
-                    stack.append(n.above)
-                    stack.append(n.below)
-        for n in order:
+                    stack.append((depth + 1, n.above))
+                    stack.append((depth + 1, n.below))
+        for depth, n in order:
             split_dim = str(n.split_dim) if n.is_internal else "-"
             split_value = repr(float(n.split_value)) if n.is_internal else "-"
             coords = " ".join(repr(float(c)) for c in n.point.coords) if n.point is not None else ""
             kind = n.kind if (n.is_internal or n.point is not None) else "root"
-            line = f"{n.depth} {kind} {split_dim} {split_value} {int(n.blocked)}"
+            line = f"{depth} {kind} {split_dim} {split_value} {int(n.blocked)}"
             lines.append(line + (" " + coords if coords else ""))
         return "\n".join(lines) + "\n"

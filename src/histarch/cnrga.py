@@ -86,7 +86,7 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
         rejections = 0
         while True:
             coords = archive.domain.uniform_point(rng)
-            if not archive.in_blocked_region(coords):
+            if not any(box.contains(coords) for box in archive.blocked_regions):
                 break
             rejections += 1
             if rejections >= max_reject:

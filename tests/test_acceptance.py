@@ -200,6 +200,7 @@ def test_criterion_07_hr_structural_trace():
                         assert not ((x >= lo).all() and (x <= hi).all())
 
 
+@pytest.mark.slow
 def test_criterion_08_qualitative_comparison():
     with criterion(8, "unimodal parity and multimodal advantage vs restarting CMA-ES",
                    900.0):

@@ -114,8 +114,8 @@ def test_region_of_detached_node_raises():
     from histarch import StructuralError
     from histarch.bsp import BspNode
     ar = fresh()
-    stray = BspNode(None, 0, ar.domain.lower.copy(), ar.domain.upper.copy())
-    other = BspNode(stray, 1, ar.domain.lower.copy(), ar.domain.upper.copy())
+    stray = BspNode(None)
+    other = BspNode(stray)
     with pytest.raises(StructuralError):
         ar.region_of(other)
 
@@ -309,7 +309,8 @@ def test_blocked_subroot_rejects_its_own_centroid():
     chain_insert(ar, 4)
     sub = ar.root.below  # a proper subtree, not the root
     ar.block(sub)
-    centroid = 0.5 * (sub.lower + sub.upper)
+    cell = ar.region_of(sub)
+    centroid = 0.5 * (cell.lower + cell.upper)
     assert isinstance(ar.insert(centroid), Blocked)
 
 

@@ -1,7 +1,7 @@
 """Independent brute-force oracles shared by the test modules.
 
 These deliberately re-derive tree geometry from parent links and the
-domain box instead of trusting any cached bounds in the library.
+domain box instead of trusting the library's own ``region_of``.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 
 def walk_region(archive, node):
     """Region of a node computed by clipping the domain along each
-    ancestor split (independent of the library's cached bounds)."""
+    ancestor split (independent of ``BspArchive.region_of``)."""
     chain = []
     cur = node
     while cur.parent is not None:
