@@ -20,7 +20,7 @@ from .errors import (BudgetExhaustedError, DomainError, HistarchError,
                      SearchSpaceExhaustedError, StructuralError)
 from .harness import ExperimentConfig, ExperimentResult, recompute_stats, run_experiment
 from .hr import (HrConfig, Phase, RunRecord, derive_depth_params, hr_run,
-                 run_algorithm, run_baseline, run_cmaes_restart, run_cnrga,
+                 run_algorithm, run_cmaes_restart, run_cnrga,
                  seed_cma_from_roi)
 from .stats import (CellStats, StatsTable, build_stats_table, kruskal_wallis,
                     shared_ranks, significance_marks)

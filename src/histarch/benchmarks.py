@@ -38,7 +38,12 @@ class Problem:
 
 
 class BudgetedEvaluator:
-    """Counts objective calls and refuses to exceed the budget."""
+    """Counts objective calls, refuses to exceed the budget and records
+    the best-so-far trace.
+
+    ``trace`` holds (eval_index, value) at every strict improvement;
+    ``best``, ``best_coords`` (a copy) and ``best_at`` describe the latest.
+    """
 
     def __init__(self, problem: Problem, budget: int):
         if budget < 1:
@@ -46,6 +51,10 @@ class BudgetedEvaluator:
         self.problem = problem
         self.budget = int(budget)
         self.used = 0
+        self.trace = []
+        self.best = float("inf")
+        self.best_coords = None
+        self.best_at = 0
 
     @property
     def remaining(self) -> int:
@@ -59,7 +68,13 @@ class BudgetedEvaluator:
         if not self.problem.domain.contains(coords):
             raise DomainError(f"evaluation outside the domain of {self.problem.name}")
         self.used += 1
-        return float(self.problem.f(coords))
+        value = float(self.problem.f(coords))
+        if value < self.best:
+            self.best = value
+            self.best_coords = coords.copy()
+            self.best_at = self.used
+            self.trace.append((self.used, value))
+        return value
 
 
 # -- base functions ----------------------------------------------------

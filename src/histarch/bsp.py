@@ -389,6 +389,8 @@ class BspArchive:
             grand.below = sibling
         else:
             grand.above = sibling
+        # detach the removed nodes so region_of rejects them
+        leaf.parent = parent.parent = None
         self.n_points -= 1
 
     # -- debug dump ----------------------------------------------------

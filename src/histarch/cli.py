@@ -80,9 +80,9 @@ def _merged_options(args: argparse.Namespace) -> dict:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         options.update(loaded)
     for key in options:
-        arg_key = key if key != "out" else "out"
-        value = getattr(args, arg_key, None)
-        if value not in (None, False):
+        value = getattr(args, key, None)
+        # identity tests: 0 is a value, but 0 == False
+        if value is not None and value is not False:
             options[key] = value
     return options
 

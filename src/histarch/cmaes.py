@@ -28,6 +28,7 @@ class StopReason(enum.Enum):
     STAGNATION = "stagnation"
     TOL_FUN = "tol_fun"
     TOL_X = "tol_x"
+    NUMERICAL_ERROR = "numerical_error"  # sampling or update hit a degenerate state
 
 
 def default_lambda(dim: int) -> int:

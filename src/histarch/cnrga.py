@@ -124,21 +124,32 @@ def init_population(config: GaConfig, archive: BspArchive, evaluator, rng) -> Ga
     return GaPopulation(individuals, 0)
 
 
+def offspring(pop: GaPopulation, config: GaConfig, archive: BspArchive,
+              evaluator, rng):
+    """One generation's children, lazily: the elite ``pop.best()``, then
+    archive-routed crossover children until ``pop_size`` are out.
+
+    Each pair's crossover is drawn before either child is evaluated, so a
+    short last pair still consumes the RNG for its discarded second child.
+    A caller that stops iterating early evaluates nothing further.
+    """
+    max_reject = 10 * config.pop_size
+    yield pop.best()
+    left = config.pop_size - 1
+    while left > 0:
+        for coords in crossover_pair(pop, config, rng)[:left]:
+            yield evaluate_via_archive(coords, archive, evaluator, rng, max_reject)
+        left -= 2
+
+
 def ga_step(pop: GaPopulation, config: GaConfig, archive: BspArchive,
             evaluator, rng) -> GaPopulation:
     """Next generation: tournament parents, gene-exchange crossover,
     archive-routed evaluation, generational replacement with 1-elitism."""
-    max_reject = 10 * config.pop_size
-    children = [pop.best()]
-    while len(children) < config.pop_size:
-        for coords in crossover_pair(pop, config, rng):
-            if len(children) >= config.pop_size:
-                break
-            children.append(evaluate_via_archive(coords, archive, evaluator, rng, max_reject))
-    nxt = GaPopulation(children, pop.generation + 1)
+    children = list(offspring(pop, config, archive, evaluator, rng))
     if config.lru_enabled:
         maybe_prune(archive, config)
-    return nxt
+    return GaPopulation(children, pop.generation + 1)
 
 
 def maybe_prune(archive: BspArchive, config: GaConfig):

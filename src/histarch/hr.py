@@ -20,13 +20,14 @@ from .benchmarks import BudgetedEvaluator, Problem
 from .bsp import BspArchive, Region, RoiSuggestion
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_sample,
                     cma_update, default_lambda)
-from .cnrga import (GaConfig, GaPopulation, crossover_pair, evaluate_via_archive,
-                    ga_step, init_population)
+from .cnrga import GaConfig, GaPopulation, ga_step, init_population, offspring
 from .errors import (BudgetExhaustedError, NumericalError, ParameterError,
                      SearchSpaceExhaustedError)
 
 EXPLORE = "explore"
 EXPLOIT = "exploit"
+# initial CMA-ES step size as a fraction of the longest side of the start box
+SIGMA_FACTOR = 0.3
 
 
 def ceil_log2(n: int) -> int:
@@ -46,26 +47,24 @@ def derive_depth_params(budget: int, lam: int) -> tuple[int, int]:
 class HrConfig:
     budget: int
     lam: int
-    lv: int
-    k: int
     ga: GaConfig = field(default_factory=GaConfig)
-    sigma_factor: float = 0.3
 
     def __post_init__(self):
-        lv, k = derive_depth_params(self.budget, self.lam)
-        if (self.lv, self.k) != (lv, k):
-            raise ParameterError(f"lv/k must be {lv}/{k} for this budget and lambda")
-        if self.sigma_factor <= 0:
-            raise ParameterError("sigma_factor must be positive")
+        derive_depth_params(self.budget, self.lam)  # rejects budget or lam < 2
         if self.ga.lru_enabled:
             raise ParameterError("the hybrid prunes whole regions, not LRU units")
 
+    @property
+    def lv(self) -> int:
+        return derive_depth_params(self.budget, self.lam)[0]
+
+    @property
+    def k(self) -> int:
+        return derive_depth_params(self.budget, self.lam)[1]
+
     @classmethod
-    def for_problem(cls, budget: int, dim: int, ga: GaConfig | None = None,
-                    sigma_factor: float = 0.3) -> "HrConfig":
-        lam = default_lambda(dim)
-        lv, k = derive_depth_params(budget, lam)
-        return cls(budget, lam, lv, k, ga or GaConfig(), sigma_factor)
+    def for_problem(cls, budget: int, dim: int, ga: GaConfig | None = None) -> "HrConfig":
+        return cls(budget, default_lambda(dim), ga or GaConfig())
 
 
 @dataclass
@@ -117,55 +116,22 @@ class RunRecord:
         }
 
 
-class TracingEvaluator:
-    """Budget gate that also records the best-so-far trace."""
-
-    def __init__(self, inner: BudgetedEvaluator):
-        self.inner = inner
-        self.trace = []
-        self.best = float("inf")
-        self.best_coords = None
-        self.best_at = 0
-
-    @property
-    def used(self) -> int:
-        return self.inner.used
-
-    @property
-    def budget(self) -> int:
-        return self.inner.budget
-
-    @property
-    def remaining(self) -> int:
-        return self.inner.remaining
-
-    def __call__(self, coords) -> float:
-        value = self.inner(coords)
-        if value < self.best:
-            self.best = value
-            self.best_coords = np.array(coords, dtype=float)
-            self.best_at = self.inner.used
-            self.trace.append((self.inner.used, value))
-        return value
-
-
-def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region,
-                      sigma_factor: float = 0.3) -> CmaState:
+def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:
     """CMA-ES start state for a region of interest.
 
     The mean is the arithmetic mean of the collected solutions; the
-    initial step size is sigma_factor times the longest side of the
+    initial step size is SIGMA_FACTOR times the longest side of the
     region. Sampling stays bounded by the full problem domain: the region
     guides the restart, it does not constrain the exploitation.
     """
     if not roi.seeds:
         raise ParameterError("a region of interest must carry at least one seed")
     mean0 = np.mean([p.coords for p in roi.seeds], axis=0)
-    sigma0 = sigma_factor * float(roi.region.side_lengths().max())
+    sigma0 = SIGMA_FACTOR * float(roi.region.side_lengths().max())
     return cma_init(mean0, sigma0, lam, domain)
 
 
-def _cma_phase(state: CmaState, evaluator: TracingEvaluator, rng) -> str:
+def _cma_phase(state: CmaState, evaluator: BudgetedEvaluator, rng) -> str:
     """Sample/evaluate/update until a stop fires; returns the reason string.
 
     Never raises on budget: candidates are evaluated only while budget
@@ -178,7 +144,7 @@ def _cma_phase(state: CmaState, evaluator: TracingEvaluator, rng) -> str:
         try:
             candidates = cma_sample(state, rng)
         except NumericalError:
-            return "numerical_error"
+            return StopReason.NUMERICAL_ERROR.value
         fits = []
         for x in candidates:
             if evaluator.remaining <= 0:
@@ -187,7 +153,7 @@ def _cma_phase(state: CmaState, evaluator: TracingEvaluator, rng) -> str:
         try:
             cma_update(state, candidates, np.array(fits))
         except NumericalError:
-            return "numerical_error"
+            return StopReason.NUMERICAL_ERROR.value
 
 
 def _close_phase(phases: list, kind: str, start: int, end: int,
@@ -201,29 +167,12 @@ def _close_phase(phases: list, kind: str, start: int, end: int,
         phases.append(Phase(kind, start, end, stop_reason=stop))
 
 
-def _explore_generation(pop: GaPopulation, ga: GaConfig, archive: BspArchive,
-                        evaluator, rng) -> GaPopulation:
-    """One GA generation that suspends as soon as a region of interest is
-    pending. On suspension the parents are returned unchanged; offspring
-    evaluated so far stay in the archive and the best-so-far trace."""
-    max_reject = 10 * ga.pop_size
-    children = [pop.best()]
-    while len(children) < ga.pop_size:
-        for coords in crossover_pair(pop, ga, rng):
-            if len(children) >= ga.pop_size:
-                break
-            children.append(evaluate_via_archive(coords, archive, evaluator, rng, max_reject))
-            if archive.pending_roi is not None:
-                return pop
-    return GaPopulation(children, pop.generation + 1)
-
-
 def hr_run(problem: Problem, config: HrConfig, rng,
            dump_tree: bool = False) -> RunRecord:
     """Full history-assisted restart run under one evaluation budget."""
     if config.budget < config.ga.pop_size:
         raise ParameterError("budget must cover at least the initial population")
-    evaluator = TracingEvaluator(BudgetedEvaluator(problem, config.budget))
+    evaluator = BudgetedEvaluator(problem, config.budget)
     archive = BspArchive(problem.domain, config.lv, config.k)
     phases: list[Phase] = []
     phase_start = 1
@@ -236,8 +185,7 @@ def hr_run(problem: Problem, config: HrConfig, rng,
                 archive.pending_roi = None
                 _close_phase(phases, EXPLORE, phase_start, evaluator.used)
                 phase_start = evaluator.used + 1
-                state = seed_cma_from_roi(roi, config.lam, problem.domain,
-                                          config.sigma_factor)
+                state = seed_cma_from_roi(roi, config.lam, problem.domain)
                 reason = _cma_phase(state, evaluator, rng)
                 archive.block(roi.subroot)
                 _close_phase(phases, EXPLOIT, phase_start, evaluator.used, roi, reason)
@@ -247,7 +195,16 @@ def hr_run(problem: Problem, config: HrConfig, rng,
                 continue
             if evaluator.remaining <= 0:
                 break
-            pop = _explore_generation(pop, config.ga, archive, evaluator, rng)
+            # the GA generation, suspended as soon as a region of interest
+            # is pending: the parents resume, and offspring evaluated so far
+            # stay in the archive and the best-so-far trace
+            children = []
+            for child in offspring(pop, config.ga, archive, evaluator, rng):
+                children.append(child)
+                if archive.pending_roi is not None:
+                    break
+            else:
+                pop = GaPopulation(children, pop.generation + 1)
     except BudgetExhaustedError:
         pass
     except SearchSpaceExhaustedError:
@@ -277,12 +234,12 @@ def _finalize(algo, problem, evaluator, phases, exhausted, tree_dump=None) -> Ru
 # -- baselines ----------------------------------------------------------
 
 def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
-    """Plain restarting CMA-ES: fresh uniform mean and sigma0 = 0.3 times
-    the largest domain side on every non-budget stop, fixed population."""
-    evaluator = TracingEvaluator(BudgetedEvaluator(problem, budget))
+    """Plain restarting CMA-ES: fresh uniform mean and sigma0 = SIGMA_FACTOR
+    times the largest domain side on every non-budget stop, fixed population."""
+    evaluator = BudgetedEvaluator(problem, budget)
     domain = problem.domain
     lam = default_lambda(problem.dim)
-    sigma0 = 0.3 * float(domain.side_lengths().max())
+    sigma0 = SIGMA_FACTOR * float(domain.side_lengths().max())
     phases: list[Phase] = []
     while evaluator.remaining > 0:
         start = evaluator.used + 1
@@ -293,12 +250,10 @@ def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
 
 
 def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
-              config: GaConfig | None = None, dump_tree: bool = False) -> RunRecord:
+              dump_tree: bool = False) -> RunRecord:
     """Pure non-revisiting GA, optionally with LRU memory pruning."""
-    ga = config or GaConfig(lru_enabled=lru)
-    if ga.lru_enabled != lru:
-        raise ParameterError("config.lru_enabled contradicts the requested variant")
-    evaluator = TracingEvaluator(BudgetedEvaluator(problem, budget))
+    ga = GaConfig(lru_enabled=lru)
+    evaluator = BudgetedEvaluator(problem, budget)
     lv, k = derive_depth_params(budget, default_lambda(problem.dim))
     archive = BspArchive(problem.domain, lv, k)
     exhausted = False
@@ -325,18 +280,10 @@ def run_algorithm(problem: Problem, algo: str, budget: int, rng,
     if algo == "hr":
         cfg = HrConfig.for_problem(budget, problem.dim)
         return hr_run(problem, cfg, rng, dump_tree=dump_tree)
-    if algo in ("cmaes", "cmaes_restart"):
+    if algo == "cmaes":
         return run_cmaes_restart(problem, budget, rng)
     if algo == "cnrga_lru":
         return run_cnrga(problem, budget, rng, lru=True, dump_tree=dump_tree)
     if algo == "cnrga":
         return run_cnrga(problem, budget, rng, lru=False, dump_tree=dump_tree)
     raise ParameterError(f"unknown algorithm id {algo!r}")
-
-
-def run_baseline(problem: Problem, algo: str, budget: int, rng) -> RunRecord:
-    """The two comparison baselines (accepts cmaes_restart and cnrga_lru)."""
-    if algo not in ("cmaes_restart", "cmaes", "cnrga_lru", "cnrga"):
-        raise ParameterError(f"unknown baseline id {algo!r}")
-    return run_algorithm(problem, "cmaes" if algo == "cmaes_restart" else algo,
-                         budget, rng)

@@ -119,6 +119,22 @@ def test_separate_evaluators_do_not_interfere():
     assert ev1.used == 1 and ev2.used == 0
 
 
+def test_evaluator_keeps_best_so_far_trace():
+    p = suite10()[0]  # sphere
+    ev = BudgetedEvaluator(p, budget=10)
+    assert ev.trace == [] and ev.best == float("inf")
+    assert ev.best_coords is None and ev.best_at == 0
+    xs = [np.full(10, v) for v in (2.0, 3.0, 1.0, -1.0, 0.5, 0.5)]
+    for x in xs:
+        ev(x)
+    # strict improvements only: the tie at eval 4 and the repeat at 6 are not
+    assert ev.trace == [(1, 40.0), (3, 10.0), (5, 2.5)]
+    assert ev.best == 2.5 and ev.best_at == 5
+    assert np.array_equal(ev.best_coords, np.full(10, 0.5))
+    xs[4][:] = 7.0
+    assert np.array_equal(ev.best_coords, np.full(10, 0.5))
+
+
 def test_out_of_domain_evaluation_rejected():
     p = suite10()[0]
     ev = BudgetedEvaluator(p, budget=10)

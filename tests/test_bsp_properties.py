@@ -6,10 +6,11 @@ compare them after every operation with the parent-link oracles in
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histarch import Blocked, BspArchive, NewLeaf, Region, Revisit
+from histarch import Blocked, BspArchive, NewLeaf, Region, Revisit, StructuralError
 from util import locate_brute, tiling_relative_error, walk_region
 
 LV, K = 2, 1
@@ -114,8 +115,14 @@ def test_archive_invariants_under_random_operations(dim, plan):
         kind, arg = step
         if kind == "prune":
             n_before = ar.n_points
+            before = list(ar.iter_leaves())
             ar.prune_lru(arg)
             assert ar.n_points == n_before - int(np.floor(arg * n_before))
+            kept = {id(leaf) for leaf in ar.iter_leaves()}
+            for leaf in before:
+                if id(leaf) not in kept:
+                    with pytest.raises(StructuralError):
+                        ar.region_of(leaf)
             fresh_blocks = []
         else:
             candidates = preorder(ar)[1:]

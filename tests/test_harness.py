@@ -175,6 +175,14 @@ def test_cli_flag_overrides_config_file(tmp_path):
                  "--runs", "3"]) == 0
     summary = json.loads((tmp_path / "o2" / "summary.json").read_text())
     assert summary["config"]["runs"] == 3
+    # a zero-valued flag still wins over the file
+    cfg_file.write_text(json.dumps({
+        "suite": "2d", "algos": "cmaes", "budget": 300, "runs": 2,
+        "seed": 7, "problems": "sphere"}))
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o3"),
+                 "--seed", "0"]) == 0
+    summary = json.loads((tmp_path / "o3" / "summary.json").read_text())
+    assert summary["config"]["base_seed"] == 0
 
 
 def test_cli_unknown_config_key_rejected(tmp_path):

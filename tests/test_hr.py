@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from histarch import (GaConfig, HrConfig, ParameterError, Region, RoiSuggestion,
-                      derive_depth_params, hr_run, run_algorithm, run_baseline,
-                      seed_cma_from_roi)
-from histarch.benchmarks import Problem, rastrigin
+                      StopReason, cma_init, derive_depth_params, hr_run,
+                      run_algorithm, seed_cma_from_roi)
+from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
 from histarch.bsp import SearchPoint
+from histarch.hr import _cma_phase
 
 
 def make_problem(dim, f, lo=-100.0, hi=100.0, name="p", f_opt=0.0):
@@ -43,8 +44,6 @@ def test_depth_params_reference_values():
 def test_hr_config_validates_depths():
     cfg = HrConfig.for_problem(100_000, 10)
     assert (cfg.lv, cfg.k) == (17, 4)
-    with pytest.raises(ParameterError):
-        HrConfig(budget=100_000, lam=10, lv=16, k=4)
     with pytest.raises(ParameterError):
         HrConfig.for_problem(1000, 10, ga=GaConfig(lru_enabled=True))
 
@@ -90,6 +89,16 @@ def test_empty_seeds_rejected():
     roi = RoiSuggestion(None, region, [], 1)
     with pytest.raises(ParameterError):
         seed_cma_from_roi(roi, 6, region)
+
+
+def test_non_finite_covariance_ends_phase_as_numerical_error():
+    problem = make_problem(3, sphere_f, lo=-5.0, hi=5.0)
+    state = cma_init(np.zeros(3), 1.0, 6, problem.domain)
+    state.cov[0, 1] = state.cov[1, 0] = np.nan
+    evaluator = BudgetedEvaluator(problem, 100)
+    reason = _cma_phase(state, evaluator, np.random.default_rng(0))
+    assert reason == StopReason.NUMERICAL_ERROR.value == "numerical_error"
+    assert evaluator.used == 0
 
 
 # -- full runs --------------------------------------------------------------
@@ -180,7 +189,7 @@ def test_trace_is_non_increasing_and_shared():
 
 def test_restarting_cmaes_restarts_on_flat_objective():
     problem = make_problem(10, lambda x: 1.0, f_opt=None)
-    rec = run_baseline(problem, "cmaes_restart", 10_000, np.random.default_rng(7))
+    rec = run_algorithm(problem, "cmaes", 10_000, np.random.default_rng(7))
     assert rec.evals_used == 10_000
     restarts = [ph for ph in rec.phases if ph.kind == "exploit"]
     assert len(restarts) >= 2
@@ -218,4 +227,4 @@ def test_unknown_algorithm_rejected():
     with pytest.raises(ParameterError):
         run_algorithm(problem, "annealing", 100, np.random.default_rng(0))
     with pytest.raises(ParameterError):
-        run_baseline(problem, "annealing", 100, np.random.default_rng(0))
+        run_algorithm(problem, "cmaes_restart", 100, np.random.default_rng(0))
