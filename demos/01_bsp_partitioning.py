@@ -37,7 +37,7 @@ while archive.pending_roi is None:
     value /= 2.0
 roi = archive.pending_roi
 print(f"trigger at depth >= lv+k = {archive.lv + archive.k}")
-print(f"suggested sub-root depth {roi.subroot_depth}, "
+print(f"suggested sub-root depth {roi.subroot.depth}, "
       f"region {roi.region.lower} .. {roi.region.upper}, {len(roi.seeds)} seeds")
 
 print()

@@ -7,7 +7,8 @@ sub-region has been sampled densely enough to count as a region of
 interest, and can block exploited sub-regions against further insertion.
 
 A node stores only its split, its links, its point and the two flags the
-policies need (``blocked``, ``last_touch``). Cell bounds and depth are
+policies need (``blocked``, ``last_touch``); only leaves hold points, and a
+blocked cell is known by its flag alone. Cell bounds and depth are
 derived: ``insert`` counts depth on its walk down from the root, and
 ``region_of`` clips the domain along the ancestor path. Nothing cached
 has to be rebuilt when pruning moves a subtree up, so ``prune_lru`` costs
@@ -72,10 +73,9 @@ class Region:
 class BspNode:
     """Tree node; a leaf holds a point, an internal node holds a split.
 
-    An internal node may also retain the point it held before it was
-    split (the virtual-holder role); that point always duplicates a leaf
-    somewhere below it. A node stores no bounds and no depth: its cell is
-    ``BspArchive.region_of(node)`` and ``depth`` counts parent links.
+    Only the root of an empty archive holds neither. A node stores no
+    bounds and no depth: its cell is ``BspArchive.region_of(node)`` and
+    ``depth`` counts parent links.
     """
 
     __slots__ = (
@@ -117,10 +117,6 @@ class BspNode:
     def is_internal(self) -> bool:
         return self.below is not None
 
-    @property
-    def kind(self) -> str:
-        return "internal" if self.is_internal else "leaf"
-
     def children(self):
         return (self.below, self.above) if self.below is not None else ()
 
@@ -136,7 +132,8 @@ class NewLeaf:
 
 
 class Revisit:
-    """The coordinates coincide (within epsilon) with a stored point."""
+    """The coordinates equal a stored point's, or are too close to it to
+    split between them in floating point."""
 
     __slots__ = ("leaf",)
 
@@ -157,7 +154,6 @@ class RoiSuggestion:
     subroot: BspNode
     region: Region
     seeds: list[SearchPoint]
-    subroot_depth: int
 
 
 class BspArchive:
@@ -168,21 +164,15 @@ class BspArchive:
     depth-lv ancestor as worth exploiting.
     """
 
-    def __init__(self, domain: Region, lv: int, k: int, revisit_epsilon: float = 0.0):
+    def __init__(self, domain: Region, lv: int, k: int):
         if lv < 0 or k < 0:
             raise ParameterError("lv and k must be non-negative")
-        if revisit_epsilon < 0:
-            raise ParameterError("revisit_epsilon must be >= 0")
         self.domain = domain
         self.lv = int(lv)
         self.k = int(k)
-        self.revisit_epsilon = float(revisit_epsilon)
         self.root = BspNode(None)
-        # single-child state for the very first point; None once split
-        self._only_child: BspNode | None = None
         self.n_points = 0
         self._clock = 0
-        self.blocked_regions: list[Region] = []
         self.pending_roi: RoiSuggestion | None = None
 
     # -- insertion ---------------------------------------------------
@@ -209,42 +199,33 @@ class BspArchive:
         if node.blocked:
             return Blocked()
 
-        # empty tree: first point becomes a single leaf at depth 1
+        # empty archive: the root takes the first point as a depth-0 leaf
         if self.n_points == 0:
-            leaf = BspNode(node, SearchPoint(coords.copy(), eval_index=clock))
-            leaf.last_touch = clock
-            self._only_child = leaf
+            node.point = SearchPoint(coords.copy(), eval_index=clock)
             self.n_points = 1
-            return self._finish_new_leaf(leaf, 1)
+            return self._finish_new_leaf(node, 0)
 
+        # the walk is the hot loop: plain attribute tests and Python
+        # floats cost less per level than properties and numpy scalars
         depth = 0
-        if self._only_child is not None:
-            # one stored point: a second distinct point splits the root
-            leaf = self._only_child
-            leaf.last_touch = clock
-        else:
-            # the walk is the hot loop: plain attribute tests and Python
-            # floats cost less per level than properties and numpy scalars
-            x = coords.tolist()
-            while node.below is not None:
-                node = node.below if x[node.split_dim] < node.split_value else node.above
-                node.last_touch = clock
-                depth += 1
-                if node.blocked:
-                    return Blocked()
-            leaf = node
+        x = coords.tolist()
+        while node.below is not None:
+            node = node.below if x[node.split_dim] < node.split_value else node.above
+            node.last_touch = clock
+            depth += 1
+            if node.blocked:
+                return Blocked()
 
-        delta = np.abs(coords - leaf.point.coords)
-        if delta.max() <= self.revisit_epsilon:
-            return Revisit(leaf)
+        old = node.point
+        delta = np.abs(coords - old.coords)
         split_dim = int(np.argmax(delta))
-        a = float(leaf.point.coords[split_dim])
+        a = float(old.coords[split_dim])
         b = float(coords[split_dim])
         split_value = 0.5 * (a + b)
         if not (min(a, b) < split_value < max(a, b)):
-            return Revisit(leaf)  # coordinates too close to separate in float
-        # split ``node`` (the leaf itself, or the root while it has one
-        # child) into two leaves holding the old and the new point
+            return Revisit(node)  # identical, or too close to separate in float
+        # the leaf becomes a split whose two leaf children hold the old
+        # and the new point
         node.split_dim = split_dim
         node.split_value = split_value
         below = BspNode(node)
@@ -253,14 +234,14 @@ class BspArchive:
         above.last_touch = clock
         new_point = SearchPoint(coords.copy(), eval_index=clock)
         if a < split_value:
-            below.point, above.point = leaf.point, new_point
+            below.point, above.point = old, new_point
             new_leaf = above
         else:
-            below.point, above.point = new_point, leaf.point
+            below.point, above.point = new_point, old
             new_leaf = below
         node.below = below
         node.above = above
-        self._only_child = None
+        node.point = None
         self.n_points += 1
         return self._finish_new_leaf(new_leaf, depth + 1)
 
@@ -291,9 +272,8 @@ class BspArchive:
             parent = child.parent
             if parent.below is child:
                 upper[parent.split_dim] = parent.split_value
-            elif parent.above is child:
+            else:
                 lower[parent.split_dim] = parent.split_value
-            # the root's single child keeps the whole domain
         return Region(np.array(lower), np.array(upper))
 
     def mutation_region(self, revisited_leaf: BspNode) -> Region:
@@ -313,30 +293,24 @@ class BspArchive:
         node = new_leaf
         for _ in range(depth - self.lv):
             node = node.parent
-        if node is self.root:
-            seeds = [leaf.point for leaf in self.iter_leaves()]
-        else:
-            seeds = [leaf.point for leaf in self._iter_leaves(node)]
-        return RoiSuggestion(node, self.region_of(node), seeds, self.lv)
+        seeds = [leaf.point for leaf in self._iter_leaves(node)]
+        return RoiSuggestion(node, self.region_of(node), seeds)
 
     def block(self, subroot: BspNode):
         """Close ``subroot``'s cell to future insertion.
 
-        The cell's box is captured now and kept in ``blocked_regions``.
+        The flag is the only record of the block: ``insert`` returns
+        Blocked for every point routed through ``subroot``.
         """
-        region = self.region_of(subroot)
+        self.region_of(subroot)  # rejects nodes of other archives
         subroot.blocked = True
-        self.blocked_regions.append(region)
 
     @property
     def n_leaves(self) -> int:
         return self.n_points
 
     def iter_leaves(self):
-        if self._only_child is not None:
-            yield self._only_child
-            return
-        yield from self._iter_leaves(self.root)
+        return self._iter_leaves(self.root)
 
     def _iter_leaves(self, node):
         stack = [node]
@@ -377,12 +351,13 @@ class BspArchive:
         parent = leaf.parent
         if parent is None:
             raise StructuralError("cannot remove the last remaining cell")
-        if leaf is self._only_child:
-            raise StructuralError("cannot remove the only stored point")
         sibling = parent.above if leaf is parent.below else parent.below
         grand = parent.parent
-        # sibling takes over the parent's slot and (wider) cell
+        # sibling takes over the parent's slot and (wider) cell, and with
+        # it any block on that cell: a block is forgotten only together
+        # with the last point stored under it
         sibling.parent = grand
+        sibling.blocked = sibling.blocked or parent.blocked
         if grand is None:
             self.root = sibling
         elif grand.below is parent:
@@ -396,24 +371,22 @@ class BspArchive:
     # -- debug dump ----------------------------------------------------
 
     def dump(self) -> str:
-        """Pre-order text dump: depth kind split_dim split_value blocked coords."""
+        """Pre-order text dump, one node per line.
+
+        Internal lines read ``depth internal split_dim split_value blocked``;
+        leaf lines read ``depth leaf - - blocked`` followed by the point's
+        coordinates.
+        """
         lines = []
-        if self._only_child is not None:
-            order = [(0, self.root), (1, self._only_child)]
-        else:
-            order = []
-            stack = [(0, self.root)]
-            while stack:
-                depth, n = stack.pop()
-                order.append((depth, n))
-                if n.is_internal:
-                    stack.append((depth + 1, n.above))
-                    stack.append((depth + 1, n.below))
-        for depth, n in order:
-            split_dim = str(n.split_dim) if n.is_internal else "-"
-            split_value = repr(float(n.split_value)) if n.is_internal else "-"
-            coords = " ".join(repr(float(c)) for c in n.point.coords) if n.point is not None else ""
-            kind = n.kind if (n.is_internal or n.point is not None) else "root"
-            line = f"{depth} {kind} {split_dim} {split_value} {int(n.blocked)}"
-            lines.append(line + (" " + coords if coords else ""))
-        return "\n".join(lines) + "\n"
+        stack = [(0, self.root)]
+        while stack:
+            depth, n = stack.pop()
+            if n.is_internal:
+                lines.append(f"{depth} internal {n.split_dim} {float(n.split_value)!r} "
+                             f"{int(n.blocked)}")
+                stack.append((depth + 1, n.above))
+                stack.append((depth + 1, n.below))
+            elif n.point is not None:
+                coords = " ".join(repr(float(c)) for c in n.point.coords)
+                lines.append(f"{depth} leaf - - {int(n.blocked)} {coords}")
+        return "".join(line + "\n" for line in lines)

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsp import BspArchive, NewLeaf, Revisit, SearchPoint
+from .bsp import BspArchive, Blocked, NewLeaf, SearchPoint
 from .errors import BudgetExhaustedError, ParameterError, SearchSpaceExhaustedError
 
 MAX_REVISIT_RETRIES = 100
+# consecutive blocked domain draws that count as a fully blocked domain
+MAX_BLOCKED_DRAWS = 1000
 
 
 @dataclass
@@ -51,47 +53,41 @@ class GaPopulation:
         return min(self.individuals, key=lambda p: p.fitness)
 
 
-def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
-                         max_reject: int | None = None) -> SearchPoint:
+def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> SearchPoint:
     """Insert, dodge revisits and blocked cells, evaluate exactly once.
 
     A revisit is replaced by a uniform draw from the revisited leaf's
-    cell (after 100 consecutive revisits, a uniform domain draw). A
-    blocked outcome is replaced by a uniform domain draw rejection-sampled
-    to stay outside every blocked box; ``max_reject`` consecutive
-    rejections mean the blocked boxes cover the domain, which aborts the
+    cell (after MAX_REVISIT_RETRIES consecutive revisits, a uniform domain
+    draw). A blocked outcome is replaced by a uniform domain draw, which
+    goes back through the archive; MAX_BLOCKED_DRAWS consecutive blocked
+    draws mean the blocked cells cover the domain, which aborts the
     search. ``evaluator`` must be callable and expose ``remaining``.
     """
-    if max_reject is None:
-        max_reject = 1000
     if evaluator.remaining <= 0:
         raise BudgetExhaustedError("no evaluations left")
     coords = np.asarray(coords, dtype=float)
-    revisit_streak = 0
+    revisit_streak = blocked_streak = 0
     while True:
         outcome = archive.insert(coords)
         if isinstance(outcome, NewLeaf):
             point = outcome.node.point
             point.fitness = evaluator(point.coords)
             return point
-        if isinstance(outcome, Revisit):
-            revisit_streak += 1
-            if revisit_streak > MAX_REVISIT_RETRIES:
-                coords = archive.domain.uniform_point(rng)
-            else:
-                coords = archive.mutation_region(outcome.leaf).uniform_point(rng)
-            continue
-        # blocked: resample anywhere outside the blocked boxes
-        revisit_streak = 0
-        rejections = 0
-        while True:
-            coords = archive.domain.uniform_point(rng)
-            if not any(box.contains(coords) for box in archive.blocked_regions):
-                break
-            rejections += 1
-            if rejections >= max_reject:
+        if isinstance(outcome, Blocked):
+            # a streak opens with one blocked point; the rest are domain draws
+            blocked_streak += 1
+            if blocked_streak > MAX_BLOCKED_DRAWS:
                 raise SearchSpaceExhaustedError(
-                    f"{rejections} consecutive draws landed in blocked regions")
+                    f"{MAX_BLOCKED_DRAWS} consecutive draws landed in blocked regions")
+            revisit_streak = 0
+            coords = archive.domain.uniform_point(rng)
+            continue
+        blocked_streak = 0
+        revisit_streak += 1
+        if revisit_streak > MAX_REVISIT_RETRIES:
+            coords = archive.domain.uniform_point(rng)
+        else:
+            coords = archive.mutation_region(outcome.leaf).uniform_point(rng)
 
 
 def tournament_pick(pop: GaPopulation, rng, size: int) -> SearchPoint:
@@ -117,10 +113,9 @@ def crossover_pair(pop: GaPopulation, config: GaConfig, rng):
 
 def init_population(config: GaConfig, archive: BspArchive, evaluator, rng) -> GaPopulation:
     individuals = []
-    max_reject = 10 * config.pop_size
     while len(individuals) < config.pop_size:
         coords = archive.domain.uniform_point(rng)
-        individuals.append(evaluate_via_archive(coords, archive, evaluator, rng, max_reject))
+        individuals.append(evaluate_via_archive(coords, archive, evaluator, rng))
     return GaPopulation(individuals, 0)
 
 
@@ -133,12 +128,11 @@ def offspring(pop: GaPopulation, config: GaConfig, archive: BspArchive,
     short last pair still consumes the RNG for its discarded second child.
     A caller that stops iterating early evaluates nothing further.
     """
-    max_reject = 10 * config.pop_size
     yield pop.best()
     left = config.pop_size - 1
     while left > 0:
         for coords in crossover_pair(pop, config, rng)[:left]:
-            yield evaluate_via_archive(coords, archive, evaluator, rng, max_reject)
+            yield evaluate_via_archive(coords, archive, evaluator, rng)
         left -= 2
 
 

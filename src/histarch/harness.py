@@ -219,8 +219,9 @@ def persist_result(result: ExperimentResult, suite):
                     if rec is None:
                         continue
                     path = runs_dir / f"{prob}__{algo}__run{i}.json"
-                    path.write_text(json.dumps(rec.to_dict(), indent=2) + "\n",
-                                    newline="\n")
+                    record = dataclasses.asdict(rec)
+                    del record["tree_dump"]
+                    path.write_text(json.dumps(record, indent=2) + "\n", newline="\n")
         if result.config.gnuplot:
             tr_dir = out / "traces"
             tr_dir.mkdir(exist_ok=True)

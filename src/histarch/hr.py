@@ -76,16 +76,6 @@ class Phase:
     roi_upper: list | None = None
     stop_reason: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start_eval": self.start_eval,
-            "end_eval": self.end_eval,
-            "roi_lower": self.roi_lower,
-            "roi_upper": self.roi_upper,
-            "stop_reason": self.stop_reason,
-        }
-
 
 @dataclass
 class RunRecord:
@@ -99,21 +89,7 @@ class RunRecord:
     final_fitness: float
     final_eval_index: int
     search_space_exhausted: bool = False
-    tree_dump: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "algo": self.algo,
-            "problem": self.problem,
-            "budget": self.budget,
-            "evals_used": self.evals_used,
-            "best_trace": [[i, v] for i, v in self.best_trace],
-            "phases": [p.to_dict() for p in self.phases],
-            "final_coords": list(self.final_coords),
-            "final_fitness": self.final_fitness,
-            "final_eval_index": self.final_eval_index,
-            "search_space_exhausted": self.search_space_exhausted,
-        }
+    tree_dump: str | None = None  # written to its own file, not to the run JSON
 
 
 def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:

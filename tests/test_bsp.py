@@ -11,8 +11,8 @@ def box(lo, hi, dim=2):
     return Region(np.full(dim, float(lo)), np.full(dim, float(hi)))
 
 
-def fresh(dim=2, lo=0.0, hi=10.0, lv=17, k=4, eps=0.0):
-    return BspArchive(box(lo, hi, dim), lv=lv, k=k, revisit_epsilon=eps)
+def fresh(dim=2, lo=0.0, hi=10.0, lv=17, k=4):
+    return BspArchive(box(lo, hi, dim), lv=lv, k=k)
 
 
 def fill_random(archive, n, rng):
@@ -23,12 +23,25 @@ def fill_random(archive, n, rng):
 
 # -- insert ---------------------------------------------------------------
 
-def test_first_insert_is_depth_one_leaf():
+def test_first_insert_is_depth_zero_leaf():
     ar = fresh()
     out = ar.insert(np.array([2.0, 5.0]))
     assert isinstance(out, NewLeaf)
-    assert out.depth == 1
+    assert out.depth == 0
+    assert out.node is ar.root and ar.root.is_leaf
     assert ar.n_points == 1
+    assert list(ar.iter_leaves()) == [ar.root]
+
+
+def test_first_insert_and_prune_to_one_point_give_same_tree():
+    first = fresh()
+    first.insert(np.array([8.0, 6.0]))
+    pruned = fresh()
+    pruned.insert(np.array([2.0, 5.0]))
+    pruned.insert(np.array([8.0, 6.0]))
+    pruned.insert(np.array([8.0, 6.0]))  # revisit: the (2, 5) leaf is now older
+    pruned.prune_lru(0.5)
+    assert pruned.dump() == first.dump() == "0 leaf - - 0 8.0 6.0\n"
 
 
 def test_second_insert_splits_root_on_max_difference_dim():
@@ -52,13 +65,6 @@ def test_exact_duplicate_is_revisit():
     assert ar.n_points == 1
 
 
-def test_revisit_epsilon_band():
-    ar = fresh(eps=0.1)
-    ar.insert(np.array([2.0, 5.0]))
-    assert isinstance(ar.insert(np.array([2.05, 5.05])), Revisit)
-    assert isinstance(ar.insert(np.array([2.5, 5.0])), NewLeaf)
-
-
 def test_tie_break_picks_lowest_dimension():
     ar = fresh()
     ar.insert(np.array([2.0, 2.0]))
@@ -78,15 +84,15 @@ def test_insert_non_finite_raises():
         ar.insert(np.array([np.nan, 5.0]))
 
 
-def test_virtual_holder_keeps_old_point():
+def test_split_leaf_hands_its_point_to_a_child():
     ar = fresh()
     ar.insert(np.array([2.0, 5.0]))
     ar.insert(np.array([8.0, 6.0]))
     ar.insert(np.array([1.0, 1.0]))  # splits the (2,5) leaf
     internal = ar.root.below
     assert internal.is_internal
-    assert internal.point is not None
-    assert np.array_equal(internal.point.coords, [2.0, 5.0])
+    assert internal.point is None
+    assert ar.root.point is None
     leaf_coords = sorted(tuple(l.point.coords) for l in ar.iter_leaves())
     assert (2.0, 5.0) in leaf_coords and (1.0, 1.0) in leaf_coords
 
@@ -266,8 +272,7 @@ def test_roi_trigger_fires_at_lv_plus_k():
     assert max_leaf_depth(ar) == 21
     roi = ar.pending_roi
     assert roi is not None
-    assert roi.subroot.depth == 17
-    assert roi.subroot_depth == 17
+    assert roi.subroot.depth == ar.lv == 17
     for seed in roi.seeds:
         assert roi.region.contains(seed.coords)
 
@@ -425,6 +430,7 @@ def test_dump_format_fields():
     lines = ar.dump().strip().split("\n")
     assert len(lines) == 3
     root_fields = lines[0].split(" ")
+    assert len(root_fields) == 5  # no coordinates on internal lines
     assert root_fields[0] == "0"
     assert root_fields[1] == "internal"
     assert root_fields[2] == "0"

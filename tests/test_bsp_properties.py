@@ -2,7 +2,8 @@
 
 Cell bounds and depth are derived on demand by the library; these checks
 compare them after every operation with the parent-link oracles in
-``util``, including after pruning has moved subtrees up.
+``util``, including after pruning has moved subtrees up. A block must
+outlive every pruning step that leaves a point stored under it.
 """
 
 import numpy as np
@@ -38,11 +39,9 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def preorder(ar):
-    """Nodes in ``dump()`` order: pre-order, below before above."""
-    if ar.n_points == 1 and not ar.root.is_internal and ar.root.point is None:
-        return [ar.root, next(ar.iter_leaves())]
-    nodes, stack = [], [ar.root]
+def preorder(top):
+    """Nodes under ``top`` in ``dump()`` order: pre-order, below before above."""
+    nodes, stack = [], [top]
     while stack:
         node = stack.pop()
         nodes.append(node)
@@ -53,8 +52,6 @@ def preorder(ar):
 
 
 def walk_to_leaf(ar, x):
-    if ar.n_points == 1:
-        return next(ar.iter_leaves())
     node = ar.root
     while node.is_internal:
         node = node.below if x[node.split_dim] < node.split_value else node.above
@@ -65,7 +62,7 @@ def check_roi(ar):
     roi = ar.pending_roi
     if roi is None:
         return
-    assert roi.subroot.depth == LV == roi.subroot_depth
+    assert roi.subroot.depth == LV == ar.lv
     lo, hi = walk_region(ar, roi.subroot)
     assert same_bits(roi.region.lower, lo) and same_bits(roi.region.upper, hi)
     for seed in roi.seeds:
@@ -73,9 +70,10 @@ def check_roi(ar):
     ar.pending_roi = None  # let the trigger fire again later in the sequence
 
 
-def check_invariants(ar, fresh_blocks, rng):
+def check_invariants(ar, blocked_points, rng):
     leaves = list(ar.iter_leaves())
     assert len(leaves) == ar.n_points
+    assert all(node.point is None for node in preorder(ar.root) if node.is_internal)
     for leaf in leaves:
         lo, hi = walk_region(ar, leaf)
         reg = ar.region_of(leaf)
@@ -87,10 +85,15 @@ def check_invariants(ar, fresh_blocks, rng):
         for x in probes:
             assert locate_brute(ar, x) is walk_to_leaf(ar, x)
     depths = [int(line.split(" ", 1)[0]) for line in ar.dump().splitlines()]
-    assert depths == [node.depth for node in preorder(ar)]
-    for subroot, box in fresh_blocks:
-        lo, hi = walk_region(ar, subroot)
-        assert same_bits(box.lower, lo) and same_bits(box.upper, hi)
+    assert depths == [node.depth for node in preorder(ar.root)]
+    # a stored point is blocked exactly when it was under a blocked node at
+    # the time of the block; a Blocked insert only refreshes recency
+    for leaf in leaves:
+        outcome = ar.insert(leaf.point.coords)
+        if id(leaf.point) in blocked_points:
+            assert isinstance(outcome, Blocked)
+        else:
+            assert isinstance(outcome, Revisit) and outcome.leaf is leaf
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -99,9 +102,9 @@ def test_archive_invariants_under_random_operations(dim, plan):
     domain = Region(np.zeros(dim), np.full(dim, 10.0))
     ar = BspArchive(domain, lv=LV, k=K)
     rng = np.random.default_rng(0)
-    # blocked subroots with the box captured for them; a prune can move a
-    # subroot's cell, after which its box keeps the cell it had when blocked
-    fresh_blocks = []
+    # points stored under a node when it was blocked, by id; holding the
+    # points keeps their ids from being reused by later ones
+    blocked_points = {}
     for points, step in plan:
         for coords in points:
             outcome = ar.insert(np.array(coords[:dim]))
@@ -109,7 +112,7 @@ def test_archive_invariants_under_random_operations(dim, plan):
             if isinstance(outcome, NewLeaf):
                 assert outcome.depth == outcome.node.depth
             check_roi(ar)
-            check_invariants(ar, fresh_blocks, rng)
+            check_invariants(ar, blocked_points, rng)
         if step is None:
             continue
         kind, arg = step
@@ -123,12 +126,11 @@ def test_archive_invariants_under_random_operations(dim, plan):
                 if id(leaf) not in kept:
                     with pytest.raises(StructuralError):
                         ar.region_of(leaf)
-            fresh_blocks = []
         else:
-            candidates = preorder(ar)[1:]
+            candidates = preorder(ar.root)[1:]
             if not candidates:
                 continue
             subroot = candidates[arg % len(candidates)]
             ar.block(subroot)
-            fresh_blocks.append((subroot, ar.blocked_regions[-1]))
-        check_invariants(ar, fresh_blocks, rng)
+            blocked_points.update((id(n.point), n.point) for n in preorder(subroot) if n.is_leaf)
+        check_invariants(ar, blocked_points, rng)

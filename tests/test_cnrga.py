@@ -64,7 +64,7 @@ def test_whole_domain_blocked_signals_exhaustion():
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
     ar.block(ar.root)
     with pytest.raises(SearchSpaceExhaustedError):
-        evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng, max_reject=50)
+        evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng)
 
 
 class _ScriptedRng:

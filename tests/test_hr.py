@@ -54,7 +54,7 @@ def roi_of(seed_coords, lower, upper):
     region = Region(np.asarray(lower, float), np.asarray(upper, float))
     seeds = [SearchPoint(np.asarray(c, float), 0.0, i)
              for i, c in enumerate(seed_coords)]
-    return RoiSuggestion(None, region, seeds, 1)
+    return RoiSuggestion(None, region, seeds)
 
 
 def test_seed_mean_and_sigma_from_region():
@@ -86,7 +86,7 @@ def test_seed_mean_stays_inside_region():
 
 def test_empty_seeds_rejected():
     region = Region(np.zeros(2), np.ones(2))
-    roi = RoiSuggestion(None, region, [], 1)
+    roi = RoiSuggestion(None, region, [])
     with pytest.raises(ParameterError):
         seed_cma_from_roi(roi, 6, region)
 

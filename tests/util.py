@@ -22,9 +22,9 @@ def walk_region(archive, node):
         parent = child.parent
         if parent.below is child:
             hi[parent.split_dim] = parent.split_value
-        elif parent.above is child:
+        else:
+            assert parent.above is child, "child not linked from its parent"
             lo[parent.split_dim] = parent.split_value
-        # a single root child keeps the whole domain
     return lo, hi
 
 
