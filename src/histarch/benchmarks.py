@@ -9,6 +9,7 @@ the domain so no optimum sits on a boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,8 @@ class BudgetedEvaluator:
 
     ``trace`` holds (eval_index, value) at every strict improvement;
     ``best``, ``best_coords`` (a copy) and ``best_at`` describe the latest.
+    A non-finite objective value (NaN or +-inf) is returned as +inf, so it
+    ranks worst everywhere, and is counted in ``non_finite``.
     """
 
     def __init__(self, problem: Problem, budget: int):
@@ -55,6 +58,7 @@ class BudgetedEvaluator:
         self.best = float("inf")
         self.best_coords = None
         self.best_at = 0
+        self.non_finite = 0
 
     @property
     def remaining(self) -> int:
@@ -69,6 +73,9 @@ class BudgetedEvaluator:
             raise DomainError(f"evaluation outside the domain of {self.problem.name}")
         self.used += 1
         value = float(self.problem.f(coords))
+        if not math.isfinite(value):
+            self.non_finite += 1
+            value = math.inf
         if value < self.best:
             self.best = value
             self.best_coords = coords.copy()

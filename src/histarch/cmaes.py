@@ -21,6 +21,12 @@ import numpy as np
 from .bsp import Region
 from .errors import InputError, NumericalError, ParameterError
 
+# stop thresholds: covariance condition number, flat best-of-generation
+# spread over the stagnation window, and the step-size floor relative to sigma0
+COV_CONDITION_LIMIT = 1e14
+STAGNATION_TOL = 1e-12
+TOL_X_FACTOR = 1e-12
+
 
 class StopReason(enum.Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
@@ -63,16 +69,11 @@ class CmaState:
     chi_n: float
     domain: Region
     sigma0: float
-    eig_interval: int
-    # tolerances; None disables the corresponding stop
-    cov_condition_limit: float | None = 1e14
-    stagnation_tol: float = 1e-12
-    tol_fun: float | None = 1e-12
-    tol_x: float | None = None
-    # eigendecomposition cache
-    eig_basis: np.ndarray | None = None
-    eig_scale: np.ndarray | None = None  # sqrt of eigenvalues
-    eig_generation: int = -1
+    # eigendecomposition of the cov the latest cma_sample drew from (the
+    # identity's before the first), which cma_update whitens the shift with
+    eig_basis: np.ndarray
+    eig_scale: np.ndarray  # sqrt of eigenvalues
+    tol_fun: float | None = 1e-12  # None disables the tol_fun stop
     best_history: deque = field(default_factory=deque)
     last_fit_range: float = float("inf")
 
@@ -82,10 +83,7 @@ class CmaState:
 
 
 def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region,
-             cov_condition_limit: float | None = 1e14,
-             stagnation_tol: float = 1e-12,
-             tol_fun: float | None = 1e-12,
-             tol_x_factor: float | None = 1e-12) -> CmaState:
+             tol_fun: float | None = 1e-12) -> CmaState:
     """Fresh strategy state: identity covariance, zero paths."""
     mean0 = np.asarray(mean0, dtype=float)
     dim = mean0.size
@@ -107,7 +105,6 @@ def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region,
     c_1 = 2.0 / ((dim + 1.3) ** 2 + mu_eff)
     c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dim + 2.0) ** 2 + mu_eff))
     chi_n = math.sqrt(dim) * (1.0 - 1.0 / (4.0 * dim) + 1.0 / (21.0 * dim ** 2))
-    eig_interval = max(1, int(1.0 / (10.0 * dim * (c_1 + c_mu))))
 
     window = stagnation_window(dim, lam)
     return CmaState(
@@ -129,11 +126,9 @@ def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region,
         chi_n=chi_n,
         domain=domain,
         sigma0=float(sigma0),
-        eig_interval=eig_interval,
-        cov_condition_limit=cov_condition_limit,
-        stagnation_tol=stagnation_tol,
+        eig_basis=np.eye(dim),
+        eig_scale=np.ones(dim),
         tol_fun=tol_fun,
-        tol_x=None if tol_x_factor is None else tol_x_factor * sigma0,
         best_history=deque(maxlen=window),
     )
 
@@ -149,7 +144,6 @@ def _refresh_eig(state: CmaState):
         raise NumericalError("covariance matrix lost positive definiteness")
     state.eig_basis = basis
     state.eig_scale = np.sqrt(eigvals)
-    state.eig_generation = state.generation
 
 
 def cma_sample(state: CmaState, rng: np.random.Generator) -> list[np.ndarray]:
@@ -158,8 +152,7 @@ def cma_sample(state: CmaState, rng: np.random.Generator) -> list[np.ndarray]:
     Out-of-domain draws are resampled up to 100 times, then clamped to
     the box as a last resort.
     """
-    if state.eig_basis is None or state.generation - state.eig_generation >= state.eig_interval:
-        _refresh_eig(state)
+    _refresh_eig(state)
     basis, scale = state.eig_basis, state.eig_scale
     lower, upper = state.domain.lower, state.domain.upper
     candidates = []
@@ -179,12 +172,16 @@ def cma_sample(state: CmaState, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 def cma_update(state: CmaState, candidates: list[np.ndarray], fitnesses: np.ndarray):
-    """One generation step: recombine, cumulate paths, adapt sigma and C."""
+    """One generation step: recombine, cumulate paths, adapt sigma and C.
+
+    Whitens the mean shift with the eigendecomposition ``cma_sample`` drew
+    the candidates from. +inf fitnesses rank last; NaN is rejected.
+    """
     fitnesses = np.asarray(fitnesses, dtype=float)
     if len(candidates) != state.lam or fitnesses.size != state.lam:
         raise InputError(f"expected exactly {state.lam} evaluated candidates")
-    if not np.isfinite(fitnesses).all():
-        raise InputError("fitness values must be finite")
+    if np.isnan(fitnesses).any():
+        raise InputError("fitness values must not be NaN")
 
     dim = state.dim
     order = np.argsort(fitnesses, kind="stable")
@@ -194,8 +191,6 @@ def cma_update(state: CmaState, candidates: list[np.ndarray], fitnesses: np.ndar
     new_mean = state.weights @ xs
     shift = (new_mean - old_mean) / state.sigma
 
-    if state.eig_basis is None or state.eig_generation < state.generation - state.eig_interval:
-        _refresh_eig(state)
     basis, scale = state.eig_basis, state.eig_scale
     inv_sqrt_shift = basis @ ((basis.T @ shift) / scale)
 
@@ -225,29 +220,29 @@ def cma_update(state: CmaState, candidates: list[np.ndarray], fitnesses: np.ndar
 
     state.mean = new_mean
     state.generation = gen1
-    state.best_history.append(float(fitnesses.min()))
-    state.last_fit_range = float(fitnesses.max() - fitnesses.min())
+    best, worst = float(fitnesses.min()), float(fitnesses.max())
+    state.best_history.append(best)
+    # equal values are flat, +inf included
+    state.last_fit_range = 0.0 if worst == best else worst - best
 
 
 def cma_check_stop(state: CmaState, evals_used: int, budget: int) -> StopReason | None:
     """First matching stop in priority order, or None to keep going."""
     if evals_used >= budget:
         return StopReason.BUDGET_EXHAUSTED
-    if state.cov_condition_limit is not None:
-        eigvals = np.linalg.eigvalsh(state.cov)
-        if eigvals.min() <= 0 or eigvals.max() / eigvals.min() > state.cov_condition_limit:
-            return StopReason.COV_CONDITION
+    eigvals = np.linalg.eigvalsh(state.cov)
+    if eigvals.min() <= 0 or eigvals.max() / eigvals.min() > COV_CONDITION_LIMIT:
+        return StopReason.COV_CONDITION
     window = state.best_history.maxlen
     if len(state.best_history) == window:
-        hist = state.best_history
-        if max(hist) - min(hist) <= state.stagnation_tol:
+        hi, lo = max(state.best_history), min(state.best_history)
+        if hi == lo or hi - lo <= STAGNATION_TOL:
             return StopReason.STAGNATION
     # tol_fun only kicks in after the stagnation window has had its chance,
     # so a flat landscape is reported as stagnation, not premature tol_fun
     if state.tol_fun is not None and state.generation >= window \
             and state.last_fit_range <= state.tol_fun:
         return StopReason.TOL_FUN
-    if state.tol_x is not None \
-            and state.sigma * math.sqrt(float(np.max(np.diag(state.cov)))) < state.tol_x:
+    if state.sigma * math.sqrt(float(np.max(np.diag(state.cov)))) < TOL_X_FACTOR * state.sigma0:
         return StopReason.TOL_X
     return None

@@ -20,15 +20,16 @@ from .errors import BudgetExhaustedError, ParameterError, SearchSpaceExhaustedEr
 MAX_REVISIT_RETRIES = 100
 # consecutive blocked domain draws that count as a fully blocked domain
 MAX_BLOCKED_DRAWS = 1000
+TOURNAMENT_SIZE = 2
+# share of the stored points an LRU prune removes
+LRU_FRACTION = 0.5
 
 
 @dataclass
 class GaConfig:
     pop_size: int = 100
     crossover_rate: float = 0.5
-    tournament_size: int = 2
     lru_enabled: bool = False
-    lru_fraction: float = 0.5
     lru_capacity: int = 10_000
 
     def __post_init__(self):
@@ -36,10 +37,6 @@ class GaConfig:
             raise ParameterError("pop_size must be >= 2")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ParameterError("crossover_rate must lie in [0, 1]")
-        if self.tournament_size < 1:
-            raise ParameterError("tournament_size must be >= 1")
-        if not 0.0 < self.lru_fraction < 1.0:
-            raise ParameterError("lru_fraction must lie in (0, 1)")
         if self.lru_capacity < 1:
             raise ParameterError("lru_capacity must be >= 1")
 
@@ -90,8 +87,8 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> SearchP
             coords = archive.mutation_region(outcome.leaf).uniform_point(rng)
 
 
-def tournament_pick(pop: GaPopulation, rng, size: int) -> SearchPoint:
-    idx = rng.integers(0, len(pop.individuals), size)
+def tournament_pick(pop: GaPopulation, rng) -> SearchPoint:
+    idx = rng.integers(0, len(pop.individuals), TOURNAMENT_SIZE)
     return min((pop.individuals[i] for i in idx), key=lambda p: p.fitness)
 
 
@@ -101,8 +98,8 @@ def crossover_pair(pop: GaPopulation, config: GaConfig, rng):
     Each coordinate is swapped between the offspring with probability
     crossover_rate, so every gene comes verbatim from one of the parents.
     """
-    p1 = tournament_pick(pop, rng, config.tournament_size)
-    p2 = tournament_pick(pop, rng, config.tournament_size)
+    p1 = tournament_pick(pop, rng)
+    p2 = tournament_pick(pop, rng)
     c1 = p1.coords.copy()
     c2 = p2.coords.copy()
     swap = rng.random(c1.size) < config.crossover_rate
@@ -149,4 +146,4 @@ def ga_step(pop: GaPopulation, config: GaConfig, archive: BspArchive,
 def maybe_prune(archive: BspArchive, config: GaConfig):
     """LRU-prune once the stored-point count reaches the memory cap."""
     if archive.n_points >= config.lru_capacity:
-        archive.prune_lru(config.lru_fraction)
+        archive.prune_lru(LRU_FRACTION)

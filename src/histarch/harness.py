@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -95,6 +96,11 @@ def _execute_cell(spec: tuple):
         return ("failed", f"{type(exc).__name__}: {exc}")
 
 
+def _failed_counts(failures) -> Counter:
+    """(problem, algo) -> number of failed runs, from (problem, algo, run, message) rows."""
+    return Counter((prob, algo) for prob, algo, _, _ in failures)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     suite = _suite(config.dim, config.suite_seed)
     if config.problems is not None:
@@ -139,12 +145,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         finals[(prob, algo)].append(float(err))
         records[(prob, algo)].append(record)
 
-    failed_counts = {}
-    for prob, algo, _, _ in failures:
-        failed_counts[(prob, algo)] = failed_counts.get((prob, algo), 0) + 1
-
     table = build_stats_table(finals, problem_names, config.algorithms,
-                              config.reference, config.alpha, failed_counts)
+                              config.reference, config.alpha, _failed_counts(failures))
     result = ExperimentResult(config, table, finals, records, failures)
     if config.out_dir is not None:
         persist_result(result, suite)
@@ -260,11 +262,8 @@ def recompute_stats(in_dir) -> StatsTable:
     for key, values in payload["finals"].items():
         prob, algo = key.split("::")
         finals[(prob, algo)] = values
-    failed_counts: dict = {}
-    for prob, algo, _, _ in payload["failures"]:
-        failed_counts[(prob, algo)] = failed_counts.get((prob, algo), 0) + 1
     table = build_stats_table(finals, problems, algorithms, payload["reference"],
-                              cfg["alpha"], failed_counts)
+                              cfg["alpha"], _failed_counts(payload["failures"]))
     try:
         (in_dir / "results.csv").write_text(results_csv(table), newline="\n")
         (in_dir / "ranks.csv").write_text(ranks_csv(table), newline="\n")

@@ -89,6 +89,7 @@ class RunRecord:
     final_fitness: float
     final_eval_index: int
     search_space_exhausted: bool = False
+    non_finite_evals: int = 0  # objective values the evaluator ranked as +inf
     tree_dump: str | None = None  # written to its own file, not to the run JSON
 
 
@@ -203,6 +204,7 @@ def _finalize(algo, problem, evaluator, phases, exhausted, tree_dump=None) -> Ru
         final_fitness=evaluator.best,
         final_eval_index=evaluator.best_at,
         search_space_exhausted=exhausted,
+        non_finite_evals=evaluator.non_finite,
         tree_dump=tree_dump,
     )
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from histarch import BudgetExhaustedError, DomainError, ParameterError, make_suite
-from histarch.benchmarks import (BudgetedEvaluator, ellipsoid_weights,
+from histarch import (BudgetExhaustedError, DomainError, ParameterError, Region,
+                      make_suite)
+from histarch.benchmarks import (BudgetedEvaluator, Problem, ellipsoid_weights,
                                  make_ellipsoid_problem, random_rotation,
                                  rastrigin, sphere, suite_manifest)
 
@@ -133,6 +134,17 @@ def test_evaluator_keeps_best_so_far_trace():
     assert np.array_equal(ev.best_coords, np.full(10, 0.5))
     xs[4][:] = 7.0
     assert np.array_equal(ev.best_coords, np.full(10, 0.5))
+
+
+def test_non_finite_values_rank_as_inf_and_are_counted():
+    values = iter([float("nan"), float("-inf"), 3.0, float("inf")])
+    p = Problem("p", 1, Region(np.full(1, -1.0), np.ones(1)), lambda x: next(values),
+                None, "unimodal")
+    ev = BudgetedEvaluator(p, budget=4)
+    assert [ev(np.zeros(1)) for _ in range(4)] == [float("inf"), float("inf"), 3.0,
+                                                   float("inf")]
+    assert ev.non_finite == 3 and ev.used == 4
+    assert ev.trace == [(3, 3.0)] and ev.best == 3.0
 
 
 def test_out_of_domain_evaluation_rejected():

@@ -102,7 +102,6 @@ def test_sample_covariance_tracks_cov():
     cov = a @ a.T / dim + 0.5 * np.eye(dim)
     state = cma_init(np.zeros(dim), 1.0, 20, wide_domain(dim))
     state.cov = cov
-    state.eig_basis = None  # force a refresh against the new matrix
     draws = np.empty((100_000, dim))
     i = 0
     while i < draws.shape[0]:
@@ -179,10 +178,26 @@ def test_stagnation_on_constant_objective():
     assert state.generation <= 41  # 10 + ceil(30*10/10) + 1
 
 
+def test_stagnation_on_infinite_plateau():
+    state = cma_init(np.zeros(10), 1.0, 10, wide_domain(10))
+    rng = np.random.default_rng(8)
+    best, stop = run_plain(lambda x: float("inf"), state, rng, 10_000_000)
+    assert stop is StopReason.STAGNATION
+    assert state.generation <= 41
+
+
 def test_forced_condition_number_stop():
     state = cma_init(np.zeros(10), 1.0, 10, wide_domain(10))
     state.cov = np.diag(np.linspace(1.0, 1e15, 10))
     assert cma_check_stop(state, 0, 100) is StopReason.COV_CONDITION
+
+
+def test_tol_x_fires_below_fraction_of_sigma0():
+    state = cma_init(np.zeros(10), 2.0, 10, wide_domain(10))
+    state.sigma = 0.9e-12 * state.sigma0
+    assert cma_check_stop(state, 0, 100) is StopReason.TOL_X
+    state.sigma = 1.1e-12 * state.sigma0
+    assert cma_check_stop(state, 0, 100) is None
 
 
 def test_budget_exhausted_outranks_everything():

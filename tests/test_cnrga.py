@@ -211,14 +211,14 @@ def test_maybe_prune_below_threshold_is_noop():
 def test_maybe_prune_at_threshold_halves():
     problem = box_problem()
     ar = grow_archive(problem, 1000)
-    maybe_prune(ar, GaConfig(lru_enabled=True, lru_capacity=1000, lru_fraction=0.5))
+    maybe_prune(ar, GaConfig(lru_enabled=True, lru_capacity=1000))
     assert ar.n_points == 500
 
 
 def test_run_continues_cleanly_after_pruning():
     from util import tiling_relative_error
     problem = box_problem()
-    config = GaConfig(pop_size=40, lru_enabled=True, lru_capacity=300, lru_fraction=0.5)
+    config = GaConfig(pop_size=40, lru_enabled=True, lru_capacity=300)
     ev, ar, _ = run_generations(problem, config, 1500, seed=12)
     assert ev.used == 1500
     assert ar.n_points <= 300 + config.pop_size
@@ -231,4 +231,4 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         GaConfig(crossover_rate=1.5)
     with pytest.raises(ParameterError):
-        GaConfig(lru_fraction=1.0)
+        GaConfig(lru_capacity=0)

@@ -222,6 +222,26 @@ def test_every_algorithm_consumes_exact_budget(algo):
     assert not rec.search_space_exhausted
 
 
+def inf_outside_ball(x):
+    v = float(x @ x)
+    return v if v <= 1.5e4 else float("inf")
+
+
+def nan_beyond_x0_90(x):
+    return float("nan") if x[0] > 90.0 else float(x @ x)
+
+
+@pytest.mark.parametrize("f", [inf_outside_ball, nan_beyond_x0_90])
+@pytest.mark.parametrize("algo", ["hr", "cmaes", "cnrga", "cnrga_lru"])
+def test_non_finite_objective_values_rank_as_inf(algo, f):
+    problem = make_problem(10, f)
+    rec = run_algorithm(problem, algo, 3000, np.random.default_rng(10))
+    assert rec.evals_used == 3000
+    assert np.isfinite(rec.final_fitness)
+    assert rec.final_fitness == f(np.asarray(rec.final_coords))
+    assert rec.non_finite_evals > 0
+
+
 def test_unknown_algorithm_rejected():
     problem = make_problem(2, sphere_f)
     with pytest.raises(ParameterError):
