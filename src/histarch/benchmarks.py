@@ -69,6 +69,8 @@ class BudgetedEvaluator:
             raise BudgetExhaustedError(
                 f"budget of {self.budget} evaluations exhausted on {self.problem.name}")
         coords = np.asarray(coords, dtype=float)
+        # contains raises InputError on a wrong shape, so neither a bad shape
+        # nor a point outside the box (NaN included) spends budget
         if not self.problem.domain.contains(coords):
             raise DomainError(f"evaluation outside the domain of {self.problem.name}")
         self.used += 1

@@ -57,7 +57,19 @@ class Region:
         return self.lower.size
 
     def contains(self, coords: np.ndarray) -> bool:
-        return bool((coords >= self.lower).all() and (coords <= self.upper).all())
+        """Whether ``coords`` lies in the closed box; a NaN coordinate never does.
+
+        Raises InputError unless ``coords`` is a vector of ``dim`` values.
+        The bounds are compared as Python floats, which at these sizes is
+        cheaper than numpy comparisons and reductions.
+        """
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape != self.lower.shape:
+            raise InputError(f"expected {self.dim} coordinates, got shape {coords.shape}")
+        for lo, x, hi in zip(self.lower.tolist(), coords.tolist(), self.upper.tolist()):
+            if not lo <= x <= hi:
+                return False
+        return True
 
     def side_lengths(self) -> np.ndarray:
         return self.upper - self.lower
@@ -185,11 +197,9 @@ class BspArchive:
         pruning policy later reads back.
         """
         coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.domain.dim,):
-            raise InputError(f"expected {self.domain.dim} coordinates, got {coords.shape}")
-        if not np.isfinite(coords).all():
-            raise InputError("coordinates must be finite")
-        if not self.domain.contains(coords):
+        if not self.domain.contains(coords):  # also rejects a wrong shape
+            if not np.isfinite(coords).all():
+                raise InputError("coordinates must be finite")
             raise DomainError("coordinates outside the search domain")
 
         self._clock += 1

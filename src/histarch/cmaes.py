@@ -87,6 +87,8 @@ def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region,
     """Fresh strategy state: identity covariance, zero paths."""
     mean0 = np.asarray(mean0, dtype=float)
     dim = mean0.size
+    if mean0.shape != (domain.dim,):
+        raise ParameterError(f"initial mean must have shape ({domain.dim},), got {mean0.shape}")
     if sigma0 <= 0:
         raise ParameterError("sigma0 must be positive")
     if lam < 2:
@@ -146,32 +148,33 @@ def _refresh_eig(state: CmaState):
     state.eig_scale = np.sqrt(eigvals)
 
 
-def cma_sample(state: CmaState, rng: np.random.Generator) -> list[np.ndarray]:
+def cma_sample(state: CmaState, rng: np.random.Generator) -> np.ndarray:
     """Draw lambda candidates from N(m, sigma^2 C), kept inside the domain.
 
-    Out-of-domain draws are resampled up to 100 times, then clamped to
-    the box as a last resort.
+    Returns a float (lambda, D) array. All rows come from one
+    (lambda, D) normal draw; only rows outside the box are redrawn, each
+    row at most 100 draws in all, and a row still outside after that is
+    clamped to the box as a last resort.
     """
     _refresh_eig(state)
     basis, scale = state.eig_basis, state.eig_scale
     lower, upper = state.domain.lower, state.domain.upper
-    candidates = []
-    for _ in range(state.lam):
-        x = None
-        for _ in range(100):
-            z = rng.standard_normal(state.dim)
-            y = basis @ (scale * z)
-            cand = state.mean + state.sigma * y
-            if (cand >= lower).all() and (cand <= upper).all():
-                x = cand
-                break
-        if x is None:
-            x = np.clip(cand, lower, upper)
-        candidates.append(x)
-    return candidates
+
+    def draw(n: int) -> np.ndarray:
+        z = rng.standard_normal((n, state.dim))
+        return state.mean + state.sigma * ((z * scale) @ basis.T)
+
+    candidates = draw(state.lam)
+    for _ in range(99):
+        # written as "inside" so that NaN rows count as outside
+        outside = np.flatnonzero(~((candidates >= lower) & (candidates <= upper)).all(axis=1))
+        if outside.size == 0:
+            return candidates
+        candidates[outside] = draw(outside.size)
+    return np.clip(candidates, lower, upper)
 
 
-def cma_update(state: CmaState, candidates: list[np.ndarray], fitnesses: np.ndarray):
+def cma_update(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray):
     """One generation step: recombine, cumulate paths, adapt sigma and C.
 
     Whitens the mean shift with the eigendecomposition ``cma_sample`` drew

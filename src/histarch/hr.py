@@ -111,8 +111,9 @@ def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:
 def _cma_phase(state: CmaState, evaluator: BudgetedEvaluator, rng) -> str:
     """Sample/evaluate/update until a stop fires; returns the reason string.
 
-    Never raises on budget: candidates are evaluated only while budget
-    remains, and a short generation ends the phase as budget_exhausted.
+    Never raises on budget: a generation that does not fit in the
+    remaining budget evaluates only its first ``remaining`` rows and ends
+    the phase as budget_exhausted.
     """
     while True:
         stop = cma_check_stop(state, evaluator.used, evaluator.budget)
@@ -122,13 +123,12 @@ def _cma_phase(state: CmaState, evaluator: BudgetedEvaluator, rng) -> str:
             candidates = cma_sample(state, rng)
         except NumericalError:
             return StopReason.NUMERICAL_ERROR.value
-        fits = []
-        for x in candidates:
-            if evaluator.remaining <= 0:
-                return StopReason.BUDGET_EXHAUSTED.value
-            fits.append(evaluator(x))
+        n = min(state.lam, evaluator.remaining)
+        fits = np.array([evaluator(x) for x in candidates[:n]])
+        if n < state.lam:
+            return StopReason.BUDGET_EXHAUSTED.value
         try:
-            cma_update(state, candidates, np.array(fits))
+            cma_update(state, candidates, fits)
         except NumericalError:
             return StopReason.NUMERICAL_ERROR.value
 

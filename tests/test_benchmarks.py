@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from histarch import (BudgetExhaustedError, DomainError, ParameterError, Region,
-                      make_suite)
+from histarch import (BudgetExhaustedError, DomainError, InputError, ParameterError,
+                      Region, make_suite)
 from histarch.benchmarks import (BudgetedEvaluator, Problem, ellipsoid_weights,
                                  make_ellipsoid_problem, random_rotation,
                                  rastrigin, sphere, suite_manifest)
@@ -152,6 +152,19 @@ def test_out_of_domain_evaluation_rejected():
     ev = BudgetedEvaluator(p, budget=10)
     with pytest.raises(DomainError):
         ev(np.full(10, 200.0))
+    nan_x = np.zeros(10)
+    nan_x[3] = np.nan
+    with pytest.raises(DomainError):
+        ev(nan_x)
+    assert ev.used == 0
+
+
+@pytest.mark.parametrize("coords", [np.array([5.0]), 5.0, np.zeros((2, 10))],
+                         ids=["length_1", "scalar", "two_rows"])
+def test_wrong_shape_rejected_before_counting(coords):
+    ev = BudgetedEvaluator(suite10()[0], budget=10)
+    with pytest.raises(InputError):
+        ev(coords)
     assert ev.used == 0
 
 

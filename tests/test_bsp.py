@@ -21,6 +21,26 @@ def fill_random(archive, n, rng):
     return archive
 
 
+# -- region ---------------------------------------------------------------
+
+def test_region_contains_closed_box():
+    region = Region(np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 3.0]))
+    assert region.contains(region.lower) and region.contains(region.upper)
+    assert region.contains(np.array([0.5, 0.0, 2.5]))
+    assert not region.contains(np.array([np.nextafter(0.0, -1.0), 0.0, 2.5]))
+    assert not region.contains(np.array([0.5, 0.0, np.nextafter(3.0, 4.0)]))
+    assert not region.contains(np.array([0.5, np.nan, 2.5]))
+    assert not region.contains(np.array([0.5, 0.0, np.inf]))
+
+
+@pytest.mark.parametrize("coords", [np.zeros(2), np.zeros(4), np.zeros((1, 3)), 0.5],
+                         ids=["short", "long", "row", "scalar"])
+def test_region_contains_rejects_wrong_shape(coords):
+    region = Region(np.full(3, -1.0), np.ones(3))
+    with pytest.raises(InputError):
+        region.contains(coords)
+
+
 # -- insert ---------------------------------------------------------------
 
 def test_first_insert_is_depth_zero_leaf():

@@ -56,6 +56,11 @@ def test_init_rejects_bad_sigma():
         cma_init(np.zeros(3), 0.0, 8, wide_domain(3))
 
 
+def test_init_rejects_mean_of_wrong_dimension():
+    with pytest.raises(ParameterError):
+        cma_init(np.zeros(1), 1.0, 10, wide_domain(10))
+
+
 def test_stagnation_window_formula_grid():
     for dim in range(1, 51):
         for lam in range(4, 41):
@@ -82,6 +87,29 @@ def test_sampling_deterministic_given_seed():
     xs_b = cma_sample(state_b, np.random.default_rng(42))
     for a, b in zip(xs_a, xs_b):
         assert np.array_equal(a, b)
+
+
+def test_sample_is_one_normal_block_mapped_row_by_row():
+    dim, lam = 7, 9
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((dim, dim))
+    state = cma_init(np.full(dim, 1.5), 0.8, lam, wide_domain(dim))
+    state.cov = a @ a.T / dim + 0.5 * np.eye(dim)  # no draw leaves the box
+    xs = cma_sample(state, np.random.default_rng(12))
+    assert isinstance(xs, np.ndarray)
+    assert xs.dtype == np.float64 and xs.shape == (lam, dim)
+    # exactly lam * dim normals consumed: the generators stay in step
+    rng = np.random.default_rng(12)
+    twin = np.random.default_rng(12)
+    cma_sample(state, rng)
+    z = twin.standard_normal((lam, dim))
+    assert rng.random() == twin.random()
+    # row i is the per-row reference mean + sigma * B (D z_i), up to
+    # rounding: one matrix product sums in a different order
+    eigvals, basis = np.linalg.eigh(state.cov)
+    for x, zi in zip(xs, z):
+        ref = state.mean + state.sigma * (basis @ (np.sqrt(eigvals) * zi))
+        assert np.allclose(x, ref, rtol=0.0, atol=1e-12)
 
 
 def test_sample_mean_clt_bound():

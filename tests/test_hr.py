@@ -217,9 +217,15 @@ def test_cnrga_lru_respects_capacity_at_boundaries():
 @pytest.mark.parametrize("algo", ["hr", "cmaes", "cnrga", "cnrga_lru"])
 def test_every_algorithm_consumes_exact_budget(algo):
     problem = make_problem(2, sphere_f)
-    rec = run_algorithm(problem, algo, 1200, np.random.default_rng(9))
-    assert rec.evals_used == 1200
-    assert not rec.search_space_exhausted
+    # at D=2, lambda=6: 1200 is a whole number of CMA-ES generations, 1201
+    # forces a short final generation
+    for budget in (1200, 1201):
+        rec = run_algorithm(problem, algo, budget, np.random.default_rng(9))
+        assert rec.evals_used == budget
+        assert not rec.search_space_exhausted
+        if algo == "cmaes":
+            assert rec.phases[-1].stop_reason == "budget_exhausted"
+            assert rec.phases[-1].end_eval == budget
 
 
 def inf_outside_ball(x):
