@@ -34,9 +34,6 @@ class Problem:
     category: str  # unimodal | multimodal | hybrid | composition
     x_opt: np.ndarray | None = None
 
-    def __call__(self, x: np.ndarray) -> float:
-        return self.f(x)
-
 
 class BudgetedEvaluator:
     """Counts objective calls, refuses to exceed the budget and records
@@ -106,29 +103,29 @@ def ellipsoid_weights(dim: int, axis_ratio: float) -> np.ndarray:
 
 
 def rastrigin(x):
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum())
 
 
 def ackley(x):
     n = x.size
     return float(
         -20.0 * np.exp(-0.2 * np.sqrt(np.dot(x, x) / n))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / n)
+        - np.exp(np.cos(2.0 * np.pi * x).sum() / n)
         + 20.0 + np.e
     )
 
 
 def griewank(x):
     i = np.arange(1, x.size + 1)
-    return float(np.dot(x, x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    return float(np.dot(x, x) / 4000.0 - np.cos(x / np.sqrt(i)).prod() + 1.0)
 
 
 def schwefel(x):
-    return float(SCHWEFEL_OFFSET * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return float(SCHWEFEL_OFFSET * x.size - (x * np.sin(np.sqrt(np.abs(x)))).sum())
 
 
 def rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,24 +195,25 @@ def _make_hybrid(dim: int) -> Problem:
     its coordinates are scaled by 5 so the basin structure matches the
     native [-500, 500] definition.
     """
-    groups = np.array_split(np.arange(dim), 3)
-    g_rast, g_elli, g_schw = groups
-    w_elli = ellipsoid_weights(len(g_elli), 1e3) if len(g_elli) else np.zeros(0)
+    # np.array_split's three contiguous groups: the first dim % 3 groups
+    # take one coordinate more
+    n1, n2, n3 = (len(g) for g in np.array_split(np.arange(dim), 3))
+    rast, elli, schw = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, dim)
+    w_elli = ellipsoid_weights(n2, 1e3) if n2 else np.zeros(0)
 
-    def f(x, g1=g_rast, g2=g_elli, g3=g_schw, w=w_elli):
+    def f(x, w=w_elli):
         total = 0.0
-        if g1.size:
-            total += rastrigin(x[g1])
-        if g2.size:
-            z = x[g2]
+        if n1:
+            total += rastrigin(x[rast])
+        if n2:
+            z = x[elli]
             total += float(np.dot(w, z * z))
-        if g3.size:
-            total += schwefel(5.0 * x[g3])
+        if n3:
+            total += schwefel(5.0 * x[schw])
         return total
 
     x_opt = np.zeros(dim)
-    if g_schw.size:
-        x_opt[g_schw] = SCHWEFEL_X_STAR / 5.0
+    x_opt[schw] = SCHWEFEL_X_STAR / 5.0
     box = Region(np.full(dim, -100.0), np.full(dim, 100.0))
     return Problem("hybrid", dim, box, f, 0.0, "hybrid", x_opt)
 

@@ -142,7 +142,8 @@ def _refresh_eig(state: CmaState):
         eigvals, basis = np.linalg.eigh(state.cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed") from exc
-    if not np.isfinite(eigvals).all() or eigvals.min() <= 0:
+    values = eigvals.tolist()
+    if not all(map(math.isfinite, values)) or min(values) <= 0:
         raise NumericalError("covariance matrix lost positive definiteness")
     state.eig_basis = basis
     state.eig_scale = np.sqrt(eigvals)
@@ -167,9 +168,10 @@ def cma_sample(state: CmaState, rng: np.random.Generator) -> np.ndarray:
     candidates = draw(state.lam)
     for _ in range(99):
         # written as "inside" so that NaN rows count as outside
-        outside = np.flatnonzero(~((candidates >= lower) & (candidates <= upper)).all(axis=1))
-        if outside.size == 0:
+        inside = (candidates >= lower) & (candidates <= upper)
+        if inside.all():
             return candidates
+        outside = np.flatnonzero(~inside.all(axis=1))
         candidates[outside] = draw(outside.size)
     return np.clip(candidates, lower, upper)
 
@@ -183,11 +185,12 @@ def cma_update(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray):
     fitnesses = np.asarray(fitnesses, dtype=float)
     if len(candidates) != state.lam or fitnesses.size != state.lam:
         raise InputError(f"expected exactly {state.lam} evaluated candidates")
-    if np.isnan(fitnesses).any():
+    values = fitnesses.tolist()
+    if any(map(math.isnan, values)):
         raise InputError("fitness values must not be NaN")
 
     dim = state.dim
-    order = np.argsort(fitnesses, kind="stable")
+    order = fitnesses.argsort(kind="stable")
     xs = np.asarray(candidates)[order[: state.mu]]
 
     old_mean = state.mean
@@ -202,7 +205,8 @@ def cma_update(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray):
         math.sqrt(c_s * (2.0 - c_s) * state.mu_eff) * inv_sqrt_shift
 
     gen1 = state.generation + 1
-    ps_norm = float(np.linalg.norm(state.path_sigma))
+    ps = state.path_sigma
+    ps_norm = math.sqrt(ps.dot(ps))
     hsig = ps_norm / math.sqrt(1.0 - (1.0 - c_s) ** (2 * gen1)) / state.chi_n \
         < 1.4 + 2.0 / (dim + 1.0)
 
@@ -215,7 +219,7 @@ def cma_update(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray):
     rank_mu = (steps.T * state.weights) @ steps
     c1a = state.c_1 * (1.0 - (0.0 if hsig else 1.0) * c_c * (2.0 - c_c))
     cov = (1.0 - c1a - state.c_mu) * state.cov \
-        + state.c_1 * np.outer(state.path_c, state.path_c) \
+        + state.c_1 * (state.path_c[:, None] * state.path_c) \
         + state.c_mu * rank_mu
     state.cov = 0.5 * (cov + cov.T)
 
@@ -223,7 +227,7 @@ def cma_update(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray):
 
     state.mean = new_mean
     state.generation = gen1
-    best, worst = float(fitnesses.min()), float(fitnesses.max())
+    best, worst = min(values), max(values)
     state.best_history.append(best)
     # equal values are flat, +inf included
     state.last_fit_range = 0.0 if worst == best else worst - best
@@ -234,7 +238,8 @@ def cma_check_stop(state: CmaState, evals_used: int, budget: int) -> StopReason 
     if evals_used >= budget:
         return StopReason.BUDGET_EXHAUSTED
     eigvals = np.linalg.eigvalsh(state.cov)
-    if eigvals.min() <= 0 or eigvals.max() / eigvals.min() > COV_CONDITION_LIMIT:
+    lowest = eigvals.min()
+    if lowest <= 0 or eigvals.max() / lowest > COV_CONDITION_LIMIT:
         return StopReason.COV_CONDITION
     window = state.best_history.maxlen
     if len(state.best_history) == window:
@@ -246,6 +251,6 @@ def cma_check_stop(state: CmaState, evals_used: int, budget: int) -> StopReason 
     if state.tol_fun is not None and state.generation >= window \
             and state.last_fit_range <= state.tol_fun:
         return StopReason.TOL_FUN
-    if state.sigma * math.sqrt(float(np.max(np.diag(state.cov)))) < TOL_X_FACTOR * state.sigma0:
+    if state.sigma * math.sqrt(state.cov.diagonal().max()) < TOL_X_FACTOR * state.sigma0:
         return StopReason.TOL_X
     return None

@@ -8,6 +8,7 @@ from histarch import (BudgetExhaustedError, DomainError, InputError, ParameterEr
 from histarch.benchmarks import (BudgetedEvaluator, Problem, ellipsoid_weights,
                                  make_ellipsoid_problem, random_rotation,
                                  rastrigin, sphere, suite_manifest)
+from util import reference_suite
 
 SUITE_NAMES = ["sphere", "rot_ellipsoid", "rosenbrock", "rastrigin", "sr_rastrigin",
                "ackley", "griewank", "schwefel", "hybrid", "composition"]
@@ -40,6 +41,18 @@ def test_every_optimum_evaluates_to_f_opt(dim):
     for p in make_suite(dim, seed=5):
         assert p.x_opt is not None
         assert p.f(p.x_opt) == pytest.approx(p.f_opt, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 10, 30])
+def test_objectives_bit_identical_to_reference_formulas(dim):
+    problems = make_suite(dim, seed=5)
+    refs = reference_suite(dim, seed=5)
+    assert [p.name for p in problems] == list(refs)
+    rng = np.random.default_rng(dim)
+    for p in problems:
+        points = [p.domain.uniform_point(rng) for _ in range(200)] + [p.x_opt]
+        for x in points:
+            assert p.f(x) == refs[p.name](x), p.name
 
 
 def test_shifted_rotated_rastrigin_zero_at_stored_shift():

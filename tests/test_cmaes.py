@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from histarch import (ParameterError, Region, StopReason, cma_check_stop,
                       cma_init, cma_sample, cma_update, default_lambda,
-                      stagnation_window)
+                      make_suite, stagnation_window)
 from histarch.benchmarks import ellipsoid_weights
+from util import ref_cma_sample, ref_cma_update, reference_suite
 
 
 def wide_domain(dim, half=100.0):
@@ -194,6 +196,37 @@ def test_ellipsoid_condition_grows_to_squared_axis_ratio():
     eig = np.linalg.eigvalsh(state.cov)
     cond = eig.max() / eig.min()
     assert 1e5 <= cond <= 1e7
+
+
+@pytest.mark.parametrize("name", ["rot_ellipsoid", "rastrigin"])
+def test_generations_bit_identical_to_reference(name):
+    f = next(p.f for p in make_suite(10, seed=0) if p.name == name)
+    ref_f = reference_suite(10, seed=0)[name]
+    # a narrow box with the mean near its corner: early generations redraw
+    # rows, some up to the clamp, later ones fit the box on the first draw
+    domain = Region(np.full(10, -1.0), np.ones(10))
+    state = cma_init(np.full(10, 0.9), 0.5, 10, domain)
+    ref = cma_init(np.full(10, 0.9), 0.5, 10, domain)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    redrawn = first_draw = clamped = 0
+    for _ in range(100):
+        twin = copy.deepcopy(rng)
+        xs = cma_sample(state, rng)
+        ref_xs = ref_cma_sample(ref, ref_rng)
+        assert np.array_equal(xs, ref_xs)
+        twin.standard_normal((10, 10))
+        if twin.bit_generator.state == rng.bit_generator.state:
+            first_draw += 1
+        else:
+            redrawn += 1
+        clamped += bool(((xs == domain.lower) | (xs == domain.upper)).any())
+        cma_update(state, xs, np.array([f(x) for x in xs]))
+        ref_cma_update(ref, ref_xs, np.array([ref_f(x) for x in ref_xs]))
+        for attr in ("mean", "cov", "path_sigma", "path_c"):
+            assert np.array_equal(getattr(state, attr), getattr(ref, attr)), attr
+        assert state.sigma == ref.sigma
+        assert list(state.best_history) == list(ref.best_history)
+    assert redrawn and first_draw and clamped
 
 
 # -- stopping ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from histarch import (GaConfig, HrConfig, ParameterError, Region, RoiSuggestion,
                       StopReason, cma_init, derive_depth_params, hr_run,
-                      run_algorithm, seed_cma_from_roi)
+                      make_suite, run_algorithm, seed_cma_from_roi)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
 from histarch.bsp import SearchPoint
 from histarch.hr import _cma_phase
@@ -226,6 +226,24 @@ def test_every_algorithm_consumes_exact_budget(algo):
         if algo == "cmaes":
             assert rec.phases[-1].stop_reason == "budget_exhausted"
             assert rec.phases[-1].end_eval == budget
+
+
+@pytest.mark.parametrize("algo", ["hr", "cmaes", "cnrga", "cnrga_lru"])
+def test_one_evaluator_call_per_evaluation(algo, monkeypatch):
+    # perfbench's --trace 1 reconciles calls to BudgetedEvaluator.__call__
+    # against evals_used; a refused call (budget, domain) would break it
+    calls = 0
+    original = BudgetedEvaluator.__call__
+
+    def counting(self, coords):
+        nonlocal calls
+        calls += 1
+        return original(self, coords)
+
+    monkeypatch.setattr(BudgetedEvaluator, "__call__", counting)
+    problem = next(p for p in make_suite(2, seed=0) if p.name == "rastrigin")
+    rec = run_algorithm(problem, algo, 3000, np.random.default_rng(11))
+    assert calls == rec.evals_used == 3000
 
 
 def inf_outside_ball(x):

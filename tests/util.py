@@ -1,11 +1,17 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Independent brute-force oracles and reference formulas shared by the
+test modules.
 
-These deliberately re-derive tree geometry from parent links and the
-domain box instead of trusting the library's own ``region_of``.
+The tree oracles deliberately re-derive tree geometry from parent links
+and the domain box instead of trusting the library's own ``region_of``.
 """
+
+import math
 
 import numpy as np
 from scipy.special import logsumexp
+
+from histarch.benchmarks import SCHWEFEL_OFFSET, ellipsoid_weights, random_rotation
+from histarch.errors import InputError, NumericalError
 
 
 def walk_region(archive, node):
@@ -78,3 +84,166 @@ def interiors_disjoint(archive):
 
 def max_leaf_depth(archive):
     return max(leaf.depth for leaf in archive.iter_leaves())
+
+
+# -- reference formulas ------------------------------------------------
+# The suite's objectives and one CMA-ES generation as first written: free
+# numpy reductions (np.sum, np.prod, np.argsort, np.linalg.norm, np.outer)
+# and index arrays for the hybrid's coordinate groups. The library must
+# reproduce them bit for bit.
+
+def ref_sphere(x):
+    return float(np.dot(x, x))
+
+
+def ref_rastrigin(x):
+    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+
+
+def ref_ackley(x):
+    n = x.size
+    return float(
+        -20.0 * np.exp(-0.2 * np.sqrt(np.dot(x, x) / n))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / n)
+        + 20.0 + np.e
+    )
+
+
+def ref_griewank(x):
+    i = np.arange(1, x.size + 1)
+    return float(np.dot(x, x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+
+
+def ref_schwefel(x):
+    return float(SCHWEFEL_OFFSET * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+
+
+def ref_rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def ref_rotated_ellipsoid(w, R):
+    def f(x):
+        z = R @ x
+        return float(np.dot(w, z * z))
+    return f
+
+
+def ref_hybrid(dim):
+    g1, g2, g3 = np.array_split(np.arange(dim), 3)
+    w = ellipsoid_weights(len(g2), 1e3) if len(g2) else np.zeros(0)
+
+    def f(x):
+        total = 0.0
+        if g1.size:
+            total += ref_rastrigin(x[g1])
+        if g2.size:
+            z = x[g2]
+            total += float(np.dot(w, z * z))
+        if g3.size:
+            total += ref_schwefel(5.0 * x[g3])
+        return total
+    return f
+
+
+def reference_suite(dim, seed):
+    """Name -> reference objective for ``make_suite(dim, seed)``, drawing
+    the shifts and rotations in the suite's order."""
+    rng = np.random.default_rng(seed)
+    rot_elli = random_rotation(dim, rng)
+    shift = rng.uniform(-80.0, 80.0, dim)
+    rot_rast = random_rotation(dim, rng)
+    comp_shifts = [rng.uniform(-80.0, 80.0, dim) for _ in range(3)]
+    parts = ((ref_sphere, 0.0), (ref_rastrigin, 100.0), (ref_griewank, 200.0))
+    return {
+        "sphere": ref_sphere,
+        "rot_ellipsoid": ref_rotated_ellipsoid(ellipsoid_weights(dim, 1e6), rot_elli),
+        "rosenbrock": ref_rosenbrock,
+        "rastrigin": ref_rastrigin,
+        "sr_rastrigin": lambda x: ref_rastrigin(rot_rast @ (x - shift)),
+        "ackley": ref_ackley,
+        "griewank": ref_griewank,
+        "schwefel": ref_schwefel,
+        "hybrid": ref_hybrid(dim),
+        "composition": lambda x: min(g(x - s) + b for (g, b), s in zip(parts, comp_shifts)),
+    }
+
+
+def ref_refresh_eig(state):
+    if not np.isfinite(state.cov).all():
+        raise NumericalError("covariance matrix contains non-finite entries")
+    try:
+        eigvals, basis = np.linalg.eigh(state.cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigendecomposition failed") from exc
+    if not np.isfinite(eigvals).all() or eigvals.min() <= 0:
+        raise NumericalError("covariance matrix lost positive definiteness")
+    state.eig_basis = basis
+    state.eig_scale = np.sqrt(eigvals)
+
+
+def ref_cma_sample(state, rng):
+    ref_refresh_eig(state)
+    basis, scale = state.eig_basis, state.eig_scale
+    lower, upper = state.domain.lower, state.domain.upper
+
+    def draw(n):
+        z = rng.standard_normal((n, state.dim))
+        return state.mean + state.sigma * ((z * scale) @ basis.T)
+
+    candidates = draw(state.lam)
+    for _ in range(99):
+        outside = np.flatnonzero(~((candidates >= lower) & (candidates <= upper)).all(axis=1))
+        if outside.size == 0:
+            return candidates
+        candidates[outside] = draw(outside.size)
+    return np.clip(candidates, lower, upper)
+
+
+def ref_cma_update(state, candidates, fitnesses):
+    fitnesses = np.asarray(fitnesses, dtype=float)
+    if len(candidates) != state.lam or fitnesses.size != state.lam:
+        raise InputError(f"expected exactly {state.lam} evaluated candidates")
+    if np.isnan(fitnesses).any():
+        raise InputError("fitness values must not be NaN")
+
+    dim = state.dim
+    order = np.argsort(fitnesses, kind="stable")
+    xs = np.asarray(candidates)[order[: state.mu]]
+
+    old_mean = state.mean
+    new_mean = state.weights @ xs
+    shift = (new_mean - old_mean) / state.sigma
+
+    basis, scale = state.eig_basis, state.eig_scale
+    inv_sqrt_shift = basis @ ((basis.T @ shift) / scale)
+
+    c_s = state.c_sigma
+    state.path_sigma = (1.0 - c_s) * state.path_sigma + \
+        math.sqrt(c_s * (2.0 - c_s) * state.mu_eff) * inv_sqrt_shift
+
+    gen1 = state.generation + 1
+    ps_norm = float(np.linalg.norm(state.path_sigma))
+    hsig = ps_norm / math.sqrt(1.0 - (1.0 - c_s) ** (2 * gen1)) / state.chi_n \
+        < 1.4 + 2.0 / (dim + 1.0)
+
+    c_c = state.c_c
+    state.path_c = (1.0 - c_c) * state.path_c
+    if hsig:
+        state.path_c = state.path_c + math.sqrt(c_c * (2.0 - c_c) * state.mu_eff) * shift
+
+    steps = (xs - old_mean) / state.sigma
+    rank_mu = (steps.T * state.weights) @ steps
+    c1a = state.c_1 * (1.0 - (0.0 if hsig else 1.0) * c_c * (2.0 - c_c))
+    cov = (1.0 - c1a - state.c_mu) * state.cov \
+        + state.c_1 * np.outer(state.path_c, state.path_c) \
+        + state.c_mu * rank_mu
+    state.cov = 0.5 * (cov + cov.T)
+
+    state.sigma *= math.exp((c_s / state.d_sigma) * (ps_norm / state.chi_n - 1.0))
+
+    state.mean = new_mean
+    state.generation = gen1
+    best, worst = float(fitnesses.min()), float(fitnesses.max())
+    state.best_history.append(best)
+    state.last_fit_range = 0.0 if worst == best else worst - best
