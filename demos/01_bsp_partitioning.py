@@ -1,8 +1,8 @@
 """How the BSP archive partitions a 2-D box as points arrive.
 
 Walks through the classic two-point split, a revisit with its adaptive
-mutation cell, a deep chain that fires the region-of-interest trigger,
-and blocking.
+mutation cell, a deep chain whose newest leaf the region-of-interest
+trigger reports on, and blocking.
 """
 
 import numpy as np
@@ -29,13 +29,15 @@ print(f"mutant drawn inside it: {mutant} -> {type(archive.insert(mutant)).__name
 
 print()
 print("== nested points deepen one path until the ROI trigger fires ==")
+# the archive keeps no ROI state: the caller asks about each new leaf
 value = 8.0
-while archive.pending_roi is None:
+roi = None
+while roi is None:
     out = archive.insert(np.array([value, 1.0]))
     if isinstance(out, NewLeaf):
         print(f"  inserted x0={value:<8.4g} -> leaf depth {out.depth}")
+        roi = archive.roi_trigger(out.node, out.depth)
     value /= 2.0
-roi = archive.pending_roi
 print(f"trigger at depth >= lv+k = {archive.lv + archive.k}")
 print(f"suggested sub-root depth {roi.subroot.depth}, "
       f"region {roi.region.lower} .. {roi.region.upper}, {len(roi.seeds)} seeds")

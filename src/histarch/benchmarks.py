@@ -9,6 +9,7 @@ the domain so no optimum sits on a boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -115,9 +116,16 @@ def ackley(x):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _griewank_divisors(n: int) -> np.ndarray:
+    """sqrt(1), ..., sqrt(n), built once per length and read-only."""
+    divisors = np.sqrt(np.arange(1, n + 1))
+    divisors.flags.writeable = False
+    return divisors
+
+
 def griewank(x):
-    i = np.arange(1, x.size + 1)
-    return float(np.dot(x, x) / 4000.0 - np.cos(x / np.sqrt(i)).prod() + 1.0)
+    return float(np.dot(x, x) / 4000.0 - np.cos(x / _griewank_divisors(x.size)).prod() + 1.0)
 
 
 def schwefel(x):

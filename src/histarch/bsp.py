@@ -2,9 +2,9 @@
 
 Every evaluated solution is a leaf of the tree; the leaf cells tile the
 domain exactly. The archive detects revisits (a candidate landing on an
-already-stored point), hands out per-leaf mutation boxes, reports when a
-sub-region has been sampled densely enough to count as a region of
-interest, and can block exploited sub-regions against further insertion.
+already-stored point), hands out per-leaf mutation boxes, answers whether
+a new leaf's sub-region counts as a region of interest, and can block
+exploited sub-regions against further insertion.
 
 A node stores only its split, its links, its point and the two flags the
 policies need (``blocked``, ``last_touch``); only leaves hold points, and a
@@ -133,30 +133,25 @@ class BspNode:
         return (self.below, self.above) if self.below is not None else ()
 
 
+@dataclass(slots=True)
 class NewLeaf:
-    """Insert created a fresh leaf for the coordinates."""
+    """Insert created a fresh leaf for the coordinates at depth ``depth``."""
 
-    __slots__ = ("node", "depth")
-
-    def __init__(self, node: BspNode, depth: int):
-        self.node = node
-        self.depth = depth
+    node: BspNode
+    depth: int
 
 
+@dataclass(slots=True)
 class Revisit:
     """The coordinates equal a stored point's, or are too close to it to
     split between them in floating point."""
 
-    __slots__ = ("leaf",)
-
-    def __init__(self, leaf: BspNode):
-        self.leaf = leaf
+    leaf: BspNode
 
 
+@dataclass(slots=True)
 class Blocked:
     """The insert path crossed a blocked sub-region; nothing was stored."""
-
-    __slots__ = ()
 
 
 @dataclass
@@ -171,9 +166,9 @@ class RoiSuggestion:
 class BspArchive:
     """On-line search history stored as a BSP tree over ``domain``.
 
-    ``lv`` and ``k`` are the depth thresholds for the region-of-interest
-    trigger: a leaf landing at depth >= lv + k flags the cell of its
-    depth-lv ancestor as worth exploiting.
+    ``lv`` and ``k`` are the depth thresholds ``roi_trigger`` reads: a
+    leaf landing at depth >= lv + k flags the cell of its depth-lv
+    ancestor as worth exploiting.
     """
 
     def __init__(self, domain: Region, lv: int, k: int):
@@ -185,7 +180,6 @@ class BspArchive:
         self.root = BspNode(None)
         self.n_points = 0
         self._clock = 0
-        self.pending_roi: RoiSuggestion | None = None
 
     # -- insertion ---------------------------------------------------
 
@@ -213,7 +207,7 @@ class BspArchive:
         if self.n_points == 0:
             node.point = SearchPoint(coords.copy(), eval_index=clock)
             self.n_points = 1
-            return self._finish_new_leaf(node, 0)
+            return NewLeaf(node, 0)
 
         # the walk is the hot loop: plain attribute tests and Python
         # floats cost less per level than properties and numpy scalars
@@ -253,13 +247,7 @@ class BspArchive:
         node.above = above
         node.point = None
         self.n_points += 1
-        return self._finish_new_leaf(new_leaf, depth + 1)
-
-    def _finish_new_leaf(self, leaf, depth):
-        outcome = NewLeaf(leaf, depth)
-        if self.pending_roi is None:
-            self.pending_roi = self.roi_trigger(leaf, depth)
-        return outcome
+        return NewLeaf(new_leaf, depth + 1)
 
     # -- queries -----------------------------------------------------
 
@@ -292,11 +280,12 @@ class BspArchive:
         return self.region_of(revisited_leaf)
 
     def roi_trigger(self, new_leaf: BspNode, depth: int) -> RoiSuggestion | None:
-        """Region-of-interest check for a leaf just returned by insert.
+        """Region-of-interest query for a leaf just returned by insert.
 
         ``depth`` is the leaf's depth as counted by insert. Fires when it
         is >= lv + k; the suggestion is rooted at the leaf's ancestor at
-        depth lv and carries every leaf point stored underneath it.
+        depth lv and carries every leaf point stored underneath it at the
+        time of the query. Reads the tree and changes nothing.
         """
         if depth < self.lv + self.k:
             return None

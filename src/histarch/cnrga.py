@@ -50,7 +50,7 @@ class GaPopulation:
         return min(self.individuals, key=lambda p: p.fitness)
 
 
-def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> SearchPoint:
+def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> NewLeaf:
     """Insert, dodge revisits and blocked cells, evaluate exactly once.
 
     A revisit is replaced by a uniform draw from the revisited leaf's
@@ -58,7 +58,8 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> SearchP
     draw). A blocked outcome is replaced by a uniform domain draw, which
     goes back through the archive; MAX_BLOCKED_DRAWS consecutive blocked
     draws mean the blocked cells cover the domain, which aborts the
-    search. ``evaluator`` must be callable and expose ``remaining``.
+    search. ``evaluator`` must be callable and expose ``remaining``. Returns
+    the NewLeaf; the evaluated point is ``leaf.node.point``.
     """
     if evaluator.remaining <= 0:
         raise BudgetExhaustedError("no evaluations left")
@@ -69,7 +70,7 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> SearchP
         if isinstance(outcome, NewLeaf):
             point = outcome.node.point
             point.fitness = evaluator(point.coords)
-            return point
+            return outcome
         if isinstance(outcome, Blocked):
             # a streak opens with one blocked point; the rest are domain draws
             blocked_streak += 1
@@ -108,24 +109,26 @@ def crossover_pair(pop: GaPopulation, config: GaConfig, rng):
     return c1, c2
 
 
+def initial_leaves(config: GaConfig, archive: BspArchive, evaluator, rng):
+    """``pop_size`` uniform domain draws routed through the archive, lazily."""
+    for _ in range(config.pop_size):
+        yield evaluate_via_archive(archive.domain.uniform_point(rng), archive, evaluator, rng)
+
+
 def init_population(config: GaConfig, archive: BspArchive, evaluator, rng) -> GaPopulation:
-    individuals = []
-    while len(individuals) < config.pop_size:
-        coords = archive.domain.uniform_point(rng)
-        individuals.append(evaluate_via_archive(coords, archive, evaluator, rng))
-    return GaPopulation(individuals, 0)
+    leaves = initial_leaves(config, archive, evaluator, rng)
+    return GaPopulation([leaf.node.point for leaf in leaves], 0)
 
 
 def offspring(pop: GaPopulation, config: GaConfig, archive: BspArchive,
               evaluator, rng):
-    """One generation's children, lazily: the elite ``pop.best()``, then
-    archive-routed crossover children until ``pop_size`` are out.
+    """One generation's ``pop_size - 1`` crossover children as NewLeafs,
+    lazily; the elite ``pop.best()`` completes the generation.
 
     Each pair's crossover is drawn before either child is evaluated, so a
     short last pair still consumes the RNG for its discarded second child.
     A caller that stops iterating early evaluates nothing further.
     """
-    yield pop.best()
     left = config.pop_size - 1
     while left > 0:
         for coords in crossover_pair(pop, config, rng)[:left]:
@@ -137,7 +140,8 @@ def ga_step(pop: GaPopulation, config: GaConfig, archive: BspArchive,
             evaluator, rng) -> GaPopulation:
     """Next generation: tournament parents, gene-exchange crossover,
     archive-routed evaluation, generational replacement with 1-elitism."""
-    children = list(offspring(pop, config, archive, evaluator, rng))
+    children = [pop.best()]
+    children.extend(leaf.node.point for leaf in offspring(pop, config, archive, evaluator, rng))
     if config.lru_enabled:
         maybe_prune(archive, config)
     return GaPopulation(children, pop.generation + 1)

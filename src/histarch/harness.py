@@ -213,36 +213,28 @@ def persist_result(result: ExperimentResult, suite):
         payload = summary_payload(result, suite)
         (out / "summary.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
-        if result.config.trace:
-            runs_dir = out / "runs"
-            runs_dir.mkdir(exist_ok=True)
-            for (prob, algo), recs in sorted(result.records.items()):
-                for i, rec in enumerate(recs):
-                    if rec is None:
-                        continue
-                    path = runs_dir / f"{prob}__{algo}__run{i}.json"
+        config = result.config
+        runs_dir, traces_dir, trees_dir = out / "runs", out / "traces", out / "trees"
+        for wanted, directory in ((config.trace, runs_dir), (config.gnuplot, traces_dir),
+                                  (config.dump_tree, trees_dir)):
+            if wanted:
+                directory.mkdir(exist_ok=True)
+        for (prob, algo), recs in sorted(result.records.items()):
+            for i, rec in enumerate(recs):
+                if rec is None:
+                    continue
+                stem = f"{prob}__{algo}__run{i}"
+                if config.trace:
                     record = dataclasses.asdict(rec)
                     del record["tree_dump"]
-                    path.write_text(json.dumps(record, indent=2) + "\n", newline="\n")
-        if result.config.gnuplot:
-            tr_dir = out / "traces"
-            tr_dir.mkdir(exist_ok=True)
-            for (prob, algo), recs in sorted(result.records.items()):
-                for i, rec in enumerate(recs):
-                    if rec is None:
-                        continue
+                    (runs_dir / f"{stem}.json").write_text(
+                        json.dumps(record, indent=2) + "\n", newline="\n")
+                if config.gnuplot:
                     lines = [f"{e} {_fmt(v)}" for e, v in rec.best_trace]
-                    path = tr_dir / f"{prob}__{algo}__run{i}.dat"
-                    path.write_text("\n".join(lines) + "\n", newline="\n")
-        if result.config.dump_tree:
-            tree_dir = out / "trees"
-            tree_dir.mkdir(exist_ok=True)
-            for (prob, algo), recs in sorted(result.records.items()):
-                for i, rec in enumerate(recs):
-                    if rec is None or rec.tree_dump is None:
-                        continue
-                    path = tree_dir / f"{prob}__{algo}__run{i}.txt"
-                    path.write_text(rec.tree_dump, newline="\n")
+                    (traces_dir / f"{stem}.dat").write_text("\n".join(lines) + "\n",
+                                                            newline="\n")
+                if config.dump_tree and rec.tree_dump is not None:
+                    (trees_dir / f"{stem}.txt").write_text(rec.tree_dump, newline="\n")
     except OSError as exc:
         raise OSError(f"failed writing results under {out}: {exc}") from exc
 

@@ -1,18 +1,18 @@
 """History-assisted restart orchestration and baseline run drivers.
 
-The hybrid runs the non-revisiting GA as its explorer. Whenever the
-archive reports a region of interest (a leaf landing at depth lv+k), the
-GA is suspended after the offspring in flight, the leaf points under the
-depth-lv sub-root seed a CMA-ES state, and CMA-ES exploits out of the
-shared evaluation budget. CMA-ES candidates are evaluated directly and
-never inserted into the archive, so the blocked-region bookkeeping stays
-a statement about the explorer only. When CMA-ES stops, the sub-root is
+The hybrid runs the non-revisiting GA as its explorer and asks the archive
+(``roi_trigger``) about each leaf the GA adds. When a leaf lands at depth
+lv+k, the GA is suspended at that child, the leaf points under its depth-lv
+ancestor seed a CMA-ES state, and CMA-ES exploits out of the shared
+evaluation budget. CMA-ES candidates are evaluated directly and never
+inserted into the archive, so the blocked-region bookkeeping stays a
+statement about the explorer only. When CMA-ES stops, the sub-root is
 blocked and the suspended GA population resumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .benchmarks import BudgetedEvaluator, Problem
 from .bsp import BspArchive, Region, RoiSuggestion
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_sample,
                     cma_update, default_lambda)
-from .cnrga import GaConfig, GaPopulation, ga_step, init_population, offspring
+from .cnrga import (GaConfig, GaPopulation, ga_step, init_population, initial_leaves,
+                    offspring)
 from .errors import (BudgetExhaustedError, NumericalError, ParameterError,
                      SearchSpaceExhaustedError)
 
@@ -28,6 +29,8 @@ EXPLORE = "explore"
 EXPLOIT = "exploit"
 # initial CMA-ES step size as a fraction of the longest side of the start box
 SIGMA_FACTOR = 0.3
+# the hybrid's explorer; it blocks exploited regions and never LRU-prunes
+GA = GaConfig()
 
 
 def ceil_log2(n: int) -> int:
@@ -47,12 +50,9 @@ def derive_depth_params(budget: int, lam: int) -> tuple[int, int]:
 class HrConfig:
     budget: int
     lam: int
-    ga: GaConfig = field(default_factory=GaConfig)
 
     def __post_init__(self):
         derive_depth_params(self.budget, self.lam)  # rejects budget or lam < 2
-        if self.ga.lru_enabled:
-            raise ParameterError("the hybrid prunes whole regions, not LRU units")
 
     @property
     def lv(self) -> int:
@@ -63,8 +63,8 @@ class HrConfig:
         return derive_depth_params(self.budget, self.lam)[1]
 
     @classmethod
-    def for_problem(cls, budget: int, dim: int, ga: GaConfig | None = None) -> "HrConfig":
-        return cls(budget, default_lambda(dim), ga or GaConfig())
+    def for_problem(cls, budget: int, dim: int) -> "HrConfig":
+        return cls(budget, default_lambda(dim))
 
 
 @dataclass
@@ -147,7 +147,7 @@ def _close_phase(phases: list, kind: str, start: int, end: int,
 def hr_run(problem: Problem, config: HrConfig, rng,
            dump_tree: bool = False) -> RunRecord:
     """Full history-assisted restart run under one evaluation budget."""
-    if config.budget < config.ga.pop_size:
+    if config.budget < GA.pop_size:
         raise ParameterError("budget must cover at least the initial population")
     evaluator = BudgetedEvaluator(problem, config.budget)
     archive = BspArchive(problem.domain, config.lv, config.k)
@@ -155,11 +155,17 @@ def hr_run(problem: Problem, config: HrConfig, rng,
     phase_start = 1
     exhausted = False
     try:
-        pop = init_population(config.ga, archive, evaluator, rng)
+        # the first ROI of the initial population keeps the seeds it had
+        # when it fired and is exploited once the population is complete
+        roi = None
+        individuals = []
+        for leaf in initial_leaves(GA, archive, evaluator, rng):
+            individuals.append(leaf.node.point)
+            if roi is None:
+                roi = archive.roi_trigger(leaf.node, leaf.depth)
+        pop = GaPopulation(individuals, 0)
         while True:
-            if archive.pending_roi is not None:
-                roi = archive.pending_roi
-                archive.pending_roi = None
+            if roi is not None:
                 _close_phase(phases, EXPLORE, phase_start, evaluator.used)
                 phase_start = evaluator.used + 1
                 state = seed_cma_from_roi(roi, config.lam, problem.domain)
@@ -167,22 +173,18 @@ def hr_run(problem: Problem, config: HrConfig, rng,
                 archive.block(roi.subroot)
                 _close_phase(phases, EXPLOIT, phase_start, evaluator.used, roi, reason)
                 phase_start = evaluator.used + 1
-                if reason == StopReason.BUDGET_EXHAUSTED.value:
-                    break
-                continue
-            if evaluator.remaining <= 0:
-                break
-            # the GA generation, suspended as soon as a region of interest
-            # is pending: the parents resume, and offspring evaluated so far
-            # stay in the archive and the best-so-far trace
-            children = []
-            for child in offspring(pop, config.ga, archive, evaluator, rng):
-                children.append(child)
-                if archive.pending_roi is not None:
+            # the GA generation, suspended at the first child whose leaf
+            # fires the ROI query: the parents resume, and offspring
+            # evaluated so far stay in the archive and the best-so-far trace
+            children = [pop.best()]
+            for leaf in offspring(pop, GA, archive, evaluator, rng):
+                children.append(leaf.node.point)
+                roi = archive.roi_trigger(leaf.node, leaf.depth)
+                if roi is not None:
                     break
             else:
                 pop = GaPopulation(children, pop.generation + 1)
-    except BudgetExhaustedError:
+    except BudgetExhaustedError:  # raised by the explorer before it inserts
         pass
     except SearchSpaceExhaustedError:
         exhausted = True

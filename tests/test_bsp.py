@@ -268,29 +268,41 @@ def test_n_points_counts_new_leaf_outcomes():
 # -- roi trigger -----------------------------------------------------------
 
 def chain_insert(ar, n, dim=2):
-    """n nested points along dimension 0, deepening one path each time."""
+    """n nested points along dimension 0, deepening one path each time;
+    returns the n NewLeafs in insert order."""
     value = 8.0
     coords = np.full(dim, 5.0)
+    leaves = []
     for _ in range(n):
         coords = coords.copy()
         coords[0] = value
-        ar.insert(coords)
+        leaves.append(ar.insert(coords))
         value /= 2.0
-    return ar
+    assert all(isinstance(leaf, NewLeaf) for leaf in leaves)
+    return leaves
+
+
+def first_roi(ar, leaves):
+    """The first ROI the trigger reports over ``leaves``, in insert order."""
+    for leaf in leaves:
+        roi = ar.roi_trigger(leaf.node, leaf.depth)
+        if roi is not None:
+            return roi
+    return None
 
 
 def test_roi_trigger_quiet_below_threshold():
     ar = fresh(lv=17, k=4)
-    chain_insert(ar, 21)  # deepest leaf at depth 20
+    leaves = chain_insert(ar, 21)  # deepest leaf at depth 20
     assert max_leaf_depth(ar) == 20
-    assert ar.pending_roi is None
+    assert first_roi(ar, leaves) is None
 
 
 def test_roi_trigger_fires_at_lv_plus_k():
     ar = fresh(lv=17, k=4)
-    chain_insert(ar, 22)  # deepest leaf now at depth 21
+    leaves = chain_insert(ar, 22)  # deepest leaf now at depth 21
     assert max_leaf_depth(ar) == 21
-    roi = ar.pending_roi
+    roi = first_roi(ar, leaves)
     assert roi is not None
     assert roi.subroot.depth == ar.lv == 17
     for seed in roi.seeds:
@@ -300,8 +312,7 @@ def test_roi_trigger_fires_at_lv_plus_k():
 def test_roi_chain_has_k_plus_one_seeds():
     k = 4
     ar = fresh(lv=0, k=k)
-    chain_insert(ar, k + 1)
-    roi = ar.pending_roi
+    roi = first_roi(ar, chain_insert(ar, k + 1))
     assert roi is not None
     assert roi.subroot is ar.root
     assert len(roi.seeds) == k + 1
@@ -310,9 +321,12 @@ def test_roi_chain_has_k_plus_one_seeds():
 def test_roi_seeds_are_leaves_and_distinct():
     ar = fresh(lv=2, k=3)
     rng = np.random.default_rng(17)
-    while ar.pending_roi is None:
-        ar.insert(ar.domain.uniform_point(rng) / 4.0)  # cluster to deepen fast
-    seeds = ar.pending_roi.seeds
+    roi = None
+    while roi is None:
+        outcome = ar.insert(ar.domain.uniform_point(rng) / 4.0)  # cluster to deepen fast
+        if isinstance(outcome, NewLeaf):
+            roi = ar.roi_trigger(outcome.node, outcome.depth)
+    seeds = roi.seeds
     coords = np.array([s.coords for s in seeds])
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):

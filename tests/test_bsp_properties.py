@@ -58,8 +58,8 @@ def walk_to_leaf(ar, x):
     return node
 
 
-def check_roi(ar):
-    roi = ar.pending_roi
+def check_roi(ar, new_leaf):
+    roi = ar.roi_trigger(new_leaf.node, new_leaf.depth)
     if roi is None:
         return
     assert roi.subroot.depth == LV == ar.lv
@@ -67,7 +67,6 @@ def check_roi(ar):
     assert same_bits(roi.region.lower, lo) and same_bits(roi.region.upper, hi)
     for seed in roi.seeds:
         assert roi.region.contains(seed.coords)
-    ar.pending_roi = None  # let the trigger fire again later in the sequence
 
 
 def check_invariants(ar, blocked_points, rng):
@@ -111,7 +110,7 @@ def test_archive_invariants_under_random_operations(dim, plan):
             assert isinstance(outcome, (NewLeaf, Revisit, Blocked))
             if isinstance(outcome, NewLeaf):
                 assert outcome.depth == outcome.node.depth
-            check_roi(ar)
+                check_roi(ar, outcome)
             check_invariants(ar, blocked_points, rng)
         if step is None:
             continue

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from histarch import (BspArchive, GaConfig, GaPopulation, ParameterError, Region,
+from histarch import (BspArchive, GaConfig, GaPopulation, NewLeaf, ParameterError, Region,
                       SearchSpaceExhaustedError, evaluate_via_archive, ga_step,
                       init_population, maybe_prune)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
@@ -22,7 +22,9 @@ def test_fresh_archive_single_evaluation():
     ev = BudgetedEvaluator(problem, 10)
     ar = archive_for(problem)
     rng = np.random.default_rng(0)
-    point = evaluate_via_archive(np.array([3.0, 4.0]), ar, ev, rng)
+    leaf = evaluate_via_archive(np.array([3.0, 4.0]), ar, ev, rng)
+    assert isinstance(leaf, NewLeaf) and leaf.node is ar.root and leaf.depth == 0
+    point = leaf.node.point
     assert ev.used == 1
     assert point.fitness == 25.0
     assert np.array_equal(point.coords, [3.0, 4.0])
@@ -36,7 +38,7 @@ def test_duplicate_is_replaced_by_mutant_in_leaf_cell():
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
     evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
     cell = ar.region_of(ar.root.below)  # leaf currently holding (2, 5)
-    point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
+    point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng).node.point
     assert ev.used == 3  # one evaluation despite the revisit
     assert np.abs(point.coords - np.array([2.0, 5.0])).max() > 0
     assert cell.contains(point.coords)
@@ -52,7 +54,7 @@ def test_blocked_half_redirects_everything_right():
     ar.block(ar.root.below)  # left half x < 5
     for _ in range(10_000):
         coords = np.array([rng.uniform(0.0, 5.0), rng.uniform(0.0, 10.0)])
-        point = evaluate_via_archive(coords, ar, ev, rng)
+        point = evaluate_via_archive(coords, ar, ev, rng).node.point
         assert point.coords[0] >= 5.0
 
 
@@ -90,7 +92,7 @@ def test_revisit_cascade_falls_back_to_domain_sample():
     real = np.random.default_rng(4)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, real)
     rigged = _ScriptedRng([2.0, 5.0], n=150)
-    point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rigged)
+    point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rigged).node.point
     assert ev.used == 2
     assert np.abs(point.coords - np.array([2.0, 5.0])).max() > 0
 

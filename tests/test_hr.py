@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from histarch import (GaConfig, HrConfig, ParameterError, Region, RoiSuggestion,
                       StopReason, cma_init, derive_depth_params, hr_run,
                       make_suite, run_algorithm, seed_cma_from_roi)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
-from histarch.bsp import SearchPoint
-from histarch.hr import _cma_phase
+from histarch.bsp import BspArchive, SearchPoint
+from histarch.hr import _cma_phase, run_cnrga
+from util import record_digest
 
 
 def make_problem(dim, f, lo=-100.0, hi=100.0, name="p", f_opt=0.0):
@@ -44,8 +47,6 @@ def test_depth_params_reference_values():
 def test_hr_config_validates_depths():
     cfg = HrConfig.for_problem(100_000, 10)
     assert (cfg.lv, cfg.k) == (17, 4)
-    with pytest.raises(ParameterError):
-        HrConfig.for_problem(1000, 10, ga=GaConfig(lru_enabled=True))
 
 
 # -- seeding -------------------------------------------------------------
@@ -108,13 +109,19 @@ def sphere_f(x):
 
 
 def test_tiny_budget_degenerates_to_pure_explore():
+    # the initial population spends the whole budget; an ROI it fires is
+    # still exploited, blocked, and ended by the budget at zero evaluations
     problem = make_problem(2, sphere_f)
-    cfg = HrConfig.for_problem(4, 2, ga=GaConfig(pop_size=2))
-    # max reachable depth is 4 < lv + k, so no trigger can ever fire
-    assert cfg.lv + cfg.k > 4
-    rec = hr_run(problem, cfg, np.random.default_rng(1))
-    assert rec.evals_used == 4
-    assert [ph.kind for ph in rec.phases] == ["explore"]
+    cfg = HrConfig.for_problem(100, 2)
+    blocked_runs = 0
+    for seed in range(20):
+        rec = hr_run(problem, cfg, np.random.default_rng(seed), dump_tree=True)
+        assert rec.evals_used == 100
+        assert [(ph.kind, ph.start_eval, ph.end_eval) for ph in rec.phases] == [
+            ("explore", 1, 100)]
+        blocked_runs += any(line.split(" ")[4] == "1"
+                            for line in rec.tree_dump.splitlines())
+    assert blocked_runs > 0
 
 
 def test_sphere_run_exploits_and_beats_explore_alone():
@@ -185,6 +192,29 @@ def test_trace_is_non_increasing_and_shared():
     assert rec.final_fitness == values[-1]
 
 
+# digests of the seeded runs in the test below, recorded while the archive
+# ran the ROI trigger on every insert; at budgets 100 and 200 the trigger
+# fires during the hybrid's initial population
+RUN_DIGESTS = {
+    "hr": "a63e2c221b699479f9f632eff0684130edf92b574e32dc03130c56186c3130fe",
+    "cnrga": "1929298949e413f54d4e5658580a234a13cb7b8ce258ceb32e75553de6200899",
+    "cnrga_lru": "8b675d503b9764683a92056defbc50e6f695e6e0d386d6ea626366ea14ea6c40",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(RUN_DIGESTS))
+def test_small_seeded_runs_match_recorded_digests(algo):
+    problems = [p for p in make_suite(2, seed=0) if p.name in ("sphere", "rastrigin")]
+    digest = hashlib.sha256()
+    for problem in problems:
+        for budget in (100, 200):
+            for seed in range(10):
+                rec = run_algorithm(problem, algo, budget, np.random.default_rng(seed),
+                                    dump_tree=True)
+                digest.update(record_digest(rec).encode())
+    assert digest.hexdigest() == RUN_DIGESTS[algo]
+
+
 # -- baselines ----------------------------------------------------------------
 
 def test_restarting_cmaes_restarts_on_flat_objective():
@@ -196,8 +226,20 @@ def test_restarting_cmaes_restarts_on_flat_objective():
     assert all(ph.stop_reason == "stagnation" for ph in restarts[:-1])
 
 
+@pytest.mark.parametrize("lru", [False, True])
+def test_cnrga_makes_no_roi_query(lru, monkeypatch):
+    def refuse(self, new_leaf, depth):
+        raise AssertionError("the cNrGA baselines must not query the ROI trigger")
+
+    monkeypatch.setattr(BspArchive, "roi_trigger", refuse)
+    problem = make_problem(2, sphere_f)
+    # 12 000 evaluations pass the default LRU capacity of 10 000 once
+    rec = run_cnrga(problem, 12_000, np.random.default_rng(12), lru=lru)
+    assert rec.evals_used == 12_000
+
+
 def test_cnrga_lru_respects_capacity_at_boundaries():
-    from histarch import BspArchive, BudgetExhaustedError, ga_step, init_population
+    from histarch import BudgetExhaustedError, ga_step, init_population
     from histarch.benchmarks import BudgetedEvaluator
     problem = make_problem(2, rastrigin, lo=-5.12, hi=5.12)
     config = GaConfig(pop_size=100, lru_enabled=True, lru_capacity=1000)

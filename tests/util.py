@@ -5,6 +5,9 @@ The tree oracles deliberately re-derive tree geometry from parent links
 and the domain box instead of trusting the library's own ``region_of``.
 """
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -247,3 +250,20 @@ def ref_cma_update(state, candidates, fitnesses):
     best, worst = float(fitnesses.min()), float(fitnesses.max())
     state.best_history.append(best)
     state.last_fit_range = 0.0 if worst == best else worst - best
+
+
+# -- run digests ---------------------------------------------------------
+
+def record_digest(record) -> str:
+    """sha256 over everything a seeded run reports: budget use, the
+    best-so-far trace, the phases, the final fields and the tree dump.
+    Floats enter through ``repr``, so equal digests mean equal bits."""
+    body = json.dumps([
+        record.algo, record.problem, record.budget, record.evals_used,
+        [[int(i), float(v)] for i, v in record.best_trace],
+        [dataclasses.asdict(phase) for phase in record.phases],
+        [float(c) for c in record.final_coords], float(record.final_fitness),
+        record.final_eval_index, record.search_space_exhausted,
+        record.non_finite_evals, record.tree_dump,
+    ])
+    return hashlib.sha256(body.encode()).hexdigest()
