@@ -10,7 +10,8 @@ import numpy as np
 from histarch import BspArchive, NewLeaf, Region, Revisit
 
 domain = Region(np.array([0.0, 0.0]), np.array([10.0, 10.0]))
-archive = BspArchive(domain, lv=3, k=2)
+archive = BspArchive(domain)
+LV, K = 3, 2  # depth thresholds of the ROI query; the hybrid derives them
 
 print("== two points split the box on their largest-difference dimension ==")
 archive.insert(np.array([2.0, 5.0]))
@@ -36,9 +37,9 @@ while roi is None:
     out = archive.insert(np.array([value, 1.0]))
     if isinstance(out, NewLeaf):
         print(f"  inserted x0={value:<8.4g} -> leaf depth {out.depth}")
-        roi = archive.roi_trigger(out.node, out.depth)
+        roi = archive.roi_trigger(out.node, out.depth, LV, K)
     value /= 2.0
-print(f"trigger at depth >= lv+k = {archive.lv + archive.k}")
+print(f"trigger at depth >= lv+k = {LV + K}")
 print(f"suggested sub-root depth {roi.subroot.depth}, "
       f"region {roi.region.lower} .. {roi.region.upper}, {len(roi.seeds)} seeds")
 

@@ -10,15 +10,13 @@ import numpy as np
 from histarch import (BspArchive, BudgetExhaustedError, GaConfig, ga_step,
                       init_population)
 from histarch.benchmarks import BudgetedEvaluator, make_suite
-from histarch.hr import derive_depth_params
 
 problem = next(p for p in make_suite(2, seed=1) if p.name == "rastrigin")
 config = GaConfig(pop_size=50)
 budget = 2000
 
 evaluator = BudgetedEvaluator(problem, budget)
-lv, k = derive_depth_params(budget, 10)
-archive = BspArchive(problem.domain, lv, k)
+archive = BspArchive(problem.domain)
 rng = np.random.default_rng(0)
 
 pop = init_population(config, archive, evaluator, rng)

@@ -7,14 +7,17 @@ same budget, the region is blocked, and exploration resumes elsewhere.
 
 import numpy as np
 
-from histarch import HrConfig, hr_run
+from histarch import default_lambda, derive_depth_params, hr_run
 from histarch.benchmarks import make_suite
 
 problem = next(p for p in make_suite(2, seed=1) if p.name == "rastrigin")
-config = HrConfig.for_problem(budget=6000, dim=2)
-print(f"budget {config.budget}, lv={config.lv}, k={config.k}, lambda={config.lam}")
+budget = 6000
+# the thresholds hr_run derives for itself, printed for reference
+lam = default_lambda(problem.dim)
+lv, k = derive_depth_params(budget, lam)
+print(f"budget {budget}, lv={lv}, k={k}, lambda={lam}")
 
-record = hr_run(problem, config, np.random.default_rng(3))
+record = hr_run(problem, budget, np.random.default_rng(3))
 
 print(f"\n{'phase':8s} {'evals':>12s}  detail")
 for ph in record.phases:

@@ -164,19 +164,10 @@ class RoiSuggestion:
 
 
 class BspArchive:
-    """On-line search history stored as a BSP tree over ``domain``.
+    """On-line search history stored as a BSP tree over ``domain``."""
 
-    ``lv`` and ``k`` are the depth thresholds ``roi_trigger`` reads: a
-    leaf landing at depth >= lv + k flags the cell of its depth-lv
-    ancestor as worth exploiting.
-    """
-
-    def __init__(self, domain: Region, lv: int, k: int):
-        if lv < 0 or k < 0:
-            raise ParameterError("lv and k must be non-negative")
+    def __init__(self, domain: Region):
         self.domain = domain
-        self.lv = int(lv)
-        self.k = int(k)
         self.root = BspNode(None)
         self.n_points = 0
         self._clock = 0
@@ -279,18 +270,21 @@ class BspArchive:
             raise StructuralError("mutation region is defined for leaves only")
         return self.region_of(revisited_leaf)
 
-    def roi_trigger(self, new_leaf: BspNode, depth: int) -> RoiSuggestion | None:
+    def roi_trigger(self, new_leaf: BspNode, depth: int, lv: int,
+                    k: int) -> RoiSuggestion | None:
         """Region-of-interest query for a leaf just returned by insert.
 
-        ``depth`` is the leaf's depth as counted by insert. Fires when it
-        is >= lv + k; the suggestion is rooted at the leaf's ancestor at
-        depth lv and carries every leaf point stored underneath it at the
-        time of the query. Reads the tree and changes nothing.
+        ``depth`` is the leaf's depth as counted by insert; ``lv`` and
+        ``k`` are the caller's non-negative depth thresholds. Fires when
+        ``depth`` is >= lv + k; the suggestion is rooted at the leaf's
+        ancestor at depth lv and carries every leaf point stored
+        underneath it at the time of the query. Reads the tree and
+        changes nothing.
         """
-        if depth < self.lv + self.k:
+        if depth < lv + k:
             return None
         node = new_leaf
-        for _ in range(depth - self.lv):
+        for _ in range(depth - lv):
             node = node.parent
         seeds = [leaf.point for leaf in self._iter_leaves(node)]
         return RoiSuggestion(node, self.region_of(node), seeds)

@@ -4,8 +4,8 @@ Exploration is driven purely by uniform gene-exchange crossover, which
 never invents a new coordinate value, so duplicates are common; every
 candidate is routed through the BSP archive, and a duplicate is replaced
 by an adaptive mutation drawn from the revisited leaf's own cell instead
-of being re-evaluated. The LRU-pruning configuration caps archive memory
-for the cNrGA-LRU baseline.
+of being re-evaluated. ``maybe_prune`` halves the archive once it holds
+LRU_CAPACITY points; only the cNrGA-LRU baseline's driver calls it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ MAX_REVISIT_RETRIES = 100
 # consecutive blocked domain draws that count as a fully blocked domain
 MAX_BLOCKED_DRAWS = 1000
 TOURNAMENT_SIZE = 2
-# share of the stored points an LRU prune removes
+# stored-point count at which an LRU prune fires, and the share it removes
+LRU_CAPACITY = 10_000
 LRU_FRACTION = 0.5
 
 
@@ -29,16 +30,12 @@ LRU_FRACTION = 0.5
 class GaConfig:
     pop_size: int = 100
     crossover_rate: float = 0.5
-    lru_enabled: bool = False
-    lru_capacity: int = 10_000
 
     def __post_init__(self):
         if self.pop_size < 2:
             raise ParameterError("pop_size must be >= 2")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ParameterError("crossover_rate must lie in [0, 1]")
-        if self.lru_capacity < 1:
-            raise ParameterError("lru_capacity must be >= 1")
 
 
 @dataclass
@@ -142,12 +139,10 @@ def ga_step(pop: GaPopulation, config: GaConfig, archive: BspArchive,
     archive-routed evaluation, generational replacement with 1-elitism."""
     children = [pop.best()]
     children.extend(leaf.node.point for leaf in offspring(pop, config, archive, evaluator, rng))
-    if config.lru_enabled:
-        maybe_prune(archive, config)
     return GaPopulation(children, pop.generation + 1)
 
 
-def maybe_prune(archive: BspArchive, config: GaConfig):
-    """LRU-prune once the stored-point count reaches the memory cap."""
-    if archive.n_points >= config.lru_capacity:
+def maybe_prune(archive: BspArchive):
+    """LRU-prune once the stored-point count reaches LRU_CAPACITY."""
+    if archive.n_points >= LRU_CAPACITY:
         archive.prune_lru(LRU_FRACTION)

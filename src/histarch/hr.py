@@ -2,7 +2,8 @@
 
 The hybrid runs the non-revisiting GA as its explorer and asks the archive
 (``roi_trigger``) about each leaf the GA adds. When a leaf lands at depth
-lv+k, the GA is suspended at that child, the leaf points under its depth-lv
+lv+k, with (lv, k) derived from the budget and the CMA-ES population size,
+the GA is suspended at that child, the leaf points under its depth-lv
 ancestor seed a CMA-ES state, and CMA-ES exploits out of the shared
 evaluation budget. CMA-ES candidates are evaluated directly and never
 inserted into the archive, so the blocked-region bookkeeping stays a
@@ -21,7 +22,7 @@ from .bsp import BspArchive, Region, RoiSuggestion
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_sample,
                     cma_update, default_lambda)
 from .cnrga import (GaConfig, GaPopulation, ga_step, init_population, initial_leaves,
-                    offspring)
+                    maybe_prune, offspring)
 from .errors import (BudgetExhaustedError, NumericalError, ParameterError,
                      SearchSpaceExhaustedError)
 
@@ -29,7 +30,7 @@ EXPLORE = "explore"
 EXPLOIT = "exploit"
 # initial CMA-ES step size as a fraction of the longest side of the start box
 SIGMA_FACTOR = 0.3
-# the hybrid's explorer; it blocks exploited regions and never LRU-prunes
+# the GA of the hybrid's explorer and of both cNrGA baselines
 GA = GaConfig()
 
 
@@ -44,27 +45,6 @@ def derive_depth_params(budget: int, lam: int) -> tuple[int, int]:
     if budget < 2 or lam < 2:
         raise ParameterError("budget and lambda must both be >= 2")
     return ceil_log2(budget), ceil_log2(lam)
-
-
-@dataclass
-class HrConfig:
-    budget: int
-    lam: int
-
-    def __post_init__(self):
-        derive_depth_params(self.budget, self.lam)  # rejects budget or lam < 2
-
-    @property
-    def lv(self) -> int:
-        return derive_depth_params(self.budget, self.lam)[0]
-
-    @property
-    def k(self) -> int:
-        return derive_depth_params(self.budget, self.lam)[1]
-
-    @classmethod
-    def for_problem(cls, budget: int, dim: int) -> "HrConfig":
-        return cls(budget, default_lambda(dim))
 
 
 @dataclass
@@ -144,13 +124,12 @@ def _close_phase(phases: list, kind: str, start: int, end: int,
         phases.append(Phase(kind, start, end, stop_reason=stop))
 
 
-def hr_run(problem: Problem, config: HrConfig, rng,
-           dump_tree: bool = False) -> RunRecord:
+def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRecord:
     """Full history-assisted restart run under one evaluation budget."""
-    if config.budget < GA.pop_size:
-        raise ParameterError("budget must cover at least the initial population")
-    evaluator = BudgetedEvaluator(problem, config.budget)
-    archive = BspArchive(problem.domain, config.lv, config.k)
+    lam = default_lambda(problem.dim)
+    lv, k = derive_depth_params(budget, lam)
+    evaluator = BudgetedEvaluator(problem, budget)
+    archive = BspArchive(problem.domain)
     phases: list[Phase] = []
     phase_start = 1
     exhausted = False
@@ -162,13 +141,13 @@ def hr_run(problem: Problem, config: HrConfig, rng,
         for leaf in initial_leaves(GA, archive, evaluator, rng):
             individuals.append(leaf.node.point)
             if roi is None:
-                roi = archive.roi_trigger(leaf.node, leaf.depth)
+                roi = archive.roi_trigger(leaf.node, leaf.depth, lv, k)
         pop = GaPopulation(individuals, 0)
         while True:
             if roi is not None:
                 _close_phase(phases, EXPLORE, phase_start, evaluator.used)
                 phase_start = evaluator.used + 1
-                state = seed_cma_from_roi(roi, config.lam, problem.domain)
+                state = seed_cma_from_roi(roi, lam, problem.domain)
                 reason = _cma_phase(state, evaluator, rng)
                 archive.block(roi.subroot)
                 _close_phase(phases, EXPLOIT, phase_start, evaluator.used, roi, reason)
@@ -179,7 +158,7 @@ def hr_run(problem: Problem, config: HrConfig, rng,
             children = [pop.best()]
             for leaf in offspring(pop, GA, archive, evaluator, rng):
                 children.append(leaf.node.point)
-                roi = archive.roi_trigger(leaf.node, leaf.depth)
+                roi = archive.roi_trigger(leaf.node, leaf.depth, lv, k)
                 if roi is not None:
                     break
             else:
@@ -231,16 +210,16 @@ def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
 
 def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
               dump_tree: bool = False) -> RunRecord:
-    """Pure non-revisiting GA, optionally with LRU memory pruning."""
-    ga = GaConfig(lru_enabled=lru)
+    """Pure non-revisiting GA; with ``lru``, LRU-pruned after every generation."""
     evaluator = BudgetedEvaluator(problem, budget)
-    lv, k = derive_depth_params(budget, default_lambda(problem.dim))
-    archive = BspArchive(problem.domain, lv, k)
+    archive = BspArchive(problem.domain)
     exhausted = False
     try:
-        pop = init_population(ga, archive, evaluator, rng)
+        pop = init_population(GA, archive, evaluator, rng)
         while True:
-            pop = ga_step(pop, ga, archive, evaluator, rng)
+            pop = ga_step(pop, GA, archive, evaluator, rng)
+            if lru:
+                maybe_prune(archive)
     except BudgetExhaustedError:
         pass
     except SearchSpaceExhaustedError:
@@ -258,8 +237,7 @@ def run_algorithm(problem: Problem, algo: str, budget: int, rng,
                   dump_tree: bool = False) -> RunRecord:
     """Run one algorithm by id under the shared budget accounting."""
     if algo == "hr":
-        cfg = HrConfig.for_problem(budget, problem.dim)
-        return hr_run(problem, cfg, rng, dump_tree=dump_tree)
+        return hr_run(problem, budget, rng, dump_tree=dump_tree)
     if algo == "cmaes":
         return run_cmaes_restart(problem, budget, rng)
     if algo == "cnrga_lru":

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from histarch import (BspArchive, BudgetExhaustedError, ExperimentConfig,
-                      GaConfig, HrConfig, Region, StopReason, cma_check_stop,
+                      GaConfig, Region, StopReason, cma_check_stop,
                       cma_init, cma_sample, cma_update, default_lambda,
                       derive_depth_params, ga_step, hr_run, init_population,
                       kruskal_wallis, run_experiment)
@@ -61,8 +61,7 @@ def test_criterion_01_parameter_formulas():
 
 def _cnrga_points(problem, budget, seed):
     evaluator = BudgetedEvaluator(problem, budget)
-    lv, k = derive_depth_params(budget, default_lambda(problem.dim))
-    archive = BspArchive(problem.domain, lv, k)
+    archive = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
     config = GaConfig()
     pop = init_population(config, archive, evaluator, rng)
@@ -103,7 +102,7 @@ def test_criterion_02_non_revisiting_property():
 def test_criterion_03_bsp_oracles():
     with criterion(3, "BSP containment, tiling and point-location oracles", 5.0):
         domain = Region(np.zeros(5), np.full(5, 10.0))
-        archive = BspArchive(domain, lv=13, k=4)
+        archive = BspArchive(domain)
         rng = np.random.default_rng(33)
         for _ in range(5000):
             archive.insert(domain.uniform_point(rng))
@@ -178,8 +177,7 @@ def test_criterion_07_hr_structural_trace():
 
             problem = Problem(base.name, base.dim, base.domain, logged,
                               base.f_opt, base.category, base.x_opt)
-            record = hr_run(problem, HrConfig.for_problem(20_000, 10),
-                            np.random.default_rng(seed))
+            record = hr_run(problem, 20_000, np.random.default_rng(seed))
             assert record.evals_used == 20_000
             exploits = [ph for ph in record.phases if ph.kind == "exploit"]
             assert len(exploits) >= 1

@@ -11,8 +11,8 @@ def box(lo, hi, dim=2):
     return Region(np.full(dim, float(lo)), np.full(dim, float(hi)))
 
 
-def fresh(dim=2, lo=0.0, hi=10.0, lv=17, k=4):
-    return BspArchive(box(lo, hi, dim), lv=lv, k=k)
+def fresh(dim=2, lo=0.0, hi=10.0):
+    return BspArchive(box(lo, hi, dim))
 
 
 def fill_random(archive, n, rng):
@@ -282,50 +282,50 @@ def chain_insert(ar, n, dim=2):
     return leaves
 
 
-def first_roi(ar, leaves):
+def first_roi(ar, leaves, lv, k):
     """The first ROI the trigger reports over ``leaves``, in insert order."""
     for leaf in leaves:
-        roi = ar.roi_trigger(leaf.node, leaf.depth)
+        roi = ar.roi_trigger(leaf.node, leaf.depth, lv, k)
         if roi is not None:
             return roi
     return None
 
 
 def test_roi_trigger_quiet_below_threshold():
-    ar = fresh(lv=17, k=4)
+    ar = fresh()
     leaves = chain_insert(ar, 21)  # deepest leaf at depth 20
     assert max_leaf_depth(ar) == 20
-    assert first_roi(ar, leaves) is None
+    assert first_roi(ar, leaves, 17, 4) is None
 
 
 def test_roi_trigger_fires_at_lv_plus_k():
-    ar = fresh(lv=17, k=4)
+    ar = fresh()
     leaves = chain_insert(ar, 22)  # deepest leaf now at depth 21
     assert max_leaf_depth(ar) == 21
-    roi = first_roi(ar, leaves)
+    roi = first_roi(ar, leaves, 17, 4)
     assert roi is not None
-    assert roi.subroot.depth == ar.lv == 17
+    assert roi.subroot.depth == 17
     for seed in roi.seeds:
         assert roi.region.contains(seed.coords)
 
 
 def test_roi_chain_has_k_plus_one_seeds():
     k = 4
-    ar = fresh(lv=0, k=k)
-    roi = first_roi(ar, chain_insert(ar, k + 1))
+    ar = fresh()
+    roi = first_roi(ar, chain_insert(ar, k + 1), 0, k)
     assert roi is not None
     assert roi.subroot is ar.root
     assert len(roi.seeds) == k + 1
 
 
 def test_roi_seeds_are_leaves_and_distinct():
-    ar = fresh(lv=2, k=3)
+    ar = fresh()
     rng = np.random.default_rng(17)
     roi = None
     while roi is None:
         outcome = ar.insert(ar.domain.uniform_point(rng) / 4.0)  # cluster to deepen fast
         if isinstance(outcome, NewLeaf):
-            roi = ar.roi_trigger(outcome.node, outcome.depth)
+            roi = ar.roi_trigger(outcome.node, outcome.depth, 2, 3)
     seeds = roi.seeds
     coords = np.array([s.coords for s in seeds])
     for i in range(len(coords)):
@@ -344,7 +344,7 @@ def test_block_root_blocks_everything():
 
 
 def test_blocked_subroot_rejects_its_own_centroid():
-    ar = fresh(lv=0, k=3)
+    ar = fresh()
     chain_insert(ar, 4)
     sub = ar.root.below  # a proper subtree, not the root
     ar.block(sub)

@@ -59,10 +59,10 @@ def walk_to_leaf(ar, x):
 
 
 def check_roi(ar, new_leaf):
-    roi = ar.roi_trigger(new_leaf.node, new_leaf.depth)
+    roi = ar.roi_trigger(new_leaf.node, new_leaf.depth, LV, K)
     if roi is None:
         return
-    assert roi.subroot.depth == LV == ar.lv
+    assert roi.subroot.depth == LV
     lo, hi = walk_region(ar, roi.subroot)
     assert same_bits(roi.region.lower, lo) and same_bits(roi.region.upper, hi)
     for seed in roi.seeds:
@@ -99,7 +99,7 @@ def check_invariants(ar, blocked_points, rng):
 @given(dim=st.sampled_from([2, 3]), plan=rounds)
 def test_archive_invariants_under_random_operations(dim, plan):
     domain = Region(np.zeros(dim), np.full(dim, 10.0))
-    ar = BspArchive(domain, lv=LV, k=K)
+    ar = BspArchive(domain)
     rng = np.random.default_rng(0)
     # points stored under a node when it was blocked, by id; holding the
     # points keeps their ids from being reused by later ones

@@ -5,7 +5,7 @@ from histarch import (BspArchive, GaConfig, GaPopulation, NewLeaf, ParameterErro
                       SearchSpaceExhaustedError, evaluate_via_archive, ga_step,
                       init_population, maybe_prune)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
-from histarch.cnrga import crossover_pair
+from histarch.cnrga import LRU_CAPACITY, crossover_pair
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
@@ -13,14 +13,10 @@ def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
                    "unimodal", np.zeros(dim))
 
 
-def archive_for(problem, lv=30, k=4):
-    return BspArchive(problem.domain, lv=lv, k=k)
-
-
 def test_fresh_archive_single_evaluation():
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 10)
-    ar = archive_for(problem)
+    ar = BspArchive(problem.domain)
     rng = np.random.default_rng(0)
     leaf = evaluate_via_archive(np.array([3.0, 4.0]), ar, ev, rng)
     assert isinstance(leaf, NewLeaf) and leaf.node is ar.root and leaf.depth == 0
@@ -33,7 +29,7 @@ def test_fresh_archive_single_evaluation():
 def test_duplicate_is_replaced_by_mutant_in_leaf_cell():
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 10)
-    ar = archive_for(problem)
+    ar = BspArchive(problem.domain)
     rng = np.random.default_rng(1)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
     evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
@@ -47,7 +43,7 @@ def test_duplicate_is_replaced_by_mutant_in_leaf_cell():
 def test_blocked_half_redirects_everything_right():
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 20_000)
-    ar = archive_for(problem)
+    ar = BspArchive(problem.domain)
     rng = np.random.default_rng(2)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
     evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
@@ -61,7 +57,7 @@ def test_blocked_half_redirects_everything_right():
 def test_whole_domain_blocked_signals_exhaustion():
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 10)
-    ar = archive_for(problem)
+    ar = BspArchive(problem.domain)
     rng = np.random.default_rng(3)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
     ar.block(ar.root)
@@ -88,7 +84,7 @@ class _ScriptedRng:
 def test_revisit_cascade_falls_back_to_domain_sample():
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 10)
-    ar = archive_for(problem)
+    ar = BspArchive(problem.domain)
     real = np.random.default_rng(4)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, real)
     rigged = _ScriptedRng([2.0, 5.0], n=150)
@@ -140,9 +136,11 @@ def test_gene_conservation_under_crossover():
 
 # -- generation loop ---------------------------------------------------------
 
-def run_generations(problem, config, budget, seed, generations=None):
+def run_generations(problem, config, budget, seed, generations=None, lru=False):
+    """Generations as ``run_cnrga`` drives them, ``maybe_prune`` after each
+    one when ``lru``."""
     ev = BudgetedEvaluator(problem, budget)
-    ar = archive_for(problem)
+    ar = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
     pop = init_population(config, ar, ev, rng)
     history = [pop.best().fitness]
@@ -150,6 +148,8 @@ def run_generations(problem, config, budget, seed, generations=None):
     try:
         while generations is None or pop.generation < generations:
             pop = ga_step(pop, config, ar, ev, rng)
+            if lru:
+                maybe_prune(ar)
             history.append(pop.best().fitness)
     except BudgetExhaustedError:
         pass
@@ -182,7 +182,7 @@ def test_pure_copy_generation_mutates_everything():
     problem = rastr_problem(2)
     config = GaConfig(pop_size=20, crossover_rate=0.0)
     ev = BudgetedEvaluator(problem, 500)
-    ar = archive_for(problem)
+    ar = BspArchive(problem.domain)
     rng = np.random.default_rng(10)
     pop = init_population(config, ar, ev, rng)
     parents = {tuple(p.coords) for p in pop.individuals}
@@ -196,7 +196,7 @@ def test_pure_copy_generation_mutates_everything():
 
 def grow_archive(problem, n, seed=11):
     ev = BudgetedEvaluator(problem, n + 10)
-    ar = archive_for(problem)
+    ar = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
     while ar.n_points < n:
         evaluate_via_archive(problem.domain.uniform_point(rng), ar, ev, rng)
@@ -205,23 +205,24 @@ def grow_archive(problem, n, seed=11):
 
 def test_maybe_prune_below_threshold_is_noop():
     problem = box_problem()
-    ar = grow_archive(problem, 999)
-    maybe_prune(ar, GaConfig(lru_enabled=True, lru_capacity=1000))
-    assert ar.n_points == 999
+    ar = grow_archive(problem, LRU_CAPACITY - 1)
+    maybe_prune(ar)
+    assert ar.n_points == LRU_CAPACITY - 1
 
 
 def test_maybe_prune_at_threshold_halves():
     problem = box_problem()
-    ar = grow_archive(problem, 1000)
-    maybe_prune(ar, GaConfig(lru_enabled=True, lru_capacity=1000))
-    assert ar.n_points == 500
+    ar = grow_archive(problem, LRU_CAPACITY)
+    maybe_prune(ar)
+    assert ar.n_points == LRU_CAPACITY // 2
 
 
-def test_run_continues_cleanly_after_pruning():
+def test_run_continues_cleanly_after_pruning(monkeypatch):
     from util import tiling_relative_error
+    monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 300)
     problem = box_problem()
-    config = GaConfig(pop_size=40, lru_enabled=True, lru_capacity=300)
-    ev, ar, _ = run_generations(problem, config, 1500, seed=12)
+    config = GaConfig(pop_size=40)
+    ev, ar, _ = run_generations(problem, config, 1500, seed=12, lru=True)
     assert ev.used == 1500
     assert ar.n_points <= 300 + config.pop_size
     assert tiling_relative_error(ar) <= 1e-9
@@ -232,5 +233,3 @@ def test_config_validation():
         GaConfig(pop_size=1)
     with pytest.raises(ParameterError):
         GaConfig(crossover_rate=1.5)
-    with pytest.raises(ParameterError):
-        GaConfig(lru_capacity=0)

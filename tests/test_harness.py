@@ -149,6 +149,17 @@ def test_cli_bad_algo_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_cli_budget_inside_initial_population_runs_hr(tmp_path, capsys):
+    # 50 evaluations end inside the hybrid's 100-point initial population
+    out = tmp_path / "b50"
+    assert main(["run", "--suite", "2d", "--algos", "hr,cmaes,cnrga", "--budget", "50",
+                 "--runs", "2", "--problems", "sphere", "--out", str(out)]) == 0
+    assert "0 failed" in capsys.readouterr().out
+    row = next(line for line in (out / "results.csv").read_text().split("\n")
+               if line.startswith("sphere,hr,"))
+    assert row.endswith(",2,0")
+
+
 def test_cli_stats_missing_dir_is_io_error(tmp_path):
     assert main(["stats", "--in", str(tmp_path / "absent")]) == 3
 

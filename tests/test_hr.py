@@ -3,11 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from histarch import (GaConfig, HrConfig, ParameterError, Region, RoiSuggestion,
+from histarch import (GaConfig, ParameterError, Region, RoiSuggestion,
                       StopReason, cma_init, derive_depth_params, hr_run,
                       make_suite, run_algorithm, seed_cma_from_roi)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
 from histarch.bsp import BspArchive, SearchPoint
+from histarch.cnrga import LRU_CAPACITY, maybe_prune
 from histarch.hr import _cma_phase, run_cnrga
 from util import record_digest
 
@@ -42,11 +43,6 @@ def test_depth_params_reference_values():
     assert derive_depth_params(100_000, 10)[1] == 4  # 2^3 = 8 < 10 <= 16
     with pytest.raises(ParameterError):
         derive_depth_params(1, 10)
-
-
-def test_hr_config_validates_depths():
-    cfg = HrConfig.for_problem(100_000, 10)
-    assert (cfg.lv, cfg.k) == (17, 4)
 
 
 # -- seeding -------------------------------------------------------------
@@ -108,14 +104,17 @@ def sphere_f(x):
     return float(x @ x)
 
 
+def count_leaves(tree_dump):
+    return sum(1 for line in tree_dump.splitlines() if line.split(" ")[1] == "leaf")
+
+
 def test_tiny_budget_degenerates_to_pure_explore():
     # the initial population spends the whole budget; an ROI it fires is
     # still exploited, blocked, and ended by the budget at zero evaluations
     problem = make_problem(2, sphere_f)
-    cfg = HrConfig.for_problem(100, 2)
     blocked_runs = 0
     for seed in range(20):
-        rec = hr_run(problem, cfg, np.random.default_rng(seed), dump_tree=True)
+        rec = hr_run(problem, 100, np.random.default_rng(seed), dump_tree=True)
         assert rec.evals_used == 100
         assert [(ph.kind, ph.start_eval, ph.end_eval) for ph in rec.phases] == [
             ("explore", 1, 100)]
@@ -127,8 +126,7 @@ def test_tiny_budget_degenerates_to_pure_explore():
 def test_sphere_run_exploits_and_beats_explore_alone():
     logger = LoggingProblem(make_problem(2, sphere_f))
     problem = logger.build()
-    cfg = HrConfig.for_problem(5000, 2)
-    rec = hr_run(problem, cfg, np.random.default_rng(2))
+    rec = hr_run(problem, 5000, np.random.default_rng(2))
     exploit_phases = [ph for ph in rec.phases if ph.kind == "exploit"]
     assert len(exploit_phases) >= 1
     explore_values = []
@@ -141,7 +139,7 @@ def test_sphere_run_exploits_and_beats_explore_alone():
 
 def test_phases_partition_budget_and_alternate():
     problem = make_problem(2, sphere_f)
-    rec = hr_run(problem, HrConfig.for_problem(5000, 2), np.random.default_rng(3))
+    rec = hr_run(problem, 5000, np.random.default_rng(3))
     assert rec.evals_used == 5000
     cursor = 1
     for ph in rec.phases:
@@ -157,7 +155,7 @@ def test_phases_partition_budget_and_alternate():
 def test_blocked_boxes_distinct_and_respected():
     logger = LoggingProblem(make_problem(2, sphere_f))
     problem = logger.build()
-    rec = hr_run(problem, HrConfig.for_problem(6000, 2), np.random.default_rng(4))
+    rec = hr_run(problem, 6000, np.random.default_rng(4))
     exploits = [ph for ph in rec.phases if ph.kind == "exploit"]
     assert len(exploits) >= 2
     boxes = [(tuple(ph.roi_lower), tuple(ph.roi_upper)) for ph in exploits]
@@ -175,18 +173,15 @@ def test_blocked_boxes_distinct_and_respected():
 
 def test_exploit_evaluations_do_not_enter_archive():
     problem = make_problem(2, sphere_f)
-    cfg = HrConfig.for_problem(5000, 2)
-    rec = hr_run(problem, cfg, np.random.default_rng(5), dump_tree=True)
+    rec = hr_run(problem, 5000, np.random.default_rng(5), dump_tree=True)
     explore_evals = sum(ph.end_eval - ph.start_eval + 1
                         for ph in rec.phases if ph.kind == "explore")
-    n_leaves = sum(1 for line in rec.tree_dump.strip().split("\n")
-                   if line.split(" ")[1] == "leaf")
-    assert n_leaves == explore_evals
+    assert count_leaves(rec.tree_dump) == explore_evals
 
 
 def test_trace_is_non_increasing_and_shared():
     problem = make_problem(2, sphere_f)
-    rec = hr_run(problem, HrConfig.for_problem(3000, 2), np.random.default_rng(6))
+    rec = hr_run(problem, 3000, np.random.default_rng(6))
     values = [v for _, v in rec.best_trace]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert rec.final_fitness == values[-1]
@@ -228,28 +223,35 @@ def test_restarting_cmaes_restarts_on_flat_objective():
 
 @pytest.mark.parametrize("lru", [False, True])
 def test_cnrga_makes_no_roi_query(lru, monkeypatch):
-    def refuse(self, new_leaf, depth):
+    def refuse(self, new_leaf, depth, lv, k):
         raise AssertionError("the cNrGA baselines must not query the ROI trigger")
 
     monkeypatch.setattr(BspArchive, "roi_trigger", refuse)
     problem = make_problem(2, sphere_f)
-    # 12 000 evaluations pass the default LRU capacity of 10 000 once
-    rec = run_cnrga(problem, 12_000, np.random.default_rng(12), lru=lru)
+    # 12 000 evaluations pass LRU_CAPACITY (10 000) once, so the same runs
+    # show that only the LRU driver prunes
+    rec = run_cnrga(problem, 12_000, np.random.default_rng(12), lru=lru, dump_tree=True)
     assert rec.evals_used == 12_000
+    if lru:
+        assert count_leaves(rec.tree_dump) < LRU_CAPACITY
+    else:
+        assert count_leaves(rec.tree_dump) == 12_000
 
 
-def test_cnrga_lru_respects_capacity_at_boundaries():
+def test_cnrga_lru_respects_capacity_at_boundaries(monkeypatch):
     from histarch import BudgetExhaustedError, ga_step, init_population
     from histarch.benchmarks import BudgetedEvaluator
+    monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 1000)
     problem = make_problem(2, rastrigin, lo=-5.12, hi=5.12)
-    config = GaConfig(pop_size=100, lru_enabled=True, lru_capacity=1000)
+    config = GaConfig(pop_size=100)
     ev = BudgetedEvaluator(problem, 5000)
-    archive = BspArchive(problem.domain, 13, 3)
+    archive = BspArchive(problem.domain)
     rng = np.random.default_rng(8)
     pop = init_population(config, archive, ev, rng)
     try:
         while True:
             pop = ga_step(pop, config, archive, ev, rng)
+            maybe_prune(archive)  # as run_cnrga(lru=True) does
             assert archive.n_points <= 1000
     except BudgetExhaustedError:
         pass
@@ -260,8 +262,9 @@ def test_cnrga_lru_respects_capacity_at_boundaries():
 def test_every_algorithm_consumes_exact_budget(algo):
     problem = make_problem(2, sphere_f)
     # at D=2, lambda=6: 1200 is a whole number of CMA-ES generations, 1201
-    # forces a short final generation
-    for budget in (1200, 1201):
+    # forces a short final generation; 50 ends inside the GA's initial
+    # population
+    for budget in (50, 1200, 1201):
         rec = run_algorithm(problem, algo, budget, np.random.default_rng(9))
         assert rec.evals_used == budget
         assert not rec.search_space_exhausted
