@@ -17,14 +17,15 @@ one sort plus O(1) per removed leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InputError, ParameterError, StructuralError
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchPoint:
     """One evaluated solution: coordinates, objective value, insertion age."""
 
@@ -35,22 +36,38 @@ class SearchPoint:
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned box with strictly positive extent per dimension."""
+    """Immutable axis-aligned box with positive, finite extent per dimension.
+
+    ``lower``, ``upper`` and ``span = upper - lower`` are read-only arrays
+    that no caller shares; ``bounds`` is ``(lower, upper)`` as tuples of
+    Python floats.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    span: np.ndarray = field(init=False, repr=False, compare=False)
+    bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise InputError("region bounds must be 1-D vectors of equal length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise InputError("region bounds must be finite")
-        if not (lo < hi).all():
-            raise ParameterError("region must have positive extent in every dimension")
+        los, his = tuple(lo.tolist()), tuple(hi.tolist())
+        for l, h in zip(los, his):
+            # a Python float difference overflows to inf without a warning
+            if not 0.0 < h - l < math.inf:
+                if not all(map(math.isfinite, los + his)):
+                    raise InputError("region bounds must be finite")
+                raise ParameterError("region must have positive, finite extent in every dimension")
+        span = hi - lo
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        span.setflags(write=False)
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "bounds", (los, his))
 
     @property
     def dim(self) -> int:
@@ -66,20 +83,20 @@ class Region:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != self.lower.shape:
             raise InputError(f"expected {self.dim} coordinates, got shape {coords.shape}")
-        for lo, x, hi in zip(self.lower.tolist(), coords.tolist(), self.upper.tolist()):
+        los, his = self.bounds
+        for lo, x, hi in zip(los, coords.tolist(), his):
             if not lo <= x <= hi:
                 return False
         return True
 
-    def side_lengths(self) -> np.ndarray:
-        return self.upper - self.lower
-
     def log_volume(self) -> float:
         # summed in log space so thin 30-D cells do not underflow
-        return float(np.log(self.upper - self.lower).sum())
+        return float(np.log(self.span).sum())
 
     def uniform_point(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
+        # the values and generator state of rng.uniform(lower, upper), at a
+        # fifth of its cost
+        return self.lower + self.span * rng.random(self.lower.size)
 
 
 class BspNode:
@@ -87,7 +104,8 @@ class BspNode:
 
     Only the root of an empty archive holds neither. A node stores no
     bounds and no depth: its cell is ``BspArchive.region_of(node)`` and
-    ``depth`` counts parent links.
+    ``depth`` counts parent links. ``last_touch`` is the clock of the last
+    insert that ended at the node.
     """
 
     __slots__ = (
@@ -177,9 +195,10 @@ class BspArchive:
     def insert(self, coords: np.ndarray):
         """Route ``coords`` to its leaf cell and grow the tree.
 
-        Returns NewLeaf, Revisit or Blocked. The traversal stamps every
-        visited node with the current clock, which is what the LRU
-        pruning policy later reads back.
+        Returns NewLeaf, Revisit or Blocked. The node where the walk ends
+        (the blocked node, the revisited leaf or both new leaves) is
+        stamped with the current clock. The LRU pruning policy reads the
+        stamps of leaves only, and a walk that reaches a leaf ends there.
         """
         coords = np.asarray(coords, dtype=float)
         if not self.domain.contains(coords):  # also rejects a wrong shape
@@ -190,6 +209,13 @@ class BspArchive:
         self._clock += 1
         clock = self._clock
         node = self.root
+        depth = 0
+        x = coords.tolist()
+        # the walk is the hot loop: plain attribute tests and Python
+        # floats cost less per level than properties and numpy scalars
+        while not node.blocked and node.below is not None:
+            node = node.below if x[node.split_dim] < node.split_value else node.above
+            depth += 1
         node.last_touch = clock
         if node.blocked:
             return Blocked()
@@ -200,22 +226,12 @@ class BspArchive:
             self.n_points = 1
             return NewLeaf(node, 0)
 
-        # the walk is the hot loop: plain attribute tests and Python
-        # floats cost less per level than properties and numpy scalars
-        depth = 0
-        x = coords.tolist()
-        while node.below is not None:
-            node = node.below if x[node.split_dim] < node.split_value else node.above
-            node.last_touch = clock
-            depth += 1
-            if node.blocked:
-                return Blocked()
-
         old = node.point
-        delta = np.abs(coords - old.coords)
-        split_dim = int(np.argmax(delta))
-        a = float(old.coords[split_dim])
-        b = float(coords[split_dim])
+        y = old.coords.tolist()
+        # split along the first largest coordinate gap, as np.argmax picks it
+        gaps = [abs(p - q) for p, q in zip(x, y)]
+        split_dim = gaps.index(max(gaps))
+        a, b = y[split_dim], x[split_dim]
         split_value = 0.5 * (a + b)
         if not (min(a, b) < split_value < max(a, b)):
             return Revisit(node)  # identical, or too close to separate in float
@@ -255,15 +271,14 @@ class BspArchive:
             top = top.parent
         if top is not self.root:
             raise StructuralError("node does not belong to this archive")
-        lower = self.domain.lower.tolist()
-        upper = self.domain.upper.tolist()
+        lower, upper = map(list, self.domain.bounds)
         for child in reversed(path):
             parent = child.parent
             if parent.below is child:
                 upper[parent.split_dim] = parent.split_value
             else:
                 lower[parent.split_dim] = parent.split_value
-        return Region(np.array(lower), np.array(upper))
+        return Region(lower, upper)
 
     def mutation_region(self, revisited_leaf: BspNode) -> Region:
         if not revisited_leaf.is_leaf:

@@ -86,8 +86,17 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> NewLeaf
 
 
 def tournament_pick(pop: GaPopulation, rng) -> SearchPoint:
-    idx = rng.integers(0, len(pop.individuals), TOURNAMENT_SIZE)
-    return min((pop.individuals[i] for i in idx), key=lambda p: p.fitness)
+    """Fittest of TOURNAMENT_SIZE draws with replacement; the first drawn
+    wins a tie. Scalar draws give the indices and generator state of one
+    sized draw (the bit generator buffers 32-bit halves) at lower cost."""
+    individuals = pop.individuals
+    n = len(individuals)
+    best = individuals[rng.integers(0, n)]
+    for _ in range(TOURNAMENT_SIZE - 1):
+        other = individuals[rng.integers(0, n)]
+        if other.fitness < best.fitness:
+            best = other
+    return best
 
 
 def crossover_pair(pop: GaPopulation, config: GaConfig, rng):
@@ -98,12 +107,8 @@ def crossover_pair(pop: GaPopulation, config: GaConfig, rng):
     """
     p1 = tournament_pick(pop, rng)
     p2 = tournament_pick(pop, rng)
-    c1 = p1.coords.copy()
-    c2 = p2.coords.copy()
-    swap = rng.random(c1.size) < config.crossover_rate
-    c1[swap] = p2.coords[swap]
-    c2[swap] = p1.coords[swap]
-    return c1, c2
+    swap = rng.random(p1.coords.size) < config.crossover_rate
+    return np.where(swap, p2.coords, p1.coords), np.where(swap, p1.coords, p2.coords)
 
 
 def initial_leaves(config: GaConfig, archive: BspArchive, evaluator, rng):

@@ -84,7 +84,7 @@ def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:
     if not roi.seeds:
         raise ParameterError("a region of interest must carry at least one seed")
     mean0 = np.mean([p.coords for p in roi.seeds], axis=0)
-    sigma0 = SIGMA_FACTOR * float(roi.region.side_lengths().max())
+    sigma0 = SIGMA_FACTOR * float(roi.region.span.max())
     return cma_init(mean0, sigma0, lam, domain)
 
 
@@ -198,7 +198,7 @@ def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
     evaluator = BudgetedEvaluator(problem, budget)
     domain = problem.domain
     lam = default_lambda(problem.dim)
-    sigma0 = SIGMA_FACTOR * float(domain.side_lengths().max())
+    sigma0 = SIGMA_FACTOR * float(domain.span.max())
     phases: list[Phase] = []
     while evaluator.remaining > 0:
         start = evaluator.used + 1

@@ -3,8 +3,8 @@ import pytest
 
 from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf,
                       ParameterError, Region, Revisit)
-from util import (interiors_disjoint, locate_brute, max_leaf_depth,
-                  tiling_relative_error, walk_region)
+from util import (interiors_disjoint, locate_brute, max_leaf_depth, ref_split_dim,
+                  ref_uniform_point, same_rng_state, tiling_relative_error, walk_region)
 
 
 def box(lo, hi, dim=2):
@@ -39,6 +39,66 @@ def test_region_contains_rejects_wrong_shape(coords):
     region = Region(np.full(3, -1.0), np.ones(3))
     with pytest.raises(InputError):
         region.contains(coords)
+
+
+def test_region_rejects_empty_non_finite_and_overflowing_sides():
+    with pytest.raises(ParameterError):
+        Region(np.zeros(2), np.array([1.0, 0.0]))
+    with pytest.raises(InputError):
+        Region(np.array([0.0, np.nan]), np.ones(2))
+    with pytest.raises(InputError):  # a non-finite bound outranks an empty side
+        Region(np.array([5.0, 0.0]), np.array([1.0, np.inf]))
+    with pytest.raises(ParameterError):
+        Region(np.full(2, -1e308), np.full(2, 1e308))
+    with pytest.raises(ParameterError):
+        Region(np.array([0.0, -1.7e308]), np.array([1.0, 1.7e308]))
+    widest = Region(np.full(2, -8e307), np.full(2, 8e307))  # 1.6e308 is finite
+    assert np.isfinite(widest.uniform_point(np.random.default_rng(0))).all()
+    assert np.isfinite(widest.log_volume())
+
+
+def test_region_owns_read_only_bounds():
+    lo = np.zeros(2)
+    region = Region(lo, np.ones(2))
+    lo[0] = 5.0
+    assert np.array_equal(region.lower, [0.0, 0.0])
+    assert region.contains(np.array([0.5, 0.5]))
+    for view in (region.lower, region.upper, region.span):
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+    assert region.contains(np.array([0.5, 0.5]))
+
+
+def assert_same_uniform_draws(region, seed, n=200):
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(n):
+        point = region.uniform_point(fast)
+        assert point.tobytes() == ref_uniform_point(region, ref).tobytes()
+        assert region.contains(point)
+    assert same_rng_state(fast, ref)
+
+
+@pytest.mark.parametrize("dim", [2, 10, 30])
+def test_uniform_point_matches_reference_draw(dim):
+    rng = np.random.default_rng(dim)
+    for seed in range(20):
+        # bounds and widths from 1e-300 to 1e3 in size: some sides are
+        # 1e-300 wide, some only a few ulps of their bounds
+        lower = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.uniform(-300.0, 3.0, dim)
+        upper = lower + 10.0 ** rng.uniform(-300.0, 3.0, dim)
+        upper = np.maximum(upper, np.nextafter(lower, np.inf))
+        assert_same_uniform_draws(Region(lower, upper), seed)
+
+
+def test_uniform_point_matches_reference_draw_in_deep_cell():
+    ar = fresh(dim=3)
+    rng = np.random.default_rng(11)
+    centre = np.array([3.0, 7.0, 5.0])
+    for k in range(1, 60):  # points closing in on centre
+        ar.insert(centre + 2.0 ** -k * rng.uniform(-1.0, 1.0, 3))
+    deepest = max(ar.iter_leaves(), key=lambda leaf: leaf.depth)
+    assert deepest.depth >= 40
+    assert_same_uniform_draws(ar.region_of(deepest), seed=12)
 
 
 # -- insert ---------------------------------------------------------------
@@ -90,6 +150,25 @@ def test_tie_break_picks_lowest_dimension():
     ar.insert(np.array([2.0, 2.0]))
     ar.insert(np.array([6.0, 6.0]))  # equal differences on both dims
     assert ar.root.split_dim == 0
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_split_dim_matches_argmax_reference(dim):
+    # grid coordinates make tied gaps common
+    rng = np.random.default_rng(dim)
+    ar = fresh(dim=dim)
+    splits = 0
+    for _ in range(400):
+        coords = 1.25 * rng.integers(0, 9, dim)
+        outcome = ar.insert(coords)
+        if not isinstance(outcome, NewLeaf) or outcome.depth == 0:
+            continue
+        parent = outcome.node.parent
+        old = (parent.above if parent.below is outcome.node else parent.below).point
+        assert parent.split_dim == ref_split_dim(coords, old.coords)
+        assert parent.split_value == 0.5 * (old.coords[parent.split_dim] + coords[parent.split_dim])
+        splits += 1
+    assert splits >= 40
 
 
 def test_insert_outside_domain_raises():

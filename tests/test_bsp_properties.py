@@ -3,7 +3,9 @@
 Cell bounds and depth are derived on demand by the library; these checks
 compare them after every operation with the parent-link oracles in
 ``util``, including after pruning has moved subtrees up. A block must
-outlive every pruning step that leaves a point stored under it.
+outlive every pruning step that leaves a point stored under it. Leaf
+recency stamps, and so the leaves a prune removes, must match an oracle
+that stamps every node on each insert's walk.
 """
 
 import numpy as np
@@ -58,6 +60,36 @@ def walk_to_leaf(ar, x):
     return node
 
 
+class WalkStamps:
+    """LRU stamps as first written: each insert stamps every node on its
+    walk from the root, and a split stamps both new leaves. Prune reads
+    leaf stamps only, so on leaves they must equal the archive's."""
+
+    def __init__(self, archive):
+        self.archive = archive
+        self.clock = 0
+        self.stamps = {}  # id(node) -> (node, clock); holding the node keeps ids unique
+
+    def _stamp(self, node):
+        self.stamps[id(node)] = (node, self.clock)
+
+    def stamp_of(self, node):
+        return self.stamps[id(node)][1]
+
+    def insert(self, coords):
+        self.clock += 1
+        node = self.archive.root
+        self._stamp(node)
+        while not node.blocked and node.is_internal:
+            node = node.below if coords[node.split_dim] < node.split_value else node.above
+            self._stamp(node)
+        outcome = self.archive.insert(np.asarray(coords, dtype=float))
+        if isinstance(outcome, NewLeaf) and outcome.depth > 0:
+            for child in outcome.node.parent.children():
+                self._stamp(child)
+        return outcome
+
+
 def check_roi(ar, new_leaf):
     roi = ar.roi_trigger(new_leaf.node, new_leaf.depth, LV, K)
     if roi is None:
@@ -69,9 +101,10 @@ def check_roi(ar, new_leaf):
         assert roi.region.contains(seed.coords)
 
 
-def check_invariants(ar, blocked_points, rng):
+def check_invariants(ar, oracle, blocked_points, rng):
     leaves = list(ar.iter_leaves())
     assert len(leaves) == ar.n_points
+    assert all(leaf.last_touch == oracle.stamp_of(leaf) for leaf in leaves)
     assert all(node.point is None for node in preorder(ar.root) if node.is_internal)
     for leaf in leaves:
         lo, hi = walk_region(ar, leaf)
@@ -88,7 +121,7 @@ def check_invariants(ar, blocked_points, rng):
     # a stored point is blocked exactly when it was under a blocked node at
     # the time of the block; a Blocked insert only refreshes recency
     for leaf in leaves:
-        outcome = ar.insert(leaf.point.coords)
+        outcome = oracle.insert(leaf.point.coords)
         if id(leaf.point) in blocked_points:
             assert isinstance(outcome, Blocked)
         else:
@@ -100,27 +133,32 @@ def check_invariants(ar, blocked_points, rng):
 def test_archive_invariants_under_random_operations(dim, plan):
     domain = Region(np.zeros(dim), np.full(dim, 10.0))
     ar = BspArchive(domain)
+    oracle = WalkStamps(ar)
     rng = np.random.default_rng(0)
     # points stored under a node when it was blocked, by id; holding the
     # points keeps their ids from being reused by later ones
     blocked_points = {}
     for points, step in plan:
         for coords in points:
-            outcome = ar.insert(np.array(coords[:dim]))
+            outcome = oracle.insert(coords[:dim])
             assert isinstance(outcome, (NewLeaf, Revisit, Blocked))
             if isinstance(outcome, NewLeaf):
                 assert outcome.depth == outcome.node.depth
                 check_roi(ar, outcome)
-            check_invariants(ar, blocked_points, rng)
+            check_invariants(ar, oracle, blocked_points, rng)
         if step is None:
             continue
         kind, arg = step
         if kind == "prune":
             n_before = ar.n_points
             before = list(ar.iter_leaves())
+            n_remove = int(np.floor(arg * n_before))
+            oldest = sorted(before, key=lambda leaf: (oracle.stamp_of(leaf), leaf.point.eval_index))
             ar.prune_lru(arg)
-            assert ar.n_points == n_before - int(np.floor(arg * n_before))
+            assert ar.n_points == n_before - n_remove
             kept = {id(leaf) for leaf in ar.iter_leaves()}
+            assert {id(leaf) for leaf in before if id(leaf) not in kept} == \
+                {id(leaf) for leaf in oldest[:n_remove]}
             for leaf in before:
                 if id(leaf) not in kept:
                     with pytest.raises(StructuralError):
@@ -132,4 +170,4 @@ def test_archive_invariants_under_random_operations(dim, plan):
             subroot = candidates[arg % len(candidates)]
             ar.block(subroot)
             blocked_points.update((id(n.point), n.point) for n in preorder(subroot) if n.is_leaf)
-        check_invariants(ar, blocked_points, rng)
+        check_invariants(ar, oracle, blocked_points, rng)

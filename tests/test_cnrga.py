@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from histarch import (BspArchive, GaConfig, GaPopulation, NewLeaf, ParameterError, Region,
-                      SearchSpaceExhaustedError, evaluate_via_archive, ga_step,
+                      SearchPoint, SearchSpaceExhaustedError, evaluate_via_archive, ga_step,
                       init_population, maybe_prune)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
-from histarch.cnrga import LRU_CAPACITY, crossover_pair
+from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
+from util import ref_crossover_pair, ref_tournament_pick, same_rng_state
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
@@ -66,19 +67,19 @@ def test_whole_domain_blocked_signals_exhaustion():
 
 
 class _ScriptedRng:
-    """Returns a fixed point from uniform() for the first n calls, then
-    delegates to a real generator."""
+    """Returns fixed unit-interval values from random() for the first n
+    calls, then delegates to a real generator."""
 
     def __init__(self, fixed, n, seed=0):
         self.fixed = np.asarray(fixed, dtype=float)
         self.n = n
         self.inner = np.random.default_rng(seed)
 
-    def uniform(self, lo, hi):
+    def random(self, size):
         if self.n > 0:
             self.n -= 1
             return self.fixed.copy()
-        return self.inner.uniform(lo, hi)
+        return self.inner.random(size)
 
 
 def test_revisit_cascade_falls_back_to_domain_sample():
@@ -87,7 +88,8 @@ def test_revisit_cascade_falls_back_to_domain_sample():
     ar = BspArchive(problem.domain)
     real = np.random.default_rng(4)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, real)
-    rigged = _ScriptedRng([2.0, 5.0], n=150)
+    # every draw maps to 10 * (0.2, 0.5) == (2, 5) in the one-leaf cell [0, 10]^2
+    rigged = _ScriptedRng([0.2, 0.5], n=150)
     point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rigged).node.point
     assert ev.used == 2
     assert np.abs(point.coords - np.array([2.0, 5.0])).max() > 0
@@ -98,7 +100,6 @@ def test_revisit_cascade_falls_back_to_domain_sample():
 def _toy_population(coords_list):
     pts = []
     for i, c in enumerate(coords_list):
-        from histarch import SearchPoint
         pts.append(SearchPoint(np.asarray(c, dtype=float), float(i), i))
     return GaPopulation(pts, 0)
 
@@ -132,6 +133,51 @@ def test_gene_conservation_under_crossover():
         for c in (c1, c2):
             for d in range(4):
                 assert (d, c[d]) in pool
+
+
+class _TiedPoints:
+    """``n`` points built on demand; fitness repeats every five indices,
+    so tournaments tie often at any population size."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return SearchPoint(np.array([float(i), -0.5 * i]), float(i % 5), int(i))
+
+
+@pytest.mark.parametrize("n", [2, 7, 100, 2**31])
+def test_tournament_pick_matches_reference(n):
+    pop = GaPopulation(_TiedPoints(n), 0)
+    fast, ref = np.random.default_rng(n % 97), np.random.default_rng(n % 97)
+    ties = 0
+    for _ in range(300):
+        probe = np.random.default_rng()
+        probe.bit_generator.state = ref.bit_generator.state
+        i, j = probe.integers(0, n, 2)
+        ties += i != j and i % 5 == j % 5
+        assert tournament_pick(pop, fast).eval_index == ref_tournament_pick(pop, ref).eval_index
+        fast.random(3)  # draws of another width in between
+        ref.random(3)
+    assert same_rng_state(fast, ref)
+    assert ties > 0 or n < 7
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+def test_crossover_pair_matches_reference(rate):
+    rng = np.random.default_rng(8)
+    pop = _toy_population(rng.uniform(-5.0, 5.0, size=(20, 10)))
+    for point in pop.individuals:
+        point.fitness = float(point.eval_index % 3)
+    cfg = GaConfig(pop_size=20, crossover_rate=rate)
+    fast, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(300):
+        for child, expected in zip(crossover_pair(pop, cfg, fast), ref_crossover_pair(pop, cfg, ref)):
+            assert child.tobytes() == expected.tobytes()
+    assert same_rng_state(fast, ref)
 
 
 # -- generation loop ---------------------------------------------------------

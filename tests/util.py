@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from histarch.benchmarks import SCHWEFEL_OFFSET, ellipsoid_weights, random_rotation
+from histarch.cnrga import TOURNAMENT_SIZE
 from histarch.errors import InputError, NumericalError
 
 
@@ -250,6 +251,43 @@ def ref_cma_update(state, candidates, fitnesses):
     best, worst = float(fitnesses.min()), float(fitnesses.max())
     state.best_history.append(best)
     state.last_fit_range = 0.0 if worst == best else worst - best
+
+
+# -- reference explorer primitives --------------------------------------
+# The cNrGA explorer's per-candidate primitives as first written: one sized
+# index draw per tournament, masked copies for crossover, numpy's bounded
+# uniform draw and np.argmax over the coordinate gaps. The library must
+# reproduce their outputs bit for bit and leave the generator in the same
+# state.
+
+def same_rng_state(rng_a, rng_b):
+    return rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def ref_uniform_point(region, rng):
+    return rng.uniform(region.lower, region.upper)
+
+
+def ref_tournament_pick(pop, rng):
+    idx = rng.integers(0, len(pop.individuals), TOURNAMENT_SIZE)
+    return min((pop.individuals[i] for i in idx), key=lambda p: p.fitness)
+
+
+def ref_crossover_pair(pop, config, rng):
+    p1 = ref_tournament_pick(pop, rng)
+    p2 = ref_tournament_pick(pop, rng)
+    c1 = p1.coords.copy()
+    c2 = p2.coords.copy()
+    swap = rng.random(c1.size) < config.crossover_rate
+    c1[swap] = p2.coords[swap]
+    c2[swap] = p1.coords[swap]
+    return c1, c2
+
+
+def ref_split_dim(new_coords, old_coords):
+    """Split dimension between a leaf's point and a new one: the first
+    largest coordinate gap."""
+    return int(np.argmax(np.abs(np.asarray(new_coords) - np.asarray(old_coords))))
 
 
 # -- run digests ---------------------------------------------------------
