@@ -40,7 +40,7 @@ while roi is None:
         roi = archive.roi_trigger(out.node, out.depth, LV, K)
     value /= 2.0
 print(f"trigger at depth >= lv+k = {LV + K}")
-print(f"suggested sub-root depth {roi.subroot.depth}, "
+print(f"suggested sub-root depth {LV} (lv), "
       f"region {roi.region.lower} .. {roi.region.upper}, {len(roi.seeds)} seeds")
 
 print()

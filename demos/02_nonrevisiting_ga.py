@@ -7,8 +7,7 @@ gene-exchange crossover constantly proposes duplicates.
 
 import numpy as np
 
-from histarch import (BspArchive, BudgetExhaustedError, GaConfig, ga_step,
-                      init_population)
+from histarch import BspArchive, BudgetExhaustedError, GaConfig, generations
 from histarch.benchmarks import BudgetedEvaluator, make_suite
 
 problem = next(p for p in make_suite(2, seed=1) if p.name == "rastrigin")
@@ -19,13 +18,15 @@ evaluator = BudgetedEvaluator(problem, budget)
 archive = BspArchive(problem.domain)
 rng = np.random.default_rng(0)
 
-pop = init_population(config, archive, evaluator, rng)
+# one lazy iterator of new leaves per generation; generation 0 is the
+# initial population, and the elite keeps the best point in every later one
 try:
-    while True:
-        pop = ga_step(pop, config, archive, evaluator, rng)
-        if pop.generation % 10 == 0:
-            print(f"gen {pop.generation:3d}  evals {evaluator.used:5d}  "
-                  f"best {pop.best().fitness:.6g}")
+    for generation, leaves in enumerate(generations(config, archive, evaluator, rng)):
+        for _ in leaves:
+            pass
+        if generation and generation % 10 == 0:
+            print(f"gen {generation:3d}  evals {evaluator.used:5d}  "
+                  f"best {evaluator.best:.6g}")
 except BudgetExhaustedError:
     pass
 

@@ -13,8 +13,7 @@ from .bsp import (Blocked, BspArchive, BspNode, NewLeaf, Region, Revisit,
                   RoiSuggestion, SearchPoint)
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_sample,
                     cma_update, default_lambda, stagnation_window)
-from .cnrga import (GaConfig, GaPopulation, evaluate_via_archive, ga_step,
-                    init_population, maybe_prune)
+from .cnrga import GaConfig, evaluate_via_archive, generations, maybe_prune
 from .errors import (BudgetExhaustedError, DomainError, HistarchError,
                      InputError, NumericalError, ParameterError,
                      SearchSpaceExhaustedError, StructuralError)

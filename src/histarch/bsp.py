@@ -34,19 +34,20 @@ class SearchPoint:
     eval_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
     """Immutable axis-aligned box with positive, finite extent per dimension.
 
     ``lower``, ``upper`` and ``span = upper - lower`` are read-only arrays
     that no caller shares; ``bounds`` is ``(lower, upper)`` as tuples of
-    Python floats.
+    Python floats. Regions compare and hash by identity; compare
+    ``bounds`` for equal boxes.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    span: np.ndarray = field(init=False, repr=False, compare=False)
-    bounds: tuple = field(init=False, repr=False, compare=False)
+    span: np.ndarray = field(init=False, repr=False)
+    bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.array(self.lower, dtype=float)
@@ -103,9 +104,9 @@ class BspNode:
     """Tree node; a leaf holds a point, an internal node holds a split.
 
     Only the root of an empty archive holds neither. A node stores no
-    bounds and no depth: its cell is ``BspArchive.region_of(node)`` and
-    ``depth`` counts parent links. ``last_touch`` is the clock of the last
-    insert that ended at the node.
+    bounds and no depth: its cell is ``BspArchive.region_of(node)``, and
+    ``insert`` reports a new leaf's depth. ``last_touch`` is the clock of
+    the last insert that ended at the node.
     """
 
     __slots__ = (
@@ -130,25 +131,8 @@ class BspNode:
         self.last_touch = 0
 
     @property
-    def depth(self) -> int:
-        """Number of parent links up to the root, walked on every read."""
-        depth = 0
-        node = self.parent
-        while node is not None:
-            depth += 1
-            node = node.parent
-        return depth
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.below is None and self.point is not None
-
-    @property
     def is_internal(self) -> bool:
         return self.below is not None
-
-    def children(self):
-        return (self.below, self.above) if self.below is not None else ()
 
 
 @dataclass(slots=True)
@@ -281,7 +265,7 @@ class BspArchive:
         return Region(lower, upper)
 
     def mutation_region(self, revisited_leaf: BspNode) -> Region:
-        if not revisited_leaf.is_leaf:
+        if revisited_leaf.below is not None or revisited_leaf.point is None:
             raise StructuralError("mutation region is defined for leaves only")
         return self.region_of(revisited_leaf)
 

@@ -1,14 +1,17 @@
 """History-assisted restart orchestration and baseline run drivers.
 
-The hybrid runs the non-revisiting GA as its explorer and asks the archive
-(``roi_trigger``) about each leaf the GA adds. When a leaf lands at depth
-lv+k, with (lv, k) derived from the budget and the CMA-ES population size,
-the GA is suspended at that child, the leaf points under its depth-lv
-ancestor seed a CMA-ES state, and CMA-ES exploits out of the shared
-evaluation budget. CMA-ES candidates are evaluated directly and never
-inserted into the archive, so the blocked-region bookkeeping stays a
-statement about the explorer only. When CMA-ES stops, the sub-root is
-blocked and the suspended GA population resumes.
+The hybrid runs the non-revisiting GA (``cnrga.generations``) as its
+explorer and asks the archive (``roi_trigger``) about each leaf the GA
+adds. When a leaf lands at depth lv+k, with (lv, k) derived from the
+budget and the CMA-ES population size, the GA leaves its generation at
+that leaf, the leaf points under its depth-lv ancestor seed a CMA-ES
+state, and CMA-ES exploits out of the shared evaluation budget. CMA-ES
+candidates are evaluated directly and never inserted into the archive, so
+the blocked-region bookkeeping stays a statement about the explorer only.
+When CMA-ES stops, the sub-root is blocked and the GA breeds an
+unfinished generation again from the same parents (the initial population
+is drawn again). An ROI that fires on the last evaluation is neither
+exploited nor blocked.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from .benchmarks import BudgetedEvaluator, Problem
 from .bsp import BspArchive, Region, RoiSuggestion
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_sample,
                     cma_update, default_lambda)
-from .cnrga import (GaConfig, GaPopulation, ga_step, init_population, initial_leaves,
-                    maybe_prune, offspring)
+from .cnrga import GaConfig, generations, maybe_prune
 from .errors import (BudgetExhaustedError, NumericalError, ParameterError,
                      SearchSpaceExhaustedError)
 
@@ -134,35 +136,22 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
     phase_start = 1
     exhausted = False
     try:
-        # the first ROI of the initial population keeps the seeds it had
-        # when it fired and is exploited once the population is complete
-        roi = None
-        individuals = []
-        for leaf in initial_leaves(GA, archive, evaluator, rng):
-            individuals.append(leaf.node.point)
-            if roi is None:
-                roi = archive.roi_trigger(leaf.node, leaf.depth, lv, k)
-        pop = GaPopulation(individuals, 0)
-        while True:
-            if roi is not None:
-                _close_phase(phases, EXPLORE, phase_start, evaluator.used)
-                phase_start = evaluator.used + 1
-                state = seed_cma_from_roi(roi, lam, problem.domain)
-                reason = _cma_phase(state, evaluator, rng)
-                archive.block(roi.subroot)
-                _close_phase(phases, EXPLOIT, phase_start, evaluator.used, roi, reason)
-                phase_start = evaluator.used + 1
-            # the GA generation, suspended at the first child whose leaf
-            # fires the ROI query: the parents resume, and offspring
-            # evaluated so far stay in the archive and the best-so-far trace
-            children = [pop.best()]
-            for leaf in offspring(pop, GA, archive, evaluator, rng):
-                children.append(leaf.node.point)
-                roi = archive.roi_trigger(leaf.node, leaf.depth, lv, k)
-                if roi is not None:
-                    break
-            else:
-                pop = GaPopulation(children, pop.generation + 1)
+        for generation in generations(GA, archive, evaluator, rng):
+            # the GA stops at the first leaf that fires the ROI query and,
+            # unless that leaf completed the generation, breeds it again after
+            # the exploit phase; an ROI found once the budget is gone is
+            # neither exploited nor blocked
+            roi = next(filter(None, (archive.roi_trigger(leaf.node, leaf.depth, lv, k)
+                                     for leaf in generation)), None)
+            if roi is None or evaluator.remaining == 0:
+                continue
+            _close_phase(phases, EXPLORE, phase_start, evaluator.used)
+            phase_start = evaluator.used + 1
+            state = seed_cma_from_roi(roi, lam, problem.domain)
+            reason = _cma_phase(state, evaluator, rng)
+            archive.block(roi.subroot)
+            _close_phase(phases, EXPLOIT, phase_start, evaluator.used, roi, reason)
+            phase_start = evaluator.used + 1
     except BudgetExhaustedError:  # raised by the explorer before it inserts
         pass
     except SearchSpaceExhaustedError:
@@ -215,9 +204,9 @@ def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
     archive = BspArchive(problem.domain)
     exhausted = False
     try:
-        pop = init_population(GA, archive, evaluator, rng)
-        while True:
-            pop = ga_step(pop, GA, archive, evaluator, rng)
+        for generation in generations(GA, archive, evaluator, rng):
+            for _ in generation:
+                pass
             if lru:
                 maybe_prune(archive)
     except BudgetExhaustedError:

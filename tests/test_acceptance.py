@@ -14,7 +14,7 @@ import pytest
 from histarch import (BspArchive, BudgetExhaustedError, ExperimentConfig,
                       GaConfig, Region, StopReason, cma_check_stop,
                       cma_init, cma_sample, cma_update, default_lambda,
-                      derive_depth_params, ga_step, hr_run, init_population,
+                      derive_depth_params, generations, hr_run,
                       kruskal_wallis, run_experiment)
 from histarch.benchmarks import BudgetedEvaluator, Problem, ellipsoid_weights, make_suite
 from histarch.cli import main
@@ -64,10 +64,10 @@ def _cnrga_points(problem, budget, seed):
     archive = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
     config = GaConfig()
-    pop = init_population(config, archive, evaluator, rng)
     try:
-        while True:
-            pop = ga_step(pop, config, archive, evaluator, rng)
+        for leaves in generations(config, archive, evaluator, rng):
+            for _ in leaves:
+                pass
     except BudgetExhaustedError:
         pass
     assert evaluator.used == budget

@@ -3,7 +3,7 @@ import pytest
 
 from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf,
                       ParameterError, Region, Revisit)
-from util import (interiors_disjoint, locate_brute, max_leaf_depth, ref_split_dim,
+from util import (depth_of, interiors_disjoint, locate_brute, max_leaf_depth, ref_split_dim,
                   ref_uniform_point, same_rng_state, tiling_relative_error, walk_region)
 
 
@@ -69,6 +69,13 @@ def test_region_owns_read_only_bounds():
     assert region.contains(np.array([0.5, 0.5]))
 
 
+def test_regions_compare_and_hash_by_identity():
+    a, b = Region(np.zeros(2), np.ones(2)), Region([0.0, 0.0], [1.0, 1.0])
+    assert a == a and a != b  # no ambiguous ndarray comparison
+    assert len({a, b, a}) == 2
+    assert a.bounds == b.bounds
+
+
 def assert_same_uniform_draws(region, seed, n=200):
     fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(n):
@@ -96,8 +103,8 @@ def test_uniform_point_matches_reference_draw_in_deep_cell():
     centre = np.array([3.0, 7.0, 5.0])
     for k in range(1, 60):  # points closing in on centre
         ar.insert(centre + 2.0 ** -k * rng.uniform(-1.0, 1.0, 3))
-    deepest = max(ar.iter_leaves(), key=lambda leaf: leaf.depth)
-    assert deepest.depth >= 40
+    deepest = max(ar.iter_leaves(), key=depth_of)
+    assert depth_of(deepest) >= 40
     assert_same_uniform_draws(ar.region_of(deepest), seed=12)
 
 
@@ -108,7 +115,7 @@ def test_first_insert_is_depth_zero_leaf():
     out = ar.insert(np.array([2.0, 5.0]))
     assert isinstance(out, NewLeaf)
     assert out.depth == 0
-    assert out.node is ar.root and ar.root.is_leaf
+    assert out.node is ar.root and not ar.root.is_internal and ar.root.point is not None
     assert ar.n_points == 1
     assert list(ar.iter_leaves()) == [ar.root]
 
@@ -133,7 +140,7 @@ def test_second_insert_splits_root_on_max_difference_dim():
     assert ar.root.split_dim == 0
     assert ar.root.split_value == 5.0
     leaves = list(ar.iter_leaves())
-    assert sorted(leaf.depth for leaf in leaves) == [1, 1]
+    assert sorted(depth_of(leaf) for leaf in leaves) == [1, 1]
 
 
 def test_exact_duplicate_is_revisit():
@@ -247,7 +254,7 @@ def test_split_value_strictly_between_creating_points():
         if node.is_internal:
             lo, hi = walk_region(ar, node)
             assert lo[node.split_dim] < node.split_value < hi[node.split_dim]
-            stack.extend(node.children())
+            stack.extend((node.below, node.above))
 
 
 def test_mutation_region_is_revisited_leaf_cell():
@@ -260,10 +267,21 @@ def test_mutation_region_is_revisited_leaf_cell():
     assert np.array_equal(reg.upper, [5.0, 10.0])
 
 
+def test_mutation_region_rejects_non_leaves():
+    from histarch import StructuralError
+    ar = fresh()
+    with pytest.raises(StructuralError):
+        ar.mutation_region(ar.root)  # empty archive: the root holds no point
+    ar.insert(np.array([2.0, 5.0]))
+    ar.insert(np.array([8.0, 6.0]))
+    with pytest.raises(StructuralError):
+        ar.mutation_region(ar.root)  # a split
+
+
 def test_deep_mutation_region_shrinks():
     rng = np.random.default_rng(9)
     ar = fill_random(fresh(), 300, rng)
-    deepest = max(ar.iter_leaves(), key=lambda l: l.depth)
+    deepest = max(ar.iter_leaves(), key=depth_of)
     reg = ar.mutation_region(deepest)
     assert reg.log_volume() < ar.domain.log_volume()
 
@@ -383,7 +401,7 @@ def test_roi_trigger_fires_at_lv_plus_k():
     assert max_leaf_depth(ar) == 21
     roi = first_roi(ar, leaves, 17, 4)
     assert roi is not None
-    assert roi.subroot.depth == 17
+    assert depth_of(roi.subroot) == 17
     for seed in roi.seeds:
         assert roi.region.contains(seed.coords)
 
@@ -435,7 +453,7 @@ def test_blocked_subroot_rejects_its_own_centroid():
 def test_blocking_matches_box_membership_oracle():
     rng = np.random.default_rng(19)
     ar = fill_random(fresh(), 60, rng)
-    subroot = next(n for n in _internal_nodes(ar) if n.depth == 2)
+    subroot = next(n for n in _internal_nodes(ar) if depth_of(n) == 2)
     ar.block(subroot)
     lo, hi = walk_region(ar, subroot)
     for _ in range(1000):
@@ -454,7 +472,7 @@ def _internal_nodes(ar):
         node = stack.pop()
         if node.is_internal:
             yield node
-            stack.extend(node.children())
+            stack.extend((node.below, node.above))
 
 
 # -- pruning -----------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histarch import Blocked, BspArchive, NewLeaf, Region, Revisit, StructuralError
-from util import locate_brute, tiling_relative_error, walk_region
+from util import depth_of, locate_brute, tiling_relative_error, walk_region
 
 LV, K = 2, 1
 
@@ -85,7 +85,8 @@ class WalkStamps:
             self._stamp(node)
         outcome = self.archive.insert(np.asarray(coords, dtype=float))
         if isinstance(outcome, NewLeaf) and outcome.depth > 0:
-            for child in outcome.node.parent.children():
+            parent = outcome.node.parent
+            for child in (parent.below, parent.above):
                 self._stamp(child)
         return outcome
 
@@ -94,7 +95,7 @@ def check_roi(ar, new_leaf):
     roi = ar.roi_trigger(new_leaf.node, new_leaf.depth, LV, K)
     if roi is None:
         return
-    assert roi.subroot.depth == LV
+    assert depth_of(roi.subroot) == LV
     lo, hi = walk_region(ar, roi.subroot)
     assert same_bits(roi.region.lower, lo) and same_bits(roi.region.upper, hi)
     for seed in roi.seeds:
@@ -117,7 +118,7 @@ def check_invariants(ar, oracle, blocked_points, rng):
         for x in probes:
             assert locate_brute(ar, x) is walk_to_leaf(ar, x)
     depths = [int(line.split(" ", 1)[0]) for line in ar.dump().splitlines()]
-    assert depths == [node.depth for node in preorder(ar.root)]
+    assert depths == [depth_of(node) for node in preorder(ar.root)]
     # a stored point is blocked exactly when it was under a blocked node at
     # the time of the block; a Blocked insert only refreshes recency
     for leaf in leaves:
@@ -143,7 +144,7 @@ def test_archive_invariants_under_random_operations(dim, plan):
             outcome = oracle.insert(coords[:dim])
             assert isinstance(outcome, (NewLeaf, Revisit, Blocked))
             if isinstance(outcome, NewLeaf):
-                assert outcome.depth == outcome.node.depth
+                assert outcome.depth == depth_of(outcome.node)
                 check_roi(ar, outcome)
             check_invariants(ar, oracle, blocked_points, rng)
         if step is None:
@@ -169,5 +170,6 @@ def test_archive_invariants_under_random_operations(dim, plan):
                 continue
             subroot = candidates[arg % len(candidates)]
             ar.block(subroot)
-            blocked_points.update((id(n.point), n.point) for n in preorder(subroot) if n.is_leaf)
+            blocked_points.update((id(n.point), n.point) for n in preorder(subroot)
+                                  if n.point is not None)
         check_invariants(ar, oracle, blocked_points, rng)

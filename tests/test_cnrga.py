@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from histarch import (BspArchive, GaConfig, GaPopulation, NewLeaf, ParameterError, Region,
-                      SearchPoint, SearchSpaceExhaustedError, evaluate_via_archive, ga_step,
-                      init_population, maybe_prune)
+from histarch import (BspArchive, BudgetExhaustedError, GaConfig, NewLeaf, ParameterError,
+                      Region, SearchPoint, SearchSpaceExhaustedError, evaluate_via_archive,
+                      generations, maybe_prune)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
 from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
-from util import ref_crossover_pair, ref_tournament_pick, same_rng_state
+from util import ref_crossover_pair, ref_tournament_pick, same_rng_state, spy_on_parents
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
@@ -101,7 +101,7 @@ def _toy_population(coords_list):
     pts = []
     for i, c in enumerate(coords_list):
         pts.append(SearchPoint(np.asarray(c, dtype=float), float(i), i))
-    return GaPopulation(pts, 0)
+    return pts
 
 
 def test_zero_crossover_rate_copies_parents():
@@ -110,8 +110,8 @@ def test_zero_crossover_rate_copies_parents():
     rng = np.random.default_rng(5)
     for _ in range(20):
         c1, c2 = crossover_pair(pop, cfg, rng)
-        assert any(np.array_equal(c1, p.coords) for p in pop.individuals)
-        assert any(np.array_equal(c2, p.coords) for p in pop.individuals)
+        assert any(np.array_equal(c1, p.coords) for p in pop)
+        assert any(np.array_equal(c2, p.coords) for p in pop)
 
 
 def test_full_crossover_rate_swaps_whole_genomes():
@@ -129,7 +129,7 @@ def test_gene_conservation_under_crossover():
     cfg = GaConfig(pop_size=6, crossover_rate=0.5)
     for _ in range(50):
         c1, c2 = crossover_pair(pop, cfg, rng)
-        pool = {(d, p.coords[d]) for p in pop.individuals for d in range(4)}
+        pool = {(d, p.coords[d]) for p in pop for d in range(4)}
         for c in (c1, c2):
             for d in range(4):
                 assert (d, c[d]) in pool
@@ -151,7 +151,7 @@ class _TiedPoints:
 
 @pytest.mark.parametrize("n", [2, 7, 100, 2**31])
 def test_tournament_pick_matches_reference(n):
-    pop = GaPopulation(_TiedPoints(n), 0)
+    pop = _TiedPoints(n)
     fast, ref = np.random.default_rng(n % 97), np.random.default_rng(n % 97)
     ties = 0
     for _ in range(300):
@@ -170,7 +170,7 @@ def test_tournament_pick_matches_reference(n):
 def test_crossover_pair_matches_reference(rate):
     rng = np.random.default_rng(8)
     pop = _toy_population(rng.uniform(-5.0, 5.0, size=(20, 10)))
-    for point in pop.individuals:
+    for point in pop:
         point.fitness = float(point.eval_index % 3)
     cfg = GaConfig(pop_size=20, crossover_rate=rate)
     fast, ref = np.random.default_rng(9), np.random.default_rng(9)
@@ -182,24 +182,22 @@ def test_crossover_pair_matches_reference(rate):
 
 # -- generation loop ---------------------------------------------------------
 
-def run_generations(problem, config, budget, seed, generations=None, lru=False):
+def run_generations(problem, config, budget, seed, lru=False):
     """Generations as ``run_cnrga`` drives them, ``maybe_prune`` after each
-    one when ``lru``."""
+    one when ``lru``; also returns the new points of each complete one."""
     ev = BudgetedEvaluator(problem, budget)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
-    pop = init_population(config, ar, ev, rng)
-    history = [pop.best().fitness]
-    from histarch import BudgetExhaustedError
+    completed = []
     try:
-        while generations is None or pop.generation < generations:
-            pop = ga_step(pop, config, ar, ev, rng)
+        for leaves in generations(config, ar, ev, rng):
+            completed.append([leaf.node.point for leaf in leaves])
             if lru:
                 maybe_prune(ar)
-            history.append(pop.best().fitness)
     except BudgetExhaustedError:
         pass
-    return ev, ar, history
+    return ev, ar, completed
+
 
 
 def rastr_problem(dim):
@@ -217,11 +215,24 @@ def test_no_duplicate_evaluations_over_run():
     assert diffs.min() > 0.0
 
 
-def test_budget_exactness_and_elitism():
-    ev, ar, history = run_generations(rastr_problem(2), GaConfig(pop_size=30), 900, seed=9)
+def test_budget_exactness_and_elitism(monkeypatch):
+    bred = spy_on_parents(monkeypatch)
+    config = GaConfig(pop_size=30)
+    ev, ar, completed = run_generations(rastr_problem(2), config, 900, seed=9)
     assert ev.used == 900
     assert ar.n_points == 900
-    assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
+    # 30 initial draws, then 30 generations of 29 children; the 31st
+    # generation draws its first pair before the budget stops it
+    assert [len(new) for new in completed] == [30] + [29] * 30
+    populations = [pop for pop, _ in bred]
+    assert len(populations) == 31
+    assert [id(p) for p in populations[0]] == [id(p) for p in completed[0]]
+    # each population is the elite of the previous one, then its children
+    for parents, pop, new in zip(populations, populations[1:], completed[1:]):
+        assert pop[0] is min(parents, key=lambda p: p.fitness)
+        assert [id(p) for p in pop[1:]] == [id(p) for p in new]
+    history = [min(p.fitness for p in pop) for pop in populations]
+    assert all(b <= a for a, b in zip(history, history[1:]))
 
 
 def test_pure_copy_generation_mutates_everything():
@@ -230,12 +241,42 @@ def test_pure_copy_generation_mutates_everything():
     ev = BudgetedEvaluator(problem, 500)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(10)
-    pop = init_population(config, ar, ev, rng)
-    parents = {tuple(p.coords) for p in pop.individuals}
-    nxt = ga_step(pop, config, ar, ev, rng)
-    for child in nxt.individuals[1:]:  # skip the carried-over elite
+    gens = generations(config, ar, ev, rng)
+    parents = {tuple(leaf.node.point.coords) for leaf in next(gens)}
+    children = [leaf.node.point for leaf in next(gens)]  # the elite is not yielded again
+    assert len(children) == config.pop_size - 1
+    for child in children:
         assert tuple(child.coords) not in parents
     assert ev.used == config.pop_size + (config.pop_size - 1)
+
+
+def test_unfinished_generation_is_bred_again(monkeypatch):
+    bred = spy_on_parents(monkeypatch)
+    problem = rastr_problem(2)
+    config = GaConfig(pop_size=20)
+    ev = BudgetedEvaluator(problem, 500)
+    ar = BspArchive(problem.domain)
+    gens = generations(config, ar, ev, np.random.default_rng(13))
+    # an unfinished initial population is drawn again in full
+    abandoned = [leaf.node.point for _, leaf in zip(range(7), next(gens))]
+    initial = [leaf.node.point for leaf in next(gens)]
+    assert len(abandoned) == 7 and len(initial) == 20
+    assert ev.used == ar.n_points == 27
+    # an unfinished crossover generation is bred again from the same parents
+    for _, _ in zip(range(5), next(gens)):
+        pass
+    children = [leaf.node.point for leaf in next(gens)]
+    assert len(children) == 19
+    assert ev.used == ar.n_points == 27 + 5 + 19
+    # a generation left after its last child, but not drained, is complete
+    last = [leaf.node.point for _, leaf in zip(range(19), next(gens))]
+    next(next(gens))
+    assert [len(pop) for pop, _ in bred] == [20, 20, 20]
+    assert [id(p) for p in bred[0][0]] == [id(p) for p in initial]
+    assert bred[0][1] == 3 + config.pop_size // 2  # three pairs for five children
+    for (parents, _), (pop, _), new in zip(bred, bred[1:], (children, last)):
+        assert pop[0] is min(parents, key=lambda p: p.fitness)
+        assert [id(p) for p in pop[1:]] == [id(p) for p in new]
 
 
 # -- memory management ---------------------------------------------------------

@@ -1,16 +1,23 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from histarch import (GaConfig, ParameterError, Region, RoiSuggestion,
-                      StopReason, cma_init, derive_depth_params, hr_run,
-                      make_suite, run_algorithm, seed_cma_from_roi)
+from histarch import (BudgetExhaustedError, GaConfig, ParameterError, Region,
+                      RoiSuggestion, StopReason, cma_init, derive_depth_params,
+                      generations, hr_run, make_suite, run_algorithm, seed_cma_from_roi)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
 from histarch.bsp import BspArchive, SearchPoint
 from histarch.cnrga import LRU_CAPACITY, maybe_prune
-from histarch.hr import _cma_phase, run_cnrga
-from util import record_digest
+from histarch.hr import GA, _cma_phase, run_cnrga
+from util import record_digest, spy_on_parents
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_problem(dim, f, lo=-100.0, hi=100.0, name="p", f_opt=0.0):
@@ -108,19 +115,30 @@ def count_leaves(tree_dump):
     return sum(1 for line in tree_dump.splitlines() if line.split(" ")[1] == "leaf")
 
 
-def test_tiny_budget_degenerates_to_pure_explore():
-    # the initial population spends the whole budget; an ROI it fires is
-    # still exploited, blocked, and ended by the budget at zero evaluations
+def assert_phases_partition(rec):
+    cursor = 1
+    for ph in rec.phases:
+        assert ph.start_eval == cursor
+        assert ph.end_eval >= ph.start_eval
+        cursor = ph.end_eval + 1
+    assert cursor == rec.evals_used + 1
+
+
+def test_tiny_budget_blocks_only_exploited_regions():
+    # the budget equals the initial population: an ROI it fires is exploited
+    # at once; one that fires with no budget left is neither exploited nor
+    # blocked
     problem = make_problem(2, sphere_f)
-    blocked_runs = 0
+    exploit_runs = 0
     for seed in range(20):
         rec = hr_run(problem, 100, np.random.default_rng(seed), dump_tree=True)
         assert rec.evals_used == 100
-        assert [(ph.kind, ph.start_eval, ph.end_eval) for ph in rec.phases] == [
-            ("explore", 1, 100)]
-        blocked_runs += any(line.split(" ")[4] == "1"
-                            for line in rec.tree_dump.splitlines())
-    assert blocked_runs > 0
+        assert_phases_partition(rec)
+        exploits = sum(ph.kind == "exploit" for ph in rec.phases)
+        blocked = sum(line.split(" ")[4] == "1" for line in rec.tree_dump.splitlines())
+        assert blocked == exploits
+        exploit_runs += exploits > 0
+    assert exploit_runs > 0
 
 
 def test_sphere_run_exploits_and_beats_explore_alone():
@@ -141,15 +159,26 @@ def test_phases_partition_budget_and_alternate():
     problem = make_problem(2, sphere_f)
     rec = hr_run(problem, 5000, np.random.default_rng(3))
     assert rec.evals_used == 5000
-    cursor = 1
-    for ph in rec.phases:
-        assert ph.start_eval == cursor
-        assert ph.end_eval >= ph.start_eval
-        cursor = ph.end_eval + 1
-    assert cursor == rec.evals_used + 1
+    assert_phases_partition(rec)
     kinds = [ph.kind for ph in rec.phases]
     for a, b in zip(kinds, kinds[1:]):
         assert not (a == "exploit" and b == "exploit")
+
+
+def test_explorer_breeds_a_paused_generation_again(monkeypatch):
+    bred = spy_on_parents(monkeypatch)
+    rec = hr_run(make_problem(2, sphere_f), 5000, np.random.default_rng(3))
+    assert sum(ph.kind == "exploit" for ph in rec.phases) >= 2
+    # every population is complete, keeps the previous one's best first,
+    # and is bred from at least once per pair of children; one that an
+    # exploit phase paused is bred from again
+    pairs = GA.pop_size // 2
+    assert len(bred) >= 2
+    assert all(len(pop) == GA.pop_size for pop, _ in bred)
+    for (parents, _), (pop, _) in zip(bred, bred[1:]):
+        assert pop[0] is min(parents, key=lambda p: p.fitness)
+    assert all(calls >= pairs for _, calls in bred[:-1])
+    assert any(calls > pairs for _, calls in bred)
 
 
 def test_blocked_boxes_distinct_and_respected():
@@ -187,11 +216,15 @@ def test_trace_is_non_increasing_and_shared():
     assert rec.final_fitness == values[-1]
 
 
-# digests of the seeded runs in the test below, recorded while the archive
-# ran the ROI trigger on every insert; at budgets 100 and 200 the trigger
-# fires during the hybrid's initial population
+# digests of the seeded runs in the test below. The cNrGA entries date from
+# when the archive ran the ROI trigger on every insert. The hr entry moved
+# when an ROI fired by the initial population began to be exploited at once
+# (at budgets 100 and 200 the trigger fires there) and an ROI found with no
+# budget left stopped being exploited or blocked; a reference loop on the
+# earlier per-generation GA functions with these rules gives the same
+# digest.
 RUN_DIGESTS = {
-    "hr": "a63e2c221b699479f9f632eff0684130edf92b574e32dc03130c56186c3130fe",
+    "hr": "4708dc072a4e77fddc18872922edd9a408d8eae5f130f6522d9eba99d68dc808",
     "cnrga": "1929298949e413f54d4e5658580a234a13cb7b8ce258ceb32e75553de6200899",
     "cnrga_lru": "8b675d503b9764683a92056defbc50e6f695e6e0d386d6ea626366ea14ea6c40",
 }
@@ -239,23 +272,59 @@ def test_cnrga_makes_no_roi_query(lru, monkeypatch):
 
 
 def test_cnrga_lru_respects_capacity_at_boundaries(monkeypatch):
-    from histarch import BudgetExhaustedError, ga_step, init_population
-    from histarch.benchmarks import BudgetedEvaluator
     monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 1000)
     problem = make_problem(2, rastrigin, lo=-5.12, hi=5.12)
     config = GaConfig(pop_size=100)
     ev = BudgetedEvaluator(problem, 5000)
     archive = BspArchive(problem.domain)
     rng = np.random.default_rng(8)
-    pop = init_population(config, archive, ev, rng)
     try:
-        while True:
-            pop = ga_step(pop, config, archive, ev, rng)
+        for leaves in generations(config, archive, ev, rng):
+            for _ in leaves:
+                pass
             maybe_prune(archive)  # as run_cnrga(lru=True) does
             assert archive.n_points <= 1000
     except BudgetExhaustedError:
         pass
     assert ev.used == 5000
+
+
+EXHAUSTION_RUNS = """
+import json, sys, time
+import numpy as np
+from histarch import Problem, Region, run_algorithm
+
+def box(dim, width):
+    return Problem("tiny", dim, Region(np.full(dim, 1e15), np.full(dim, 1e15 + width)),
+                   lambda x: float(((x - 1e15) ** 2).sum()), 0.0, "unimodal", None)
+
+out = []
+for algo, dim, width, budget in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    rec = run_algorithm(box(dim, width), algo, budget, np.random.default_rng(0))
+    out.append([rec.evals_used, rec.search_space_exhausted, time.perf_counter() - start])
+print(json.dumps(out))
+"""
+
+
+def test_archive_exhaustion_ends_every_explorer_run():
+    # [1e15, 1e15 + 1]^2 has 9 floats per axis and holds about 21 points; on
+    # the 1-D box of width 64 the hybrid blocks two ROIs first, so revisited
+    # and blocked draws alternate. A hang fails here by the subprocess
+    # timeout instead of stalling the suite.
+    runs = [["hr", 2, 1.0, 200], ["cnrga", 2, 1.0, 200], ["cnrga_lru", 2, 1.0, 200],
+            ["hr", 1, 64.0, 2000]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", EXHAUSTION_RUNS, json.dumps(runs)],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    for (algo, dim, width, budget), (used, exhausted, seconds) in zip(
+            runs, json.loads(result.stdout)):
+        assert exhausted, algo
+        assert 0 < used < budget
+        assert seconds < 5.0
 
 
 @pytest.mark.parametrize("algo", ["hr", "cmaes", "cnrga", "cnrga_lru"])

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from histarch.benchmarks import SCHWEFEL_OFFSET, ellipsoid_weights, random_rotation
-from histarch.cnrga import TOURNAMENT_SIZE
+from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair
 from histarch.errors import InputError, NumericalError
 
 
@@ -86,8 +86,17 @@ def interiors_disjoint(archive):
     return True
 
 
+def depth_of(node):
+    """Number of parent links from ``node`` up to its root."""
+    depth = 0
+    while node.parent is not None:
+        depth += 1
+        node = node.parent
+    return depth
+
+
 def max_leaf_depth(archive):
-    return max(leaf.depth for leaf in archive.iter_leaves())
+    return max(depth_of(leaf) for leaf in archive.iter_leaves())
 
 
 # -- reference formulas ------------------------------------------------
@@ -268,20 +277,34 @@ def ref_uniform_point(region, rng):
     return rng.uniform(region.lower, region.upper)
 
 
-def ref_tournament_pick(pop, rng):
-    idx = rng.integers(0, len(pop.individuals), TOURNAMENT_SIZE)
-    return min((pop.individuals[i] for i in idx), key=lambda p: p.fitness)
+def ref_tournament_pick(individuals, rng):
+    idx = rng.integers(0, len(individuals), TOURNAMENT_SIZE)
+    return min((individuals[i] for i in idx), key=lambda p: p.fitness)
 
 
-def ref_crossover_pair(pop, config, rng):
-    p1 = ref_tournament_pick(pop, rng)
-    p2 = ref_tournament_pick(pop, rng)
+def ref_crossover_pair(individuals, config, rng):
+    p1 = ref_tournament_pick(individuals, rng)
+    p2 = ref_tournament_pick(individuals, rng)
     c1 = p1.coords.copy()
     c2 = p2.coords.copy()
     swap = rng.random(c1.size) < config.crossover_rate
     c1[swap] = p2.coords[swap]
     c2[swap] = p1.coords[swap]
     return c1, c2
+
+
+def spy_on_parents(monkeypatch):
+    """Record each population the GA breeds from, with its crossover count."""
+    bred = []  # [population list, crossover_pair calls]
+
+    def spy(individuals, config, rng):
+        if not bred or bred[-1][0] is not individuals:
+            bred.append([individuals, 0])
+        bred[-1][1] += 1
+        return crossover_pair(individuals, config, rng)
+
+    monkeypatch.setattr("histarch.cnrga.crossover_pair", spy)
+    return bred
 
 
 def ref_split_dim(new_coords, old_coords):
