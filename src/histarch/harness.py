@@ -3,7 +3,8 @@
 Every (algorithm, problem, run) cell owns its own evaluator, archive and
 generator, seeded by run index so results are identical no matter how
 many workers execute the cells. A crashed run is excluded from the
-statistics with a loud warning and a flag in the output table.
+statistics with a loud warning and a flag in the output table; a cell in
+which every run crashed shows as ``runs 0`` with NaN statistics.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import dataclasses
 import json
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.workers == 1:
         outcomes = [_execute_cell(s) for s in specs]
     else:
+        # imported here: the process pool and multiprocessing cost a fresh
+        # interpreter about 20 ms that a single-worker sweep never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(_execute_cell, specs, chunksize=1))
 

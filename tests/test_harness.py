@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import histarch.harness as harness
 from histarch import ExperimentConfig, ParameterError, recompute_stats, run_experiment
 from histarch.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(out_dir=None, **kw):
@@ -208,3 +214,55 @@ def test_cli_workers_env_default(tmp_path, monkeypatch):
     assert main(cli_run_args(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["workers"] == 2
+
+
+def test_algorithm_that_always_fails_keeps_the_sweep(tmp_path, monkeypatch, capsys):
+    real = harness.run_algorithm
+    def broken(problem, algo, budget, rng, dump_tree=False):
+        if algo == "cnrga":
+            raise RuntimeError("injected crash")
+        return real(problem, algo, budget, rng, dump_tree=dump_tree)
+    monkeypatch.setattr(harness, "run_algorithm", broken)
+    out = tmp_path / "exp"
+    result = run_experiment(small_config(str(out), runs=2))
+    assert len(result.failures) == 4
+    assert result.table.ranks[("sphere", "cnrga")] == 2.0
+    assert result.table.marks[("sphere", "cnrga")] == "."
+    rows = (out / "results.csv").read_text().split("\n")
+    for prob in ("sphere", "rastrigin"):
+        row = next(r for r in rows if r.startswith(f"{prob},cnrga,")).split(",")
+        assert row[2:7] == ["nan"] * 5 and row[7:] == ["0", "2"]
+    ranks_before = (out / "ranks.csv").read_bytes()
+    results_before = (out / "results.csv").read_bytes()
+    recompute_stats(out)
+    assert (out / "ranks.csv").read_bytes() == ranks_before
+    assert (out / "results.csv").read_bytes() == results_before
+
+
+# -- import cost -------------------------------------------------------------
+
+HEAVY_MODULES_AFTER = """\
+import runpy, sys
+if sys.argv[1] == "import":
+    import histarch
+    histarch.make_suite(10, 2013)
+else:
+    sys.argv = ["histarch", "--help"]
+    try:
+        runpy.run_module("histarch", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m == "concurrent.futures.process"))
+"""
+
+
+@pytest.mark.parametrize("entry", ["import", "cli_help"])
+def test_fresh_interpreter_loads_no_scipy_and_no_process_pool(entry):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", HEAVY_MODULES_AFTER, entry], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().split("\n")[-1] == "[]"

@@ -2,9 +2,12 @@ from math import erfc, sqrt
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
+from scipy.stats import rankdata
 
 from histarch import (ParameterError, build_stats_table, kruskal_wallis,
                       shared_ranks, significance_marks)
+from histarch.stats import chi2_tail
 
 
 # -- independent oracles ------------------------------------------------
@@ -74,6 +77,7 @@ def mwu_pvalue(a, b):
 def test_identical_groups_give_h_zero_p_one():
     h, p = kruskal_wallis([[1, 2, 3], [1, 2, 3]])
     assert h == 0.0 and p == 1.0
+    assert kruskal_wallis([[4, 4], [4, 4, 4]]) == (0.0, 1.0)
 
 
 def test_textbook_two_group_value():
@@ -203,3 +207,82 @@ def test_rank_sums_conserved():
 
 def test_shared_ranks_helper():
     assert shared_ranks([3.0, 1.0, 1.0]).tolist() == [3.0, 1.5, 1.5]
+    assert shared_ranks([np.inf, 1.0, np.inf]).tolist() == [2.5, 1.0, 2.5]
+    assert shared_ranks([-np.inf, np.inf, -np.inf, 0.0]).tolist() == [1.5, 4.0, 1.5, 3.0]
+    assert shared_ranks([]).shape == (0,)
+
+
+# -- edge cases ----------------------------------------------------------------
+
+@pytest.mark.parametrize("groups", [
+    [[1.0, np.nan, 3.0], [4.0, 5.0, 6.0]],
+    [[1.0, 2.0, 3.0], [4.0, 5.0, np.nan]],
+    # all NaN: the NaNs do not count as one run of ties
+    [[np.nan, np.nan], [np.nan, np.nan]],
+])
+def test_nan_anywhere_propagates_to_h_and_p(groups):
+    h, p = kruskal_wallis(groups)
+    assert np.isnan(h) and np.isnan(p)
+
+
+def test_nan_anywhere_makes_every_rank_nan():
+    assert np.isnan(shared_ranks([1.0, np.nan, 2.0])).all()
+    assert np.isnan(shared_ranks([np.nan])).all()
+
+
+def test_h_zero_gives_p_one():
+    # mirrored groups: equal rank sums, so H = 0 with a positive tie correction
+    h, p = kruskal_wallis([[1, 2], [2, 1]])
+    assert h == 0.0 and p == 1.0
+
+
+# -- scipy as oracle -------------------------------------------------------------
+
+TAIL_H = [0.0, 1e-300, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.84, 5.0, 10.0,
+          30.0, 100.0, 300.0, 1e3]
+
+
+@pytest.mark.parametrize("df", range(1, 9))
+def test_chi2_tail_matches_regularized_upper_gamma(df):
+    for h in TAIL_H:
+        assert chi2_tail(h, df) == pytest.approx(gammaincc(df / 2.0, h / 2.0),
+                                                 rel=1e-12, abs=1e-300), h
+
+
+def test_chi2_tail_underflows_to_zero():
+    assert chi2_tail(1e6, 1) == 0.0 and chi2_tail(1e6, 3) == 0.0
+    assert chi2_tail(1e6, 8) == 0.0
+
+
+def test_shared_ranks_bitwise_equal_to_rankdata():
+    rng = np.random.default_rng(5)
+    palette = np.array([-np.inf, -1.5, 0.0, 0.25, 3.0, 1e300, np.inf])
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        # mostly repeated palette values, some distinct ones in between
+        values = np.where(rng.random(n) < 0.8, palette[rng.integers(0, palette.size, n)],
+                          rng.normal(size=n))
+        ours = shared_ranks(values)
+        assert ours.dtype == np.float64
+        assert ours.tobytes() == rankdata(values).tobytes()
+
+
+# -- cells without a successful run ----------------------------------------------
+
+def test_empty_cell_gets_nan_stats_last_rank_and_no_mark():
+    finals = {("f", "hr"): [1.0, 2.0, 3.0], ("f", "a"): [], ("f", "b"): [5.0, 6.0],
+              ("f", "c"): []}
+    table = build_stats_table(finals, ["f"], ["hr", "a", "b", "c"], "hr", 0.05,
+                              {("f", "a"): 3, ("f", "c"): 2})
+    cell = table.cells[("f", "a")]
+    assert (cell.n_runs, cell.n_failed) == (0, 3)
+    assert all(np.isnan([cell.best, cell.worst, cell.median, cell.mean, cell.std]))
+    assert [table.ranks[("f", x)] for x in ("hr", "a", "b", "c")] == [1.0, 3.5, 2.0, 3.5]
+    assert table.marks[("f", "a")] == "." and table.marks[("f", "c")] == "."
+
+
+def test_empty_reference_cell_marks_nothing():
+    finals = {("f", "hr"): [], ("f", "a"): [1.0, 2.0, 3.0]}
+    table = build_stats_table(finals, ["f"], ["hr", "a"], "hr", 0.05, {("f", "hr"): 3})
+    assert table.ranks == {("f", "hr"): 2.0, ("f", "a"): 1.0}
+    assert set(table.marks.values()) == {"."}
