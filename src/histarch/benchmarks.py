@@ -23,6 +23,7 @@ from .errors import BudgetExhaustedError, DomainError, ParameterError
 # function is built around
 SCHWEFEL_X_STAR = 420.9687462275036
 SCHWEFEL_OFFSET = 418.9828872724338
+SUPPORTED_DIMS = (2, 10, 30)
 
 
 @dataclass
@@ -142,26 +143,12 @@ def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def make_ellipsoid_problem(dim: int, axis_ratio: float, rotation: np.ndarray | None = None,
-                           bound: float = 100.0, name: str = "ellipsoid") -> Problem:
-    w = ellipsoid_weights(dim, axis_ratio)
-    if rotation is None:
-        def f(x, w=w):
-            return float(np.dot(w, x * x))
-    else:
-        def f(x, w=w, R=rotation):
-            z = R @ x
-            return float(np.dot(w, z * z))
-    domain = Region(np.full(dim, -bound), np.full(dim, bound))
-    return Problem(name, dim, domain, f, 0.0, "unimodal", np.zeros(dim))
-
-
 # -- suite -------------------------------------------------------------
 
 def make_suite(dim: int, seed: int) -> list[Problem]:
     """The ten desk-scale problems used by the comparison harness."""
-    if dim not in (2, 10, 30):
-        raise ParameterError(f"unsupported dimension {dim}; pick one of 2, 10, 30")
+    if dim not in SUPPORTED_DIMS:
+        raise ParameterError(f"unsupported dimension {dim}; pick one of {SUPPORTED_DIMS}")
     rng = np.random.default_rng(seed)
     box = Region(np.full(dim, -100.0), np.full(dim, 100.0))
     schwefel_box = Region(np.full(dim, -500.0), np.full(dim, 500.0))
@@ -170,7 +157,13 @@ def make_suite(dim: int, seed: int) -> list[Problem]:
     problems.append(Problem("sphere", dim, box, sphere, 0.0, "unimodal", np.zeros(dim)))
 
     rot_elli = random_rotation(dim, rng)
-    problems.append(make_ellipsoid_problem(dim, 1e6, rot_elli, name="rot_ellipsoid"))
+
+    def rotated_ellipsoid(x, w=ellipsoid_weights(dim, 1e6), R=rot_elli):
+        z = R @ x
+        return float(np.dot(w, z * z))
+
+    problems.append(Problem("rot_ellipsoid", dim, box, rotated_ellipsoid, 0.0, "unimodal",
+                            np.zeros(dim)))
 
     ros_opt = np.ones(dim)
     problems.append(Problem("rosenbrock", dim, box, rosenbrock, 0.0, "multimodal", ros_opt))

@@ -299,6 +299,7 @@ class BspArchive:
 
     @property
     def n_leaves(self) -> int:
+        """``n_points`` under the name the benchmark script reads."""
         return self.n_points
 
     def iter_leaves(self):
@@ -319,7 +320,7 @@ class BspArchive:
     def prune_lru(self, fraction: float):
         """Drop the least recently traversed leaves, merging siblings up.
 
-        Removes floor(fraction * n_leaves) leaves in order of oldest
+        Removes floor(fraction * n_points) leaves in order of oldest
         last_touch (ties: older stored point first). Each removal splices
         the removed leaf's sibling into the parent slot, so the surviving
         cells still tile the domain. Costs one sort plus O(1) per removed
@@ -329,7 +330,7 @@ class BspArchive:
             raise ParameterError("prune fraction must lie in (0, 1)")
         if self.n_points == 0:
             raise ParameterError("cannot prune an empty archive")
-        n_remove = int(np.floor(fraction * self.n_leaves))
+        n_remove = int(np.floor(fraction * self.n_points))
         if n_remove == 0:
             return
         victims = sorted(

@@ -10,6 +10,8 @@ which every run crashed shows as ``runs 0`` with NaN statistics.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import sys
 from collections import Counter
@@ -22,8 +24,6 @@ from .errors import ParameterError
 from .hr import ALGORITHMS, RunRecord, run_algorithm
 from .stats import StatsTable, build_stats_table
 
-DEFAULT_SUITE_SEED = 2013
-
 
 @dataclasses.dataclass
 class ExperimentConfig:
@@ -33,7 +33,7 @@ class ExperimentConfig:
     runs: int = 30
     alpha: float = 0.05
     base_seed: int = 0
-    suite_seed: int = DEFAULT_SUITE_SEED
+    suite_seed: int = 2013
     out_dir: str | None = None
     trace: bool = False
     gnuplot: bool = False
@@ -49,8 +49,6 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown algorithm id {algo!r}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ParameterError("duplicate algorithm ids")
-        if self.dim not in (2, 10, 30):
-            raise ParameterError("suite dimension must be 2, 10 or 30")
         if self.runs < 2:
             raise ParameterError("need at least 2 independent runs")
         if not 0.0 < self.alpha < 1.0:
@@ -84,13 +82,13 @@ def _suite(dim: int, seed: int):
     return _SUITE_CACHE[key]
 
 
-def _execute_cell(spec: tuple):
-    """Run one (algorithm, problem, run) cell; must stay picklable."""
-    algo, dim, suite_seed, problem_name, budget, seed, dump_tree = spec
+def _execute_cell(config: ExperimentConfig, cell: tuple):
+    """Run one (problem, algorithm, run index) cell; must stay picklable."""
+    prob, algo, run_idx = cell
     try:
-        problem = next(p for p in _suite(dim, suite_seed) if p.name == problem_name)
-        rng = np.random.default_rng(seed)
-        record = run_algorithm(problem, algo, budget, rng, dump_tree=dump_tree)
+        problem = next(p for p in _suite(config.dim, config.suite_seed) if p.name == prob)
+        rng = np.random.default_rng(config.base_seed + run_idx)
+        record = run_algorithm(problem, algo, config.budget, rng, dump_tree=config.dump_tree)
         return ("ok", record)
     except Exception as exc:  # noqa: BLE001 - a failed run must not sink the sweep
         return ("failed", f"{type(exc).__name__}: {exc}")
@@ -112,29 +110,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     problem_names = [p.name for p in suite]
     f_opt = {p.name: p.f_opt for p in suite}
 
-    specs = []
-    for prob in problem_names:
-        for algo in config.algorithms:
-            for run_idx in range(config.runs):
-                specs.append((algo, config.dim, config.suite_seed, prob,
-                              config.budget, config.base_seed + run_idx,
-                              config.dump_tree))
-
+    cells = list(itertools.product(problem_names, config.algorithms, range(config.runs)))
+    execute = functools.partial(_execute_cell, config)
     if config.workers == 1:
-        outcomes = [_execute_cell(s) for s in specs]
+        outcomes = list(map(execute, cells))
     else:
         # imported here: the process pool and multiprocessing cost a fresh
         # interpreter about 20 ms that a single-worker sweep never needs
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_execute_cell, specs, chunksize=1))
+            outcomes = list(pool.map(execute, cells, chunksize=1))
 
     finals: dict = {(p, a): [] for p in problem_names for a in config.algorithms}
     records: dict = {(p, a): [] for p in problem_names for a in config.algorithms}
     failures = []
-    for spec, (status, payload) in zip(specs, outcomes):
-        algo, _, _, prob, _, seed, _ = spec
-        run_idx = seed - config.base_seed
+    for (prob, algo, run_idx), (status, payload) in zip(cells, outcomes):
         if status == "failed":
             failures.append((prob, algo, run_idx, payload))
             records[(prob, algo)].append(None)

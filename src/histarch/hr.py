@@ -36,17 +36,11 @@ SIGMA_FACTOR = 0.3
 GA = GaConfig()
 
 
-def ceil_log2(n: int) -> int:
-    if n < 1:
-        raise ParameterError("ceil_log2 needs a positive integer")
-    return (int(n) - 1).bit_length()
-
-
 def derive_depth_params(budget: int, lam: int) -> tuple[int, int]:
     """Depth thresholds (lv, k) = (ceil(log2 budget), ceil(log2 lambda))."""
     if budget < 2 or lam < 2:
         raise ParameterError("budget and lambda must both be >= 2")
-    return ceil_log2(budget), ceil_log2(lam)
+    return (int(budget) - 1).bit_length(), (int(lam) - 1).bit_length()
 
 
 @dataclass
@@ -93,9 +87,9 @@ def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:
 def _cma_phase(state: CmaState, evaluator: BudgetedEvaluator, rng) -> str:
     """Sample/evaluate/update until a stop fires; returns the reason string.
 
-    Never raises on budget: a generation that does not fit in the
-    remaining budget evaluates only its first ``remaining`` rows and ends
-    the phase as budget_exhausted.
+    Never raises on budget: the generation that spends the last
+    evaluation, whole or cut to its first ``remaining`` rows, ends the
+    phase as budget_exhausted before any update.
     """
     while True:
         stop = cma_check_stop(state, evaluator.used, evaluator.budget)
@@ -105,18 +99,16 @@ def _cma_phase(state: CmaState, evaluator: BudgetedEvaluator, rng) -> str:
             candidates = cma_sample(state, rng)
         except NumericalError:
             return StopReason.NUMERICAL_ERROR.value
-        n = min(state.lam, evaluator.remaining)
-        fits = np.array([evaluator(x) for x in candidates[:n]])
-        if n < state.lam:
+        fits = np.array([evaluator(x) for x in candidates[:evaluator.remaining]])
+        if evaluator.remaining == 0:
             return StopReason.BUDGET_EXHAUSTED.value
-        try:
-            cma_update(state, candidates, fits)
-        except NumericalError:
-            return StopReason.NUMERICAL_ERROR.value
+        cma_update(state, candidates, fits)
 
 
-def _close_phase(phases: list, kind: str, start: int, end: int,
+def _close_phase(phases: list, kind: str, end: int,
                  roi: RoiSuggestion | None = None, stop: str | None = None):
+    """Append the phase after the last one (or from 1) through ``end``, unless empty."""
+    start = phases[-1].end_eval + 1 if phases else 1
     if end < start:
         return
     if roi is not None:
@@ -133,7 +125,6 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
     evaluator = BudgetedEvaluator(problem, budget)
     archive = BspArchive(problem.domain)
     phases: list[Phase] = []
-    phase_start = 1
     exhausted = False
     try:
         for generation in generations(GA, archive, evaluator, rng):
@@ -145,18 +136,16 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
                                      for leaf in generation)), None)
             if roi is None or evaluator.remaining == 0:
                 continue
-            _close_phase(phases, EXPLORE, phase_start, evaluator.used)
-            phase_start = evaluator.used + 1
+            _close_phase(phases, EXPLORE, evaluator.used)
             state = seed_cma_from_roi(roi, lam, problem.domain)
             reason = _cma_phase(state, evaluator, rng)
             archive.block(roi.subroot)
-            _close_phase(phases, EXPLOIT, phase_start, evaluator.used, roi, reason)
-            phase_start = evaluator.used + 1
+            _close_phase(phases, EXPLOIT, evaluator.used, roi, reason)
     except BudgetExhaustedError:  # raised by the explorer before it inserts
         pass
     except SearchSpaceExhaustedError:
         exhausted = True
-    _close_phase(phases, EXPLORE, phase_start, evaluator.used)
+    _close_phase(phases, EXPLORE, evaluator.used)
     return _finalize("hr", problem, evaluator, phases, exhausted,
                      archive.dump() if dump_tree else None)
 
@@ -190,10 +179,9 @@ def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
     sigma0 = SIGMA_FACTOR * float(domain.span.max())
     phases: list[Phase] = []
     while evaluator.remaining > 0:
-        start = evaluator.used + 1
         state = cma_init(domain.uniform_point(rng), sigma0, lam, domain)
         reason = _cma_phase(state, evaluator, rng)
-        _close_phase(phases, EXPLOIT, start, evaluator.used, stop=reason)
+        _close_phase(phases, EXPLOIT, evaluator.used, stop=reason)
     return _finalize("cmaes", problem, evaluator, phases, False)
 
 
@@ -202,6 +190,7 @@ def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
     """Pure non-revisiting GA; with ``lru``, LRU-pruned after every generation."""
     evaluator = BudgetedEvaluator(problem, budget)
     archive = BspArchive(problem.domain)
+    phases: list[Phase] = []
     exhausted = False
     try:
         for generation in generations(GA, archive, evaluator, rng):
@@ -213,7 +202,7 @@ def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
         pass
     except SearchSpaceExhaustedError:
         exhausted = True
-    phases = [Phase(EXPLORE, 1, evaluator.used)] if evaluator.used else []
+    _close_phase(phases, EXPLORE, evaluator.used)
     name = "cnrga_lru" if lru else "cnrga"
     return _finalize(name, problem, evaluator, phases, exhausted,
                      archive.dump() if dump_tree else None)

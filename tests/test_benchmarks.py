@@ -6,8 +6,7 @@ import pytest
 from histarch import (BudgetExhaustedError, DomainError, InputError, ParameterError,
                       Region, make_suite)
 from histarch.benchmarks import (BudgetedEvaluator, Problem, ellipsoid_weights,
-                                 make_ellipsoid_problem, random_rotation,
-                                 rastrigin, sphere, suite_manifest)
+                                 random_rotation, rastrigin, sphere, suite_manifest)
 from util import reference_suite
 
 SUITE_NAMES = ["sphere", "rot_ellipsoid", "rosenbrock", "rastrigin", "sr_rastrigin",
@@ -98,12 +97,14 @@ def test_ellipsoid_weights_span_squared_axis_ratio():
     assert ellipsoid_weights(1, 1e3).tolist() == [1.0]
 
 
-def test_custom_ellipsoid_problem():
-    p = make_ellipsoid_problem(10, 1e2)
+def test_rot_ellipsoid_weights_its_rotated_axes():
+    # the suite draws the ellipsoid's rotation first from the suite seed;
+    # row i of the rotation maps onto axis i, of weight 1e6 ** (2 i / 9)
+    p = next(p for p in suite10() if p.name == "rot_ellipsoid")
+    rotation = random_rotation(10, np.random.default_rng(123))
     assert p.f(np.zeros(10)) == 0.0
-    e = np.zeros(10)
-    e[-1] = 1.0
-    assert p.f(e) == pytest.approx(1e4)
+    assert p.f(rotation[0]) == pytest.approx(1.0)
+    assert p.f(rotation[-1]) == pytest.approx(1e12)
 
 
 def test_budget_counter_and_exhaustion():

@@ -216,6 +216,54 @@ def test_cli_workers_env_default(tmp_path, monkeypatch):
     assert summary["config"]["workers"] == 2
 
 
+def write_config(tmp_path, **overrides):
+    """A valid two-run 2-D config file with ``overrides`` applied."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "suite": "2d", "algos": "cmaes", "budget": 300, "runs": 2,
+        "problems": "sphere", **overrides}))
+    return cfg_file
+
+
+@pytest.mark.parametrize("overrides", [
+    {"runs": "x"}, {"config": "other.json"}, {"command": "stats"}, {"suite": "5d"},
+], ids=["unparsable_string", "config_key", "command_key", "unknown_suite"])
+def test_cli_config_file_errors_exit_2(tmp_path, overrides):
+    cfg_file = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_unparsable_workers_env_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("HISTARCH_WORKERS", "abc")
+    assert main(cli_run_args(tmp_path / "x")) == 2
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("trace", "false"), ("gnuplot", 1), ("dump_tree", None),
+    ("budget", 300.7), ("budget", True), ("runs", 2.0), ("seed", "7.5"),
+    ("alpha", True), ("alpha", [0.05]), ("algos", ["cmaes"]), ("out", 3),
+])
+def test_cli_wrongly_typed_config_value_exits_2(tmp_path, capsys, key, value):
+    cfg_file = write_config(tmp_path, **{key: value})
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_config_strings_parse_like_flags(tmp_path):
+    cfg_file = write_config(tmp_path, budget="300", runs="2", seed="7", suite_seed="11",
+                            alpha="0.05", workers="1", algos="cmaes,cnrga",
+                            problems="sphere,rastrigin", trace=True,
+                            out=str(tmp_path / "from_config"))
+    assert main(["run", "--config", str(cfg_file)]) == 0
+    assert list((tmp_path / "from_config" / "runs").glob("*.json"))
+    assert main(cli_run_args(tmp_path / "from_flags")) == 0
+    assert (tmp_path / "from_config" / "results.csv").read_bytes() == \
+        (tmp_path / "from_flags" / "results.csv").read_bytes()
+
+
 def test_algorithm_that_always_fails_keeps_the_sweep(tmp_path, monkeypatch, capsys):
     real = harness.run_algorithm
     def broken(problem, algo, budget, rng, dump_tree=False):

@@ -343,6 +343,20 @@ def test_every_algorithm_consumes_exact_budget(algo):
 
 
 @pytest.mark.parametrize("algo", ["hr", "cmaes", "cnrga", "cnrga_lru"])
+def test_phases_tile_the_used_evaluations(algo):
+    # 2-D Rastrigin, lambda = 6: 50 ends inside the GA's initial population,
+    # 96 is a whole number of CMA-ES generations and 97 forces a short one
+    problem = next(p for p in make_suite(2, seed=0) if p.name == "rastrigin")
+    for budget in (50, 96, 97, 601):
+        for seed in range(5):
+            rec = run_algorithm(problem, algo, budget, np.random.default_rng(seed))
+            assert_phases_partition(rec)
+            for ph in rec.phases:
+                if ph.kind == "exploit" and ph.end_eval == budget:
+                    assert ph.stop_reason == "budget_exhausted"
+
+
+@pytest.mark.parametrize("algo", ["hr", "cmaes", "cnrga", "cnrga_lru"])
 def test_one_evaluator_call_per_evaluation(algo, monkeypatch):
     # perfbench's --trace 1 reconciles calls to BudgetedEvaluator.__call__
     # against evals_used; a refused call (budget, domain) would break it
