@@ -13,6 +13,12 @@ derived: ``insert`` counts depth on its walk down from the root, and
 ``region_of`` clips the domain along the ancestor path. Nothing cached
 has to be rebuilt when pruning moves a subtree up, so ``prune_lru`` costs
 one sort plus O(1) per removed leaf.
+
+Each child links back to its parent, so a tree is one reference cycle.
+An archive breaks every parent link of its current tree when it is
+released, so the tree is freed by reference counting at that moment and
+never waits for the cyclic garbage collector. A node a caller keeps after
+dropping its archive therefore has ``parent is None``.
 """
 
 from __future__ import annotations
@@ -106,7 +112,9 @@ class BspNode:
     Only the root of an empty archive holds neither. A node stores no
     bounds and no depth: its cell is ``BspArchive.region_of(node)``, and
     ``insert`` reports a new leaf's depth. ``last_touch`` is the clock of
-    the last insert that ended at the node.
+    the last insert that ended at the node. ``parent`` is ``None`` at the
+    root, on a node ``prune_lru`` removed, and on every node once its
+    archive has been released.
     """
 
     __slots__ = (
@@ -360,6 +368,16 @@ class BspArchive:
         # detach the removed nodes so region_of rejects them
         leaf.parent = parent.parent = None
         self.n_points -= 1
+
+    def __del__(self):
+        # see the module docstring: the released tree must hold no cycle
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            if node.below is not None:
+                stack.append(node.below)
+                stack.append(node.above)
 
     # -- debug dump ----------------------------------------------------
 

@@ -67,9 +67,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, run
 
 
-def _load_config(path: str, run: argparse.ArgumentParser) -> dict:
+def _parsed(action: argparse.Action, value, source: str):
+    """``value`` as ``action``'s flag would parse it if it is a string;
+    a string the flag cannot parse is reported under ``source``."""
+    if not isinstance(value, str) or action.type is None:
+        return value
+    try:
+        return action.type(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{source}: invalid {action.type.__name__} value: "
+                             f"{value!r}") from exc
+
+
+def _load_config(path: str, actions: dict) -> dict:
     """Flag values from a JSON object keyed by `run` flag dest, each of a
-    type its flag takes: a boolean for a switch, else a string or a number."""
+    type its flag takes: a boolean for a switch, else a string or a number.
+    Strings come back parsed by their flag's type."""
     try:
         with open(path) as fh:
             loaded = json.load(fh)
@@ -79,7 +92,6 @@ def _load_config(path: str, run: argparse.ArgumentParser) -> dict:
         raise ParameterError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ParameterError("config file must hold a JSON object")
-    actions = {a.dest: a for a in run._actions if a.dest not in ("help", "config")}
     unknown = set(loaded) - set(actions)
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
@@ -90,6 +102,7 @@ def _load_config(path: str, run: argparse.ArgumentParser) -> dict:
         if type(value) not in wanted:
             raise ParameterError(f"config key {key!r} takes "
                                  f"{' or '.join(t.__name__ for t in wanted)}, not {value!r}")
+        loaded[key] = _parsed(action, value, f"config key {key!r}")
     return loaded
 
 
@@ -101,10 +114,15 @@ def main(argv=None) -> int:
             table = recompute_stats(args.in_dir)
             print(f"recomputed tables for {len(table.problems)} problems in {args.in_dir}")
             return 0
-        # the environment's and then the file's values become defaults, so
-        # explicit flags still win; argparse parses string defaults as flags
-        loaded = _load_config(args.config, run) if args.config else {}
-        run.set_defaults(**{"workers": os.environ.get("HISTARCH_WORKERS", "1"), **loaded})
+        # the file's and then the environment's values become defaults, so
+        # explicit flags still win; a value that loses is never parsed
+        actions = {a.dest: a for a in run._actions if a.dest not in ("help", "config")}
+        defaults = _load_config(args.config, actions) if args.config else {}
+        if "workers" not in defaults and args.workers is None:
+            defaults["workers"] = _parsed(actions["workers"],
+                                          os.environ.get("HISTARCH_WORKERS", "1"),
+                                          "HISTARCH_WORKERS")
+        run.set_defaults(**defaults)
         args = parser.parse_args(argv)
         # choices are not applied to defaults, which the file may set
         if args.suite not in SUITES:

@@ -3,8 +3,9 @@ import pytest
 
 from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf,
                       ParameterError, Region, Revisit)
-from util import (depth_of, interiors_disjoint, locate_brute, max_leaf_depth, ref_split_dim,
-                  ref_uniform_point, same_rng_state, tiling_relative_error, walk_region)
+from util import (bsp_nodes_left_by, depth_of, interiors_disjoint, locate_brute,
+                  max_leaf_depth, ref_split_dim, ref_uniform_point, same_rng_state,
+                  tiling_relative_error, walk_region)
 
 
 def box(lo, hi, dim=2):
@@ -550,6 +551,34 @@ def test_lru_recency_updated_by_failed_inserts():
     clock_before = left.last_touch
     ar.insert(np.array([2.0, 5.0]))  # revisit traverses the left leaf
     assert left.last_touch > clock_before
+
+
+# -- lifetime -----------------------------------------------------------------
+
+def test_dropped_archive_leaves_no_tree_for_the_cyclic_collector():
+    def grow_prune_block_drop():
+        ar = fresh()
+        rng = np.random.default_rng(23)
+        # the first point stays the root's below leaf and is the oldest,
+        # so pruning removes it and the above subtree becomes the root
+        ar.insert(np.array([0.5, 5.0]))
+        for _ in range(200):
+            ar.insert(rng.uniform([9.0, 0.0], [10.0, 10.0]))
+        old_root = ar.root
+        ar.prune_lru(0.5)
+        assert ar.root is not old_root and ar.n_points == 101
+        ar.block(ar.root.below)
+        assert isinstance(ar.insert(ar.region_of(ar.root.below).uniform_point(rng)),
+                          Blocked)
+    assert len(bsp_nodes_left_by(grow_prune_block_drop)) == 0
+
+
+def test_node_kept_after_its_archive_is_dropped_has_no_parent():
+    ar = fill_random(fresh(), 20, np.random.default_rng(25))
+    leaf = next(ar.iter_leaves())
+    assert leaf.parent is not None
+    del ar
+    assert leaf.parent is None
 
 
 # -- dump ---------------------------------------------------------------------

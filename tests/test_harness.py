@@ -225,19 +225,35 @@ def write_config(tmp_path, **overrides):
     return cfg_file
 
 
-@pytest.mark.parametrize("overrides", [
-    {"runs": "x"}, {"config": "other.json"}, {"command": "stats"}, {"suite": "5d"},
-], ids=["unparsable_string", "config_key", "command_key", "unknown_suite"])
-def test_cli_config_file_errors_exit_2(tmp_path, overrides):
+@pytest.mark.parametrize("overrides, message", [
+    ({"runs": "x"}, "config key 'runs': invalid int value: 'x'"),
+    ({"suite_seed": "x"}, "config key 'suite_seed': invalid int value: 'x'"),
+    ({"config": "other.json"}, "unknown config keys: ['config']"),
+    ({"command": "stats"}, "unknown config keys: ['command']"),
+    ({"suite": "5d"}, "unknown suite '5d'"),
+], ids=["unparsable_string", "unparsable_suite_seed", "config_key", "command_key",
+        "unknown_suite"])
+def test_cli_config_file_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg_file = write_config(tmp_path, **overrides)
     assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "argument --" not in err
     assert not (tmp_path / "x").exists()
 
 
-def test_cli_unparsable_workers_env_exits_2(tmp_path, monkeypatch):
+def test_cli_unparsable_workers_env_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HISTARCH_WORKERS", "abc")
     assert main(cli_run_args(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert "HISTARCH_WORKERS: invalid int value: 'abc'" in err and "--workers" not in err
     assert not (tmp_path / "x").exists()
+
+
+def test_cli_flag_wins_over_unparsable_workers_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("HISTARCH_WORKERS", "abc")
+    out = tmp_path / "flag"
+    assert main(cli_run_args(out, ["--workers", "1"])) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["workers"] == 1
 
 
 @pytest.mark.parametrize("key, value", [

@@ -15,7 +15,7 @@ from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
 from histarch.bsp import BspArchive, SearchPoint
 from histarch.cnrga import LRU_CAPACITY, maybe_prune
 from histarch.hr import GA, _cma_phase, run_cnrga
-from util import record_digest, spy_on_parents
+from util import bsp_nodes_left_by, record_digest, spy_on_parents
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -400,3 +400,11 @@ def test_unknown_algorithm_rejected():
         run_algorithm(problem, "annealing", 100, np.random.default_rng(0))
     with pytest.raises(ParameterError):
         run_algorithm(problem, "cmaes_restart", 100, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("algo", ["hr", "cnrga", "cnrga_lru"])
+def test_explorers_leave_no_tree_for_the_cyclic_collector(algo):
+    rastrigin_2d = next(p for p in make_suite(2, 0) if p.name == "rastrigin")
+    left = bsp_nodes_left_by(
+        lambda: run_algorithm(rastrigin_2d, algo, 2000, np.random.default_rng(0)))
+    assert len(left) == 0

@@ -6,6 +6,7 @@ and the domain box instead of trusting the library's own ``region_of``.
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from histarch.benchmarks import SCHWEFEL_OFFSET, ellipsoid_weights, random_rotation
+from histarch.bsp import BspNode
 from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair
 from histarch.errors import InputError, NumericalError
 
@@ -97,6 +99,25 @@ def depth_of(node):
 
 def max_leaf_depth(archive):
     return max(depth_of(leaf) for leaf in archive.iter_leaves())
+
+
+def bsp_nodes_left_by(action):
+    """The BspNodes made by ``action()`` that are still alive when it
+    returns, run with the cyclic collector off so that only reference
+    counting frees anything."""
+    gc.collect()
+    # held, so that no new node can reuse the id of an older one
+    older = [o for o in gc.get_objects() if isinstance(o, BspNode)]
+    old_ids = {id(o) for o in older}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        action()
+        return [o for o in gc.get_objects()
+                if isinstance(o, BspNode) and id(o) not in old_ids]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- reference formulas ------------------------------------------------

@@ -16,10 +16,19 @@ runs the base first when i is even and the change first when it is odd,
 so drift in the host's speed falls on both sides alike.
 
 For each side and each end-to-end metric of ``BENCHMARK.json`` the script
-prints the median and the quartiles q1-q3 over the runs, then how many
-pairs the change won (ties count for neither side), the failed runs, and
-whether every run printed the same results fingerprints. Standard library
-only.
+prints the median and the quartiles q1-q3 over the runs, how many pairs
+the change won (ties count for neither side) and a verdict:
+
+- ``regression``: the change's median is worse than the base's by more
+  than the metric's ``bound`` (a fraction of the base median);
+- ``gain``: the change won at least nine tenths of the pairs and the
+  medians differ by more than the base's q1-q3 spread;
+- ``unresolved``: the base's q1-q3 spread is wider than the bound, so the
+  runs cannot tell a change within the bound from noise;
+- ``within bound``: none of these.
+
+It then prints the failed runs and whether every run printed the same
+results fingerprints. Standard library only.
 """
 
 from __future__ import annotations
@@ -89,10 +98,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(base: list[float], change: list[float], won: int, higher: bool,
+            bound: float) -> str:
+    """The module docstring's verdict for one metric's paired runs, of
+    which the change won ``won``."""
+    q1, base_median, q3 = quartiles(base)
+    gained = statistics.median(change) - base_median
+    if not higher:
+        gained = -gained
+    if -gained > bound * abs(base_median):
+        return "regression"
+    if 10 * won >= 9 * len(change) and gained > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(base_median):
+        return "unresolved"
+    return "within bound"
+
+
 def report(runs: dict, end_to_end: list[dict], workload: str) -> None:
     pairs = len(runs["change"])
     print(f"\n{'metric':<34} {'better':<7} {'base median [q1-q3]':<32} "
-          f"{'change median [q1-q3]':<32} change won")
+          f"{'change median [q1-q3]':<32} {'change won':<11} verdict")
     for spec in end_to_end:
         for key in metric_names(runs["base"][0], workload, spec["name"]):
             sides = {side: [r["metrics"][key]["value"] for r in runs[side]]
@@ -105,7 +131,8 @@ def report(runs: dict, end_to_end: list[dict], workload: str) -> None:
             won = sum((c > b) if higher else (c < b)
                       for b, c in zip(sides["base"], sides["change"]))
             print(f"{key:<34} {spec['better']:<7} {cells[0]:<32} {cells[1]:<32} "
-                  f"{won}/{pairs}")
+                  f"{f'{won}/{pairs}':<11} "
+                  f"{verdict(sides['base'], sides['change'], won, higher, spec['bound'])}")
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
@@ -114,8 +141,8 @@ def report(runs: dict, end_to_end: list[dict], workload: str) -> None:
               "reported failed checks")
     prints = {json.dumps(r["fingerprints"], sort_keys=True)
               for side in ("base", "change") for r in runs[side]}
-    verdict = "match" if len(prints) == 1 else f"DIFFER ({len(prints)} distinct sets)"
-    print(f"fingerprints: {verdict}")
+    agreement = "match" if len(prints) == 1 else f"DIFFER ({len(prints)} distinct sets)"
+    print(f"fingerprints: {agreement}")
     for name, digest in sorted(json.loads(min(prints)).items()):
         print(f"  {name}: {digest}")
 
