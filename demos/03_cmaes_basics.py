@@ -2,13 +2,14 @@
 
 Minimises the 10-D sphere, then shows the two stopping criteria that
 matter for restarting: stagnation on a flat objective and the covariance
-condition limit on an extremely ill-conditioned ellipsoid.
+condition limit on an extremely ill-conditioned ellipsoid. Each run is one
+``cma_run``, the loop the hybrid's exploit phases and the restarting
+baseline use, behind a budget-counting evaluator.
 """
 
 import numpy as np
 
-from histarch import (Region, cma_check_stop, cma_init, cma_sample, cma_update,
-                      default_lambda)
+from histarch import BudgetedEvaluator, Problem, Region, cma_init, cma_run, default_lambda
 from histarch.benchmarks import ellipsoid_weights
 
 dim = 10
@@ -17,36 +18,27 @@ lam = default_lambda(dim)
 print(f"recommended population size for D={dim}: {lam}")
 
 
-def minimise(f, state, rng, max_evals):
-    evals, best = 0, float("inf")
-    while True:
-        stop = cma_check_stop(state, evals, max_evals)
-        if stop is not None:
-            return best, stop, evals
-        xs = cma_sample(state, rng)
-        fs = np.array([f(x) for x in xs])
-        evals += len(fs)
-        best = min(best, fs.min())
-        cma_update(state, xs, fs)
+def evaluator(f, budget):
+    return BudgetedEvaluator(Problem("demo", dim, domain, f, None, "unimodal"), budget)
 
 
 print("\n== sphere, m0=(3,...,3), sigma0=0.5 ==")
 state = cma_init(np.full(dim, 3.0), 0.5, lam, domain)
-best, stop, evals = minimise(lambda x: float(x @ x), state,
-                             np.random.default_rng(0), 10_000)
-print(f"best {best:.3e} after {evals} evaluations, stop: {stop.value}")
+sphere = evaluator(lambda x: float(x @ x), 10_000)
+stop = cma_run(state, sphere, np.random.default_rng(0))
+print(f"best {sphere.best:.3e} after {sphere.used} evaluations, stop: {stop.value}")
 
 print("\n== constant objective stalls into the stagnation stop ==")
 state = cma_init(np.zeros(dim), 1.0, lam, domain)
 window = state.best_history.maxlen
-best, stop, evals = minimise(lambda x: 1.0, state, np.random.default_rng(1), 10 ** 9)
+stop = cma_run(state, evaluator(lambda x: 1.0, 10 ** 9), np.random.default_rng(1))
 print(f"stop: {stop.value} at generation {state.generation} "
       f"(window 10+ceil(30D/lambda) = {window})")
 
 print("\n== ill-conditioned ellipsoid trips the condition-number stop ==")
 w = ellipsoid_weights(dim, 1e8)
 state = cma_init(np.full(dim, 3.0), 0.5, lam, domain, tol_fun=None)
-best, stop, evals = minimise(lambda x: float(w @ (x * x)), state,
-                             np.random.default_rng(2), 50_000)
+ellipsoid = evaluator(lambda x: float(w @ (x * x)), 50_000)
+stop = cma_run(state, ellipsoid, np.random.default_rng(2))
 cond = np.linalg.cond(state.cov)
-print(f"stop: {stop.value} after {evals} evaluations, cond(C) = {cond:.3e}")
+print(f"stop: {stop.value} after {ellipsoid.used} evaluations, cond(C) = {cond:.3e}")

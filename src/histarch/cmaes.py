@@ -6,7 +6,8 @@ mean movement, the isotropic path drives step-size adaptation and the
 anisotropic path the rank-1 covariance update. Strategy constants follow
 the standard tutorial defaults. Box constraints are handled by resampling,
 with a coordinate clamp only as a bounded last resort, because absorbing
-candidates onto the boundary piles up duplicates there.
+candidates onto the boundary piles up duplicates there. ``cma_run`` is the
+one budgeted sample/evaluate/update loop that every caller runs.
 """
 
 from __future__ import annotations
@@ -233,10 +234,8 @@ def cma_update(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray):
     state.last_fit_range = 0.0 if worst == best else worst - best
 
 
-def cma_check_stop(state: CmaState, evals_used: int, budget: int) -> StopReason | None:
-    """First matching stop in priority order, or None to keep going."""
-    if evals_used >= budget:
-        return StopReason.BUDGET_EXHAUSTED
+def cma_check_stop(state: CmaState) -> StopReason | None:
+    """First matching stop in priority order, or None; ``cma_run`` owns the budget."""
     eigvals = np.linalg.eigvalsh(state.cov)
     lowest = eigvals.min()
     if lowest <= 0 or eigvals.max() / lowest > COV_CONDITION_LIMIT:
@@ -254,3 +253,25 @@ def cma_check_stop(state: CmaState, evals_used: int, budget: int) -> StopReason 
     if state.sigma * math.sqrt(state.cov.diagonal().max()) < TOL_X_FACTOR * state.sigma0:
         return StopReason.TOL_X
     return None
+
+
+def cma_run(state: CmaState, evaluator, rng: np.random.Generator) -> StopReason:
+    """Sample, evaluate and update until a stop fires; returns its reason.
+
+    ``evaluator`` must be callable and expose ``remaining``, and the run
+    is entered with budget left. Never raises on budget: the generation
+    that spends the last evaluation, whole or cut to its first
+    ``remaining`` rows, ends the run as BUDGET_EXHAUSTED before any update.
+    """
+    while True:
+        stop = cma_check_stop(state)
+        if stop is not None:
+            return stop
+        try:
+            candidates = cma_sample(state, rng)
+        except NumericalError:
+            return StopReason.NUMERICAL_ERROR
+        fits = np.array([evaluator(x) for x in candidates[:evaluator.remaining]])
+        if evaluator.remaining == 0:
+            return StopReason.BUDGET_EXHAUSTED
+        cma_update(state, candidates, fits)

@@ -8,38 +8,28 @@ of being re-evaluated. ``generations`` is the GA's only loop: the cNrGA
 baselines drain every generation, and the hybrid leaves one at the first
 leaf that fires the ROI query. ``maybe_prune`` halves the archive once it
 holds LRU_CAPACITY points; only the cNrGA-LRU baseline's driver calls it,
-between generations.
+between generations. The hybrid's explorer and both cNrGA baselines run
+the same GA: POP_SIZE and CROSSOVER_RATE are module constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bsp import BspArchive, Blocked, NewLeaf, SearchPoint
-from .errors import BudgetExhaustedError, ParameterError, SearchSpaceExhaustedError
+from .errors import BudgetExhaustedError, SearchSpaceExhaustedError
 
 MAX_REVISIT_RETRIES = 100
 # MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws in a row that store
 # nothing mean the archive cannot take another point
 MAX_BLOCKED_DRAWS = 1000
 TOURNAMENT_SIZE = 2
+POP_SIZE = 100
+# probability that crossover swaps a coordinate between the two offspring
+CROSSOVER_RATE = 0.5
 # stored-point count at which an LRU prune fires, and the share it removes
 LRU_CAPACITY = 10_000
 LRU_FRACTION = 0.5
-
-
-@dataclass
-class GaConfig:
-    pop_size: int = 100
-    crossover_rate: float = 0.5
-
-    def __post_init__(self):
-        if self.pop_size < 2:
-            raise ParameterError("pop_size must be >= 2")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ParameterError("crossover_rate must lie in [0, 1]")
 
 
 def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> NewLeaf:
@@ -91,23 +81,23 @@ def tournament_pick(individuals, rng) -> SearchPoint:
     return best
 
 
-def crossover_pair(individuals, config: GaConfig, rng):
+def crossover_pair(individuals, rng):
     """Two offspring coordinate vectors from tournament parents.
 
     Each coordinate is swapped between the offspring with probability
-    crossover_rate, so every gene comes verbatim from one of the parents.
+    CROSSOVER_RATE, so every gene comes verbatim from one of the parents.
     """
     p1 = tournament_pick(individuals, rng)
     p2 = tournament_pick(individuals, rng)
-    swap = rng.random(p1.coords.size) < config.crossover_rate
+    swap = rng.random(p1.coords.size) < CROSSOVER_RATE
     return np.where(swap, p2.coords, p1.coords), np.where(swap, p1.coords, p2.coords)
 
 
-def generations(config: GaConfig, archive: BspArchive, evaluator, rng):
+def generations(archive: BspArchive, evaluator, rng):
     """The GA as one lazy iterator of NewLeafs per generation, forever.
 
-    The first generation is ``pop_size`` uniform domain draws; each later
-    one is ``pop_size - 1`` crossover children of the population, whose
+    The first generation is POP_SIZE uniform domain draws; each later
+    one is POP_SIZE - 1 crossover children of the population, whose
     best individual completes the next. Each pair's crossover is drawn
     before either child is evaluated, so a short last pair still consumes
     the RNG for its discarded second child. The population is replaced
@@ -123,8 +113,8 @@ def generations(config: GaConfig, archive: BspArchive, evaluator, rng):
             yield leaf
 
     def children_of(parents):
-        for left in range(config.pop_size - 1, 0, -2):
-            yield from crossover_pair(parents, config, rng)[:left]
+        for left in range(POP_SIZE - 1, 0, -2):
+            yield from crossover_pair(parents, rng)[:left]
 
     parents = []
     while True:
@@ -133,9 +123,9 @@ def generations(config: GaConfig, archive: BspArchive, evaluator, rng):
             candidates = children_of(parents)
         else:
             population = []
-            candidates = (archive.domain.uniform_point(rng) for _ in range(config.pop_size))
+            candidates = (archive.domain.uniform_point(rng) for _ in range(POP_SIZE))
         yield evaluated(candidates, population)
-        if len(population) == config.pop_size:
+        if len(population) == POP_SIZE:
             parents = population
 
 

@@ -232,6 +232,14 @@ def persist_result(result: ExperimentResult, suite):
         raise OSError(f"failed writing results under {out}: {exc}") from exc
 
 
+def _field(mapping, key: str, kind: type, where: str):
+    """``mapping[key]`` if it is a ``kind``, else a ParameterError naming ``key``."""
+    value = mapping.get(key) if isinstance(mapping, dict) else None
+    if not isinstance(value, kind):
+        raise ParameterError(f"{where}: key {key!r} is missing or not a JSON {kind.__name__}")
+    return value
+
+
 def recompute_stats(in_dir) -> StatsTable:
     """Rebuild the tables from a stored summary.json and rewrite the CSVs."""
     in_dir = Path(in_dir)
@@ -240,15 +248,18 @@ def recompute_stats(in_dir) -> StatsTable:
         payload = json.loads(summary_path.read_text())
     except OSError as exc:
         raise OSError(f"cannot read {summary_path}: {exc}") from exc
-    cfg = payload["config"]
-    finals = {}
-    problems = payload["problems"]
-    algorithms = cfg["algorithms"]
-    for key, values in payload["finals"].items():
-        prob, algo = key.split("::")
-        finals[(prob, algo)] = values
-    table = build_stats_table(finals, problems, algorithms, payload["reference"],
-                              cfg["alpha"], _failed_counts(payload["failures"]))
+    cfg = _field(payload, "config", dict, summary_path)
+    problems = _field(payload, "problems", list, summary_path)
+    algorithms = _field(cfg, "algorithms", list, summary_path)
+    finals = {tuple(key.split("::", 1)): values
+              for key, values in _field(payload, "finals", dict, summary_path).items()}
+    for cell in itertools.product(problems, algorithms):
+        if cell not in finals:
+            raise ParameterError(f"{summary_path}: key {'::'.join(cell)!r} is missing")
+    table = build_stats_table(finals, problems, algorithms,
+                              _field(payload, "reference", str, summary_path),
+                              _field(cfg, "alpha", float, summary_path),
+                              _failed_counts(_field(payload, "failures", list, summary_path)))
     try:
         (in_dir / "results.csv").write_text(results_csv(table), newline="\n")
         (in_dir / "ranks.csv").write_text(ranks_csv(table), newline="\n")

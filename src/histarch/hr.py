@@ -5,13 +5,13 @@ explorer and asks the archive (``roi_trigger``) about each leaf the GA
 adds. When a leaf lands at depth lv+k, with (lv, k) derived from the
 budget and the CMA-ES population size, the GA leaves its generation at
 that leaf, the leaf points under its depth-lv ancestor seed a CMA-ES
-state, and CMA-ES exploits out of the shared evaluation budget. CMA-ES
-candidates are evaluated directly and never inserted into the archive, so
-the blocked-region bookkeeping stays a statement about the explorer only.
-When CMA-ES stops, the sub-root is blocked and the GA breeds an
-unfinished generation again from the same parents (the initial population
-is drawn again). An ROI that fires on the last evaluation is neither
-exploited nor blocked.
+state, and one ``cma_run`` exploits it out of the shared evaluation
+budget. CMA-ES candidates are evaluated directly and never inserted into
+the archive, so the blocked-region bookkeeping stays a statement about the
+explorer only. When CMA-ES stops, the sub-root is blocked and the GA
+breeds an unfinished generation again from the same parents (the initial
+population is drawn again). An ROI that fires on the last evaluation is
+neither exploited nor blocked.
 """
 
 from __future__ import annotations
@@ -22,24 +22,20 @@ import numpy as np
 
 from .benchmarks import BudgetedEvaluator, Problem
 from .bsp import BspArchive, Region, RoiSuggestion
-from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_sample,
-                    cma_update, default_lambda)
-from .cnrga import GaConfig, generations, maybe_prune
-from .errors import (BudgetExhaustedError, NumericalError, ParameterError,
-                     SearchSpaceExhaustedError)
+from .cmaes import CmaState, cma_init, cma_run, default_lambda
+from .cnrga import generations, maybe_prune
+from .errors import BudgetExhaustedError, ParameterError, SearchSpaceExhaustedError
 
 EXPLORE = "explore"
 EXPLOIT = "exploit"
 # initial CMA-ES step size as a fraction of the longest side of the start box
 SIGMA_FACTOR = 0.3
-# the GA of the hybrid's explorer and of both cNrGA baselines
-GA = GaConfig()
 
 
 def derive_depth_params(budget: int, lam: int) -> tuple[int, int]:
     """Depth thresholds (lv, k) = (ceil(log2 budget), ceil(log2 lambda))."""
-    if budget < 2 or lam < 2:
-        raise ParameterError("budget and lambda must both be >= 2")
+    if budget < 1 or lam < 2:
+        raise ParameterError("budget must be >= 1 and lambda >= 2")
     return (int(budget) - 1).bit_length(), (int(lam) - 1).bit_length()
 
 
@@ -84,27 +80,6 @@ def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:
     return cma_init(mean0, sigma0, lam, domain)
 
 
-def _cma_phase(state: CmaState, evaluator: BudgetedEvaluator, rng) -> str:
-    """Sample/evaluate/update until a stop fires; returns the reason string.
-
-    Never raises on budget: the generation that spends the last
-    evaluation, whole or cut to its first ``remaining`` rows, ends the
-    phase as budget_exhausted before any update.
-    """
-    while True:
-        stop = cma_check_stop(state, evaluator.used, evaluator.budget)
-        if stop is not None:
-            return stop.value
-        try:
-            candidates = cma_sample(state, rng)
-        except NumericalError:
-            return StopReason.NUMERICAL_ERROR.value
-        fits = np.array([evaluator(x) for x in candidates[:evaluator.remaining]])
-        if evaluator.remaining == 0:
-            return StopReason.BUDGET_EXHAUSTED.value
-        cma_update(state, candidates, fits)
-
-
 def _close_phase(phases: list, kind: str, end: int,
                  roi: RoiSuggestion | None = None, stop: str | None = None):
     """Append the phase after the last one (or from 1) through ``end``, unless empty."""
@@ -127,7 +102,7 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
     phases: list[Phase] = []
     exhausted = False
     try:
-        for generation in generations(GA, archive, evaluator, rng):
+        for generation in generations(archive, evaluator, rng):
             # the GA stops at the first leaf that fires the ROI query and,
             # unless that leaf completed the generation, breeds it again after
             # the exploit phase; an ROI found once the budget is gone is
@@ -138,7 +113,7 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
                 continue
             _close_phase(phases, EXPLORE, evaluator.used)
             state = seed_cma_from_roi(roi, lam, problem.domain)
-            reason = _cma_phase(state, evaluator, rng)
+            reason = cma_run(state, evaluator, rng).value
             archive.block(roi.subroot)
             _close_phase(phases, EXPLOIT, evaluator.used, roi, reason)
     except BudgetExhaustedError:  # raised by the explorer before it inserts
@@ -180,7 +155,7 @@ def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
     phases: list[Phase] = []
     while evaluator.remaining > 0:
         state = cma_init(domain.uniform_point(rng), sigma0, lam, domain)
-        reason = _cma_phase(state, evaluator, rng)
+        reason = cma_run(state, evaluator, rng).value
         _close_phase(phases, EXPLOIT, evaluator.used, stop=reason)
     return _finalize("cmaes", problem, evaluator, phases, False)
 
@@ -193,7 +168,7 @@ def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
     phases: list[Phase] = []
     exhausted = False
     try:
-        for generation in generations(GA, archive, evaluator, rng):
+        for generation in generations(archive, evaluator, rng):
             for _ in generation:
                 pass
             if lru:

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from histarch import (BspArchive, BudgetExhaustedError, ExperimentConfig,
-                      GaConfig, Region, StopReason, cma_check_stop,
-                      cma_init, cma_sample, cma_update, default_lambda,
+                      Region, StopReason, cma_init, cma_run, default_lambda,
                       derive_depth_params, generations, hr_run,
                       kruskal_wallis, run_experiment)
 from histarch.benchmarks import BudgetedEvaluator, Problem, ellipsoid_weights, make_suite
 from histarch.cli import main
 from test_stats import kw_oracle
-from util import walk_region
+from util import budgeted, walk_region
 
 
 @contextmanager
@@ -38,19 +37,6 @@ def criterion(number, description, limit_s):
     assert within, f"criterion {number} exceeded its {limit_s}s budget: {elapsed:.1f}s"
 
 
-def cma_loop(f, state, rng, max_evals):
-    evals, best = 0, float("inf")
-    while True:
-        stop = cma_check_stop(state, evals, max_evals)
-        if stop is not None:
-            return best, stop, evals
-        xs = cma_sample(state, rng)
-        fs = np.array([f(x) for x in xs])
-        evals += len(fs)
-        best = min(best, float(fs.min()))
-        cma_update(state, xs, fs)
-
-
 def test_criterion_01_parameter_formulas():
     with criterion(1, "population size and depth threshold formulas", 0.001):
         assert default_lambda(10) == 10
@@ -63,9 +49,8 @@ def _cnrga_points(problem, budget, seed):
     evaluator = BudgetedEvaluator(problem, budget)
     archive = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
-    config = GaConfig()
     try:
-        for leaves in generations(config, archive, evaluator, rng):
+        for leaves in generations(archive, evaluator, rng):
             for _ in leaves:
                 pass
     except BudgetExhaustedError:
@@ -136,8 +121,9 @@ def test_criterion_04_cmaes_sphere_regression():
         hits = 0
         for seed in range(30):
             state = cma_init(np.full(10, 3.0), 0.5, 10, domain)
-            best, _, _ = cma_loop(lambda x: float(x @ x), state,
-                                  np.random.default_rng(seed), 10_000)
+            evaluator = budgeted(lambda x: float(x @ x), domain, 10_000)
+            cma_run(state, evaluator, np.random.default_rng(seed))
+            best = evaluator.best
             hits += best < 1e-10
         assert hits >= 28
 
@@ -146,7 +132,8 @@ def test_criterion_05_stagnation_stop():
     with criterion(5, "flat objective stops with stagnation by generation 41", 1.0):
         domain = Region(np.full(10, -100.0), np.full(10, 100.0))
         state = cma_init(np.zeros(10), 1.0, 10, domain)
-        _, stop, _ = cma_loop(lambda x: 1.0, state, np.random.default_rng(5), 10 ** 9)
+        stop = cma_run(state, budgeted(lambda x: 1.0, domain, 10 ** 9),
+                       np.random.default_rng(5))
         assert stop is StopReason.STAGNATION
         assert state.generation <= 41
 
@@ -156,8 +143,9 @@ def test_criterion_06_condition_number_stop():
         domain = Region(np.full(10, -100.0), np.full(10, 100.0))
         w = ellipsoid_weights(10, 1e8)
         state = cma_init(np.full(10, 3.0), 0.5, 10, domain, tol_fun=None)
-        _, stop, evals = cma_loop(lambda x: float(w @ (x * x)), state,
-                                  np.random.default_rng(6), 50_000)
+        evaluator = budgeted(lambda x: float(w @ (x * x)), domain, 50_000)
+        stop = cma_run(state, evaluator, np.random.default_rng(6))
+        evals = evaluator.used
         assert stop is StopReason.COV_CONDITION
         assert evals <= 50_000
         eig = np.linalg.eigvalsh(state.cov)

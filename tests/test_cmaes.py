@@ -5,29 +5,14 @@ import numpy as np
 import pytest
 
 from histarch import (ParameterError, Region, StopReason, cma_check_stop,
-                      cma_init, cma_sample, cma_update, default_lambda,
+                      cma_init, cma_run, cma_sample, cma_update, default_lambda,
                       make_suite, stagnation_window)
 from histarch.benchmarks import ellipsoid_weights
-from util import ref_cma_sample, ref_cma_update, reference_suite
+from util import budgeted, ref_cma_sample, ref_cma_update, reference_suite
 
 
 def wide_domain(dim, half=100.0):
     return Region(np.full(dim, -half), np.full(dim, half))
-
-
-def run_plain(f, state, rng, max_evals):
-    """Minimal ask/eval/tell loop; returns (best, stop reason, state)."""
-    evals = 0
-    best = float("inf")
-    while True:
-        stop = cma_check_stop(state, evals, max_evals)
-        if stop is not None:
-            return best, stop
-        xs = cma_sample(state, rng)
-        fs = [f(x) for x in xs]
-        evals += len(fs)
-        best = min(best, min(fs))
-        cma_update(state, xs, np.array(fs))
 
 
 # -- parameters ---------------------------------------------------------
@@ -181,9 +166,9 @@ def test_cov_stays_symmetric_positive_definite():
 
 def test_sphere_single_run_smoke():
     state = cma_init(np.full(10, 3.0), 0.5, 10, wide_domain(10))
-    rng = np.random.default_rng(6)
-    best, stop = run_plain(lambda x: float(x @ x), state, rng, 10_000)
-    assert best < 1e-10
+    evaluator = budgeted(lambda x: float(x @ x), state.domain, 10_000)
+    stop = cma_run(state, evaluator, np.random.default_rng(6))
+    assert evaluator.best < 1e-10
     assert stop in (StopReason.TOL_FUN, StopReason.TOL_X, StopReason.STAGNATION,
                     StopReason.BUDGET_EXHAUSTED)
 
@@ -191,8 +176,8 @@ def test_sphere_single_run_smoke():
 def test_ellipsoid_condition_grows_to_squared_axis_ratio():
     w = ellipsoid_weights(10, 1e3)  # coefficients span 1e6
     state = cma_init(np.full(10, 3.0), 0.5, 10, wide_domain(10))
-    rng = np.random.default_rng(7)
-    run_plain(lambda x: float(w @ (x * x)), state, rng, 60_000)
+    cma_run(state, budgeted(lambda x: float(w @ (x * x)), state.domain, 60_000),
+            np.random.default_rng(7))
     eig = np.linalg.eigvalsh(state.cov)
     cond = eig.max() / eig.min()
     assert 1e5 <= cond <= 1e7
@@ -233,16 +218,16 @@ def test_generations_bit_identical_to_reference(name):
 
 def test_stagnation_on_constant_objective():
     state = cma_init(np.zeros(10), 1.0, 10, wide_domain(10))
-    rng = np.random.default_rng(8)
-    best, stop = run_plain(lambda x: 1.0, state, rng, 10_000_000)
+    stop = cma_run(state, budgeted(lambda x: 1.0, state.domain, 10_000_000),
+                   np.random.default_rng(8))
     assert stop is StopReason.STAGNATION
     assert state.generation <= 41  # 10 + ceil(30*10/10) + 1
 
 
 def test_stagnation_on_infinite_plateau():
     state = cma_init(np.zeros(10), 1.0, 10, wide_domain(10))
-    rng = np.random.default_rng(8)
-    best, stop = run_plain(lambda x: float("inf"), state, rng, 10_000_000)
+    stop = cma_run(state, budgeted(lambda x: float("inf"), state.domain, 10_000_000),
+                   np.random.default_rng(8))
     assert stop is StopReason.STAGNATION
     assert state.generation <= 41
 
@@ -250,25 +235,40 @@ def test_stagnation_on_infinite_plateau():
 def test_forced_condition_number_stop():
     state = cma_init(np.zeros(10), 1.0, 10, wide_domain(10))
     state.cov = np.diag(np.linspace(1.0, 1e15, 10))
-    assert cma_check_stop(state, 0, 100) is StopReason.COV_CONDITION
+    assert cma_check_stop(state) is StopReason.COV_CONDITION
 
 
 def test_tol_x_fires_below_fraction_of_sigma0():
     state = cma_init(np.zeros(10), 2.0, 10, wide_domain(10))
     state.sigma = 0.9e-12 * state.sigma0
-    assert cma_check_stop(state, 0, 100) is StopReason.TOL_X
+    assert cma_check_stop(state) is StopReason.TOL_X
     state.sigma = 1.1e-12 * state.sigma0
-    assert cma_check_stop(state, 0, 100) is None
-
-
-def test_budget_exhausted_outranks_everything():
-    state = cma_init(np.zeros(10), 1.0, 10, wide_domain(10))
-    state.cov = np.diag(np.linspace(1.0, 1e15, 10))
-    for _ in range(state.best_history.maxlen):
-        state.best_history.append(1.0)
-    assert cma_check_stop(state, 100, 100) is StopReason.BUDGET_EXHAUSTED
+    assert cma_check_stop(state) is None
 
 
 def test_no_stop_mid_flight():
     state = cma_init(np.zeros(10), 1.0, 10, wide_domain(10))
-    assert cma_check_stop(state, 50, 100) is None
+    assert cma_check_stop(state) is None
+
+
+@pytest.mark.parametrize("budget", [25, 30])
+def test_run_ends_on_the_generation_that_spends_the_budget(budget):
+    # lambda = 10: the third generation spends the last evaluation, cut to
+    # its first five rows or whole, and is never handed to cma_update; a
+    # twin run of two updates leaves the same state
+    state = cma_init(np.full(4, 2.0), 1.0, 10, wide_domain(4))
+    twin = copy.deepcopy(state)
+    evaluator = budgeted(lambda x: float(x @ x), state.domain, budget)
+    rng, twin_rng = np.random.default_rng(14), np.random.default_rng(14)
+    assert cma_run(state, evaluator, rng) is StopReason.BUDGET_EXHAUSTED
+    assert evaluator.used == budget and evaluator.remaining == 0
+    for _ in range(2):
+        xs = cma_sample(twin, twin_rng)
+        cma_update(twin, xs, np.array([float(x @ x) for x in xs]))
+    assert state.generation == twin.generation == 2
+    for attr in ("mean", "cov", "path_sigma", "path_c"):
+        assert np.array_equal(getattr(state, attr), getattr(twin, attr)), attr
+    assert state.sigma == twin.sigma
+    # the cut generation drew all lambda rows
+    cma_sample(twin, twin_rng)
+    assert rng.bit_generator.state == twin_rng.bit_generator.state

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from histarch import (BspArchive, BudgetExhaustedError, GaConfig, NewLeaf, ParameterError,
-                      Region, SearchPoint, SearchSpaceExhaustedError, evaluate_via_archive,
-                      generations, maybe_prune)
+from histarch import (BspArchive, BudgetExhaustedError, NewLeaf, Region, SearchPoint,
+                      SearchSpaceExhaustedError, evaluate_via_archive, generations,
+                      maybe_prune)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
 from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
 from util import ref_crossover_pair, ref_tournament_pick, same_rng_state, spy_on_parents
@@ -104,21 +104,21 @@ def _toy_population(coords_list):
     return pts
 
 
-def test_zero_crossover_rate_copies_parents():
+def test_zero_crossover_rate_copies_parents(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.CROSSOVER_RATE", 0.0)
     pop = _toy_population([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    cfg = GaConfig(pop_size=3, crossover_rate=0.0)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        c1, c2 = crossover_pair(pop, cfg, rng)
+        c1, c2 = crossover_pair(pop, rng)
         assert any(np.array_equal(c1, p.coords) for p in pop)
         assert any(np.array_equal(c2, p.coords) for p in pop)
 
 
-def test_full_crossover_rate_swaps_whole_genomes():
+def test_full_crossover_rate_swaps_whole_genomes(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.CROSSOVER_RATE", 1.0)
     pop = _toy_population([[1.0, 2.0], [3.0, 4.0]])
-    cfg = GaConfig(pop_size=2, crossover_rate=1.0)
     rng = np.random.default_rng(6)
-    c1, c2 = crossover_pair(pop, cfg, rng)
+    c1, c2 = crossover_pair(pop, rng)
     mats = {tuple(c1), tuple(c2)}
     assert mats <= {(1.0, 2.0), (3.0, 4.0)}
 
@@ -126,9 +126,8 @@ def test_full_crossover_rate_swaps_whole_genomes():
 def test_gene_conservation_under_crossover():
     rng = np.random.default_rng(7)
     pop = _toy_population(rng.uniform(0, 10, size=(6, 4)))
-    cfg = GaConfig(pop_size=6, crossover_rate=0.5)
     for _ in range(50):
-        c1, c2 = crossover_pair(pop, cfg, rng)
+        c1, c2 = crossover_pair(pop, rng)
         pool = {(d, p.coords[d]) for p in pop for d in range(4)}
         for c in (c1, c2):
             for d in range(4):
@@ -167,22 +166,22 @@ def test_tournament_pick_matches_reference(n):
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
-def test_crossover_pair_matches_reference(rate):
+def test_crossover_pair_matches_reference(rate, monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.CROSSOVER_RATE", rate)
     rng = np.random.default_rng(8)
     pop = _toy_population(rng.uniform(-5.0, 5.0, size=(20, 10)))
     for point in pop:
         point.fitness = float(point.eval_index % 3)
-    cfg = GaConfig(pop_size=20, crossover_rate=rate)
     fast, ref = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(300):
-        for child, expected in zip(crossover_pair(pop, cfg, fast), ref_crossover_pair(pop, cfg, ref)):
+        for child, expected in zip(crossover_pair(pop, fast), ref_crossover_pair(pop, rate, ref)):
             assert child.tobytes() == expected.tobytes()
     assert same_rng_state(fast, ref)
 
 
 # -- generation loop ---------------------------------------------------------
 
-def run_generations(problem, config, budget, seed, lru=False):
+def run_generations(problem, budget, seed, lru=False):
     """Generations as ``run_cnrga`` drives them, ``maybe_prune`` after each
     one when ``lru``; also returns the new points of each complete one."""
     ev = BudgetedEvaluator(problem, budget)
@@ -190,7 +189,7 @@ def run_generations(problem, config, budget, seed, lru=False):
     rng = np.random.default_rng(seed)
     completed = []
     try:
-        for leaves in generations(config, ar, ev, rng):
+        for leaves in generations(ar, ev, rng):
             completed.append([leaf.node.point for leaf in leaves])
             if lru:
                 maybe_prune(ar)
@@ -206,8 +205,9 @@ def rastr_problem(dim):
                    rastrigin, 0.0, "multimodal", np.zeros(dim))
 
 
-def test_no_duplicate_evaluations_over_run():
-    ev, ar, _ = run_generations(rastr_problem(2), GaConfig(pop_size=50), 2000, seed=8)
+def test_no_duplicate_evaluations_over_run(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 50)
+    ev, ar, _ = run_generations(rastr_problem(2), 2000, seed=8)
     pts = np.array([leaf.point.coords for leaf in ar.iter_leaves()])
     assert len(pts) == ev.used
     diffs = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
@@ -217,8 +217,8 @@ def test_no_duplicate_evaluations_over_run():
 
 def test_budget_exactness_and_elitism(monkeypatch):
     bred = spy_on_parents(monkeypatch)
-    config = GaConfig(pop_size=30)
-    ev, ar, completed = run_generations(rastr_problem(2), config, 900, seed=9)
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 30)
+    ev, ar, completed = run_generations(rastr_problem(2), 900, seed=9)
     assert ev.used == 900
     assert ar.n_points == 900
     # 30 initial draws, then 30 generations of 29 children; the 31st
@@ -235,28 +235,29 @@ def test_budget_exactness_and_elitism(monkeypatch):
     assert all(b <= a for a, b in zip(history, history[1:]))
 
 
-def test_pure_copy_generation_mutates_everything():
+def test_pure_copy_generation_mutates_everything(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 20)
+    monkeypatch.setattr("histarch.cnrga.CROSSOVER_RATE", 0.0)
     problem = rastr_problem(2)
-    config = GaConfig(pop_size=20, crossover_rate=0.0)
     ev = BudgetedEvaluator(problem, 500)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(10)
-    gens = generations(config, ar, ev, rng)
+    gens = generations(ar, ev, rng)
     parents = {tuple(leaf.node.point.coords) for leaf in next(gens)}
     children = [leaf.node.point for leaf in next(gens)]  # the elite is not yielded again
-    assert len(children) == config.pop_size - 1
+    assert len(children) == 19
     for child in children:
         assert tuple(child.coords) not in parents
-    assert ev.used == config.pop_size + (config.pop_size - 1)
+    assert ev.used == 20 + 19
 
 
 def test_unfinished_generation_is_bred_again(monkeypatch):
     bred = spy_on_parents(monkeypatch)
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 20)
     problem = rastr_problem(2)
-    config = GaConfig(pop_size=20)
     ev = BudgetedEvaluator(problem, 500)
     ar = BspArchive(problem.domain)
-    gens = generations(config, ar, ev, np.random.default_rng(13))
+    gens = generations(ar, ev, np.random.default_rng(13))
     # an unfinished initial population is drawn again in full
     abandoned = [leaf.node.point for _, leaf in zip(range(7), next(gens))]
     initial = [leaf.node.point for leaf in next(gens)]
@@ -273,7 +274,7 @@ def test_unfinished_generation_is_bred_again(monkeypatch):
     next(next(gens))
     assert [len(pop) for pop, _ in bred] == [20, 20, 20]
     assert [id(p) for p in bred[0][0]] == [id(p) for p in initial]
-    assert bred[0][1] == 3 + config.pop_size // 2  # three pairs for five children
+    assert bred[0][1] == 3 + 20 // 2  # three pairs for five children
     for (parents, _), (pop, _), new in zip(bred, bred[1:], (children, last)):
         assert pop[0] is min(parents, key=lambda p: p.fitness)
         assert [id(p) for p in pop[1:]] == [id(p) for p in new]
@@ -307,16 +308,9 @@ def test_maybe_prune_at_threshold_halves():
 def test_run_continues_cleanly_after_pruning(monkeypatch):
     from util import tiling_relative_error
     monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 300)
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 40)
     problem = box_problem()
-    config = GaConfig(pop_size=40)
-    ev, ar, _ = run_generations(problem, config, 1500, seed=12, lru=True)
+    ev, ar, _ = run_generations(problem, 1500, seed=12, lru=True)
     assert ev.used == 1500
-    assert ar.n_points <= 300 + config.pop_size
+    assert ar.n_points <= 300 + 40
     assert tiling_relative_error(ar) <= 1e-9
-
-
-def test_config_validation():
-    with pytest.raises(ParameterError):
-        GaConfig(pop_size=1)
-    with pytest.raises(ParameterError):
-        GaConfig(crossover_rate=1.5)

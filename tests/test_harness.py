@@ -170,6 +170,20 @@ def test_cli_stats_missing_dir_is_io_error(tmp_path):
     assert main(["stats", "--in", str(tmp_path / "absent")]) == 3
 
 
+@pytest.mark.parametrize("summary, named", [
+    ({"problems": []}, "key 'config' is missing"),
+    ([1, 2], "key 'config' is missing"),
+    ({"config": {"algorithms": "hr"}, "problems": []},
+     "key 'algorithms' is missing or not a JSON list"),
+    ({"config": {"algorithms": ["hr"]}, "problems": ["sphere"], "finals": {}},
+     "key 'sphere::hr' is missing"),
+])
+def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    assert main(["stats", "--in", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_cli_config_file_mirrors_flags(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from histarch import (BudgetExhaustedError, GaConfig, ParameterError, Region,
-                      RoiSuggestion, StopReason, cma_init, derive_depth_params,
-                      generations, hr_run, make_suite, run_algorithm, seed_cma_from_roi)
+from histarch import (BudgetExhaustedError, ParameterError, Region, RoiSuggestion,
+                      StopReason, cma_init, cma_run, derive_depth_params, generations,
+                      hr_run, make_suite, run_algorithm, seed_cma_from_roi)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
 from histarch.bsp import BspArchive, SearchPoint
-from histarch.cnrga import LRU_CAPACITY, maybe_prune
-from histarch.hr import GA, _cma_phase, run_cnrga
+from histarch.cnrga import LRU_CAPACITY, POP_SIZE, maybe_prune
+from histarch.hr import run_cnrga
 from util import bsp_nodes_left_by, record_digest, spy_on_parents
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,8 +48,9 @@ def test_depth_params_reference_values():
     assert derive_depth_params(100_000, 10) == (17, 4)
     assert derive_depth_params(300_000, 14) == (19, 4)
     assert derive_depth_params(100_000, 10)[1] == 4  # 2^3 = 8 < 10 <= 16
+    assert derive_depth_params(1, 10) == (0, 4)
     with pytest.raises(ParameterError):
-        derive_depth_params(1, 10)
+        derive_depth_params(0, 10)
 
 
 # -- seeding -------------------------------------------------------------
@@ -100,8 +101,9 @@ def test_non_finite_covariance_ends_phase_as_numerical_error():
     state = cma_init(np.zeros(3), 1.0, 6, problem.domain)
     state.cov[0, 1] = state.cov[1, 0] = np.nan
     evaluator = BudgetedEvaluator(problem, 100)
-    reason = _cma_phase(state, evaluator, np.random.default_rng(0))
-    assert reason == StopReason.NUMERICAL_ERROR.value == "numerical_error"
+    reason = cma_run(state, evaluator, np.random.default_rng(0))
+    assert reason is StopReason.NUMERICAL_ERROR
+    assert reason.value == "numerical_error"
     assert evaluator.used == 0
 
 
@@ -172,9 +174,9 @@ def test_explorer_breeds_a_paused_generation_again(monkeypatch):
     # every population is complete, keeps the previous one's best first,
     # and is bred from at least once per pair of children; one that an
     # exploit phase paused is bred from again
-    pairs = GA.pop_size // 2
+    pairs = POP_SIZE // 2
     assert len(bred) >= 2
-    assert all(len(pop) == GA.pop_size for pop, _ in bred)
+    assert all(len(pop) == POP_SIZE for pop, _ in bred)
     for (parents, _), (pop, _) in zip(bred, bred[1:]):
         assert pop[0] is min(parents, key=lambda p: p.fitness)
     assert all(calls >= pairs for _, calls in bred[:-1])
@@ -274,12 +276,11 @@ def test_cnrga_makes_no_roi_query(lru, monkeypatch):
 def test_cnrga_lru_respects_capacity_at_boundaries(monkeypatch):
     monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 1000)
     problem = make_problem(2, rastrigin, lo=-5.12, hi=5.12)
-    config = GaConfig(pop_size=100)
     ev = BudgetedEvaluator(problem, 5000)
     archive = BspArchive(problem.domain)
     rng = np.random.default_rng(8)
     try:
-        for leaves in generations(config, archive, ev, rng):
+        for leaves in generations(archive, ev, rng):
             for _ in leaves:
                 pass
             maybe_prune(archive)  # as run_cnrga(lru=True) does

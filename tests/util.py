@@ -14,10 +14,16 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from histarch.benchmarks import SCHWEFEL_OFFSET, ellipsoid_weights, random_rotation
+from histarch.benchmarks import (SCHWEFEL_OFFSET, BudgetedEvaluator, Problem,
+                                 ellipsoid_weights, random_rotation)
 from histarch.bsp import BspNode
 from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair
 from histarch.errors import InputError, NumericalError
+
+
+def budgeted(f, domain, budget):
+    """``f`` on ``domain`` behind the evaluator ``cma_run`` takes."""
+    return BudgetedEvaluator(Problem("f", domain.dim, domain, f, None, "unimodal"), budget)
 
 
 def walk_region(archive, node):
@@ -303,12 +309,12 @@ def ref_tournament_pick(individuals, rng):
     return min((individuals[i] for i in idx), key=lambda p: p.fitness)
 
 
-def ref_crossover_pair(individuals, config, rng):
+def ref_crossover_pair(individuals, rate, rng):
     p1 = ref_tournament_pick(individuals, rng)
     p2 = ref_tournament_pick(individuals, rng)
     c1 = p1.coords.copy()
     c2 = p2.coords.copy()
-    swap = rng.random(c1.size) < config.crossover_rate
+    swap = rng.random(c1.size) < rate
     c1[swap] = p2.coords[swap]
     c2[swap] = p1.coords[swap]
     return c1, c2
@@ -318,11 +324,11 @@ def spy_on_parents(monkeypatch):
     """Record each population the GA breeds from, with its crossover count."""
     bred = []  # [population list, crossover_pair calls]
 
-    def spy(individuals, config, rng):
+    def spy(individuals, rng):
         if not bred or bred[-1][0] is not individuals:
             bred.append([individuals, 0])
         bred[-1][1] += 1
-        return crossover_pair(individuals, config, rng)
+        return crossover_pair(individuals, rng)
 
     monkeypatch.setattr("histarch.cnrga.crossover_pair", spy)
     return bred

@@ -5,6 +5,7 @@ Run from anywhere inside a checkout:
 
     python3 tools/ab.py --base HEAD~1 --workload cnrga_10d --seed 0 --pairs 10
     python3 tools/ab.py --base main --workload all --seed 1 --pairs 5
+    python3 tools/ab.py --report /tmp/ab-cnrga_10d-1a2b3c.jsonl
 
 The change side is this checkout's working tree, uncommitted edits
 included. The base side is ``git archive`` of ``--base`` unpacked into a
@@ -13,7 +14,11 @@ that is killed leaves only a temporary directory behind. Each side runs
 its own ``perfbench/run.py --workload W --seed S --seconds T --trace 0``,
 with T the ``run_seconds`` of this checkout's ``BENCHMARK.json``. Pair i
 runs the base first when i is even and the change first when it is odd,
-so drift in the host's speed falls on both sides alike.
+so drift in the host's speed falls on both sides alike. Each run's result
+is appended to a JSON-lines log in the system's temporary directory as
+soon as it arrives, and the log's path is printed first; ``--report LOG``
+prints the table again from such a log, of a finished or an interrupted
+comparison (complete pairs only), without running anything.
 
 For each side and each end-to-end metric of ``BENCHMARK.json`` the script
 prints the median and the quartiles q1-q3 over the runs, how many pairs
@@ -147,33 +152,64 @@ def report(runs: dict, end_to_end: list[dict], workload: str) -> None:
         print(f"  {name}: {digest}")
 
 
+def read_log(path: Path) -> tuple[str, dict]:
+    """The workload and the runs of each side of a log that ``main`` wrote,
+    cut to the pairs both sides completed."""
+    lines = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    if not lines or "workload" not in lines[0]:
+        raise SystemExit(f"error: {path} is not a log of tools/ab.py")
+    runs = {"base": [], "change": []}
+    for line in lines[1:]:
+        runs[line["side"]].append(line["result"])
+    pairs = min(len(runs["base"]), len(runs["change"]))
+    if pairs == 0:
+        raise SystemExit(f"error: {path} holds no complete pair")
+    return lines[0]["workload"], {side: rows[:pairs] for side, rows in runs.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="commit to compare against")
-    parser.add_argument("--workload", required=True, help="perfbench workload, or all")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--base", help="commit to compare against")
+    parser.add_argument("--workload", help="perfbench workload, or all")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--report", metavar="LOG", type=Path,
+                        help="print the table from a log of an earlier run and exit")
     args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.report is not None:
+        workload, runs = read_log(args.report)
+        report(runs, benchmark["end_to_end"], workload)
+        return 0
+    for name in ("base", "workload", "seed", "pairs"):
+        if getattr(args, name) is None:
+            parser.error(f"--{name} is required without --report")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     runs = {"base": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
+    fd, log_name = tempfile.mkstemp(prefix=f"ab-{args.workload}-", suffix=".jsonl")
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp, \
+            open(fd, "w") as log:
         base_tree = Path(tmp)
         sha = unpack_base(args.base, base_tree)
         if not same_tree(base_tree / "perfbench", ROOT / "perfbench"):
             print("warning: perfbench/ differs between the base and this checkout",
                   file=sys.stderr)
         trees = {"base": base_tree, "change": ROOT}
+        print(f"log {log_name}")
         print(f"base {sha[:12]} vs working tree of {ROOT}; workload {args.workload}, "
-              f"seed {args.seed}, {seconds} s per run, {args.pairs} pairs")
+              f"seed {args.seed}, {seconds} s per run, {args.pairs} pairs", flush=True)
+        log.write(json.dumps({"workload": args.workload, "base": sha, "seed": args.seed,
+                              "seconds": seconds, "pairs": args.pairs}) + "\n")
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 result = run_side(trees[side], args.workload, args.seed, seconds)
                 runs[side].append(result)
+                log.write(json.dumps({"side": side, "result": result}) + "\n")
+                log.flush()
                 shown = ", ".join(f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()
                                   if k.split(".")[-1] == "evals_per_s")
                 print(f"pair {i + 1}/{args.pairs} {side:<6} {shown}", flush=True)
