@@ -10,7 +10,7 @@ POP_SIZE and crossover rate CROSSOVER_RATE, both constants of
 
 import numpy as np
 
-from histarch import BspArchive, BudgetExhaustedError, generations
+from histarch import BspArchive, generations
 from histarch.benchmarks import BudgetedEvaluator, make_suite
 from histarch.cnrga import CROSSOVER_RATE, POP_SIZE
 
@@ -22,17 +22,15 @@ evaluator = BudgetedEvaluator(problem, budget)
 archive = BspArchive(problem.domain)
 rng = np.random.default_rng(0)
 
-# one lazy iterator of new leaves per generation; generation 0 is the
-# initial population, and the elite keeps the best point in every later one
-try:
-    for generation, leaves in enumerate(generations(archive, evaluator, rng)):
-        for _ in leaves:
-            pass
-        if generation and generation % 5 == 0:
-            print(f"gen {generation:3d}  evals {evaluator.used:5d}  "
-                  f"best {evaluator.best:.6g}")
-except BudgetExhaustedError:
-    pass
+# one lazy iterator of new leaves per generation, until the budget is spent;
+# generation 0 is the initial population, and the elite keeps the best point
+# in every later one
+for generation, leaves in enumerate(generations(archive, evaluator, rng)):
+    for _ in leaves:
+        pass
+    if generation and generation % 5 == 0:
+        print(f"gen {generation:3d}  evals {evaluator.used:5d}  "
+              f"best {evaluator.best:.6g}")
 
 points = np.array([leaf.point.coords for leaf in archive.iter_leaves()])
 print(f"\nevaluations used: {evaluator.used}, stored points: {len(points)}")

@@ -96,10 +96,6 @@ class Region:
                 return False
         return True
 
-    def log_volume(self) -> float:
-        # summed in log space so thin 30-D cells do not underflow
-        return float(np.log(self.span).sum())
-
     def uniform_point(self, rng: np.random.Generator) -> np.ndarray:
         # the values and generator state of rng.uniform(lower, upper), at a
         # fifth of its cost
@@ -171,6 +167,18 @@ class RoiSuggestion:
     subroot: BspNode
     region: Region
     seeds: list[SearchPoint]
+
+
+def _preorder(node):
+    """``(depth, n)`` for each node ``n`` under ``node`` in pre-order (a node,
+    its below subtree, its above subtree); ``depth`` counts from ``node``."""
+    stack = [(0, node)]
+    while stack:
+        depth, n = stack.pop()
+        yield depth, n
+        if n.below is not None:
+            stack.append((depth + 1, n.above))
+            stack.append((depth + 1, n.below))
 
 
 class BspArchive:
@@ -314,13 +322,8 @@ class BspArchive:
         return self._iter_leaves(self.root)
 
     def _iter_leaves(self, node):
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n.is_internal:
-                stack.append(n.above)
-                stack.append(n.below)
-            elif n.point is not None:
+        for _, n in _preorder(node):
+            if n.below is None and n.point is not None:
                 yield n
 
     # -- memory management --------------------------------------------
@@ -371,13 +374,8 @@ class BspArchive:
 
     def __del__(self):
         # see the module docstring: the released tree must hold no cycle
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        for _, node in _preorder(self.root):
             node.parent = None
-            if node.below is not None:
-                stack.append(node.below)
-                stack.append(node.above)
 
     # -- debug dump ----------------------------------------------------
 
@@ -389,14 +387,10 @@ class BspArchive:
         coordinates.
         """
         lines = []
-        stack = [(0, self.root)]
-        while stack:
-            depth, n = stack.pop()
-            if n.is_internal:
+        for depth, n in _preorder(self.root):
+            if n.below is not None:
                 lines.append(f"{depth} internal {n.split_dim} {float(n.split_value)!r} "
                              f"{int(n.blocked)}")
-                stack.append((depth + 1, n.above))
-                stack.append((depth + 1, n.below))
             elif n.point is not None:
                 coords = " ".join(repr(float(c)) for c in n.point.coords)
                 lines.append(f"{depth} leaf - - {int(n.blocked)} {coords}")

@@ -4,12 +4,13 @@ Exploration is driven purely by uniform gene-exchange crossover, which
 never invents a new coordinate value, so duplicates are common; every
 candidate is routed through the BSP archive, and a duplicate is replaced
 by an adaptive mutation drawn from the revisited leaf's own cell instead
-of being re-evaluated. ``generations`` is the GA's only loop: the cNrGA
-baselines drain every generation, and the hybrid leaves one at the first
-leaf that fires the ROI query. ``maybe_prune`` halves the archive once it
-holds LRU_CAPACITY points; only the cNrGA-LRU baseline's driver calls it,
-between generations. The hybrid's explorer and both cNrGA baselines run
-the same GA: POP_SIZE and CROSSOVER_RATE are module constants.
+of being re-evaluated. ``generations`` is the GA's only loop and ends
+with the budget: the cNrGA baselines drain every generation, and the
+hybrid leaves one at the first leaf that fires the ROI query.
+``maybe_prune`` halves the archive once it holds LRU_CAPACITY points;
+only the cNrGA-LRU baseline's driver calls it, between generations. The
+hybrid's explorer and both cNrGA baselines run the same GA: POP_SIZE and
+CROSSOVER_RATE are module constants.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def crossover_pair(individuals, rng):
 
 
 def generations(archive: BspArchive, evaluator, rng):
-    """The GA as one lazy iterator of NewLeafs per generation, forever.
+    """The GA as one lazy iterator of NewLeafs per generation, until the budget is spent.
 
     The first generation is POP_SIZE uniform domain draws; each later
     one is POP_SIZE - 1 crossover children of the population, whose
@@ -104,10 +105,12 @@ def generations(archive: BspArchive, evaluator, rng):
     once a generation has all its members: one the caller leaves before
     that is bred again from the same parents (the initial one is drawn
     again), and the points it evaluated stay in the archive.
-    ``BudgetExhaustedError`` ends the GA.
+    The GA ends where a drawn candidate finds no budget left.
     """
     def evaluated(candidates, population):
         for coords in candidates:
+            if not evaluator.remaining:
+                return
             leaf = evaluate_via_archive(coords, archive, evaluator, rng)
             population.append(leaf.node.point)
             yield leaf
@@ -117,7 +120,7 @@ def generations(archive: BspArchive, evaluator, rng):
             yield from crossover_pair(parents, rng)[:left]
 
     parents = []
-    while True:
+    while evaluator.remaining:
         if parents:
             population = [min(parents, key=lambda p: p.fitness)]
             candidates = children_of(parents)

@@ -256,10 +256,14 @@ def recompute_stats(in_dir) -> StatsTable:
     for cell in itertools.product(problems, algorithms):
         if cell not in finals:
             raise ParameterError(f"{summary_path}: key {'::'.join(cell)!r} is missing")
+    failures = _field(payload, "failures", list, summary_path)
+    if not all(isinstance(row, list) and len(row) == 4 for row in failures):
+        raise ParameterError(f"{summary_path}: key 'failures' has a row that is not "
+                             "a four-item list")
     table = build_stats_table(finals, problems, algorithms,
                               _field(payload, "reference", str, summary_path),
                               _field(cfg, "alpha", float, summary_path),
-                              _failed_counts(_field(payload, "failures", list, summary_path)))
+                              _failed_counts(failures))
     try:
         (in_dir / "results.csv").write_text(results_csv(table), newline="\n")
         (in_dir / "ranks.csv").write_text(ranks_csv(table), newline="\n")

@@ -11,7 +11,7 @@ the archive, so the blocked-region bookkeeping stays a statement about the
 explorer only. When CMA-ES stops, the sub-root is blocked and the GA
 breeds an unfinished generation again from the same parents (the initial
 population is drawn again). An ROI that fires on the last evaluation is
-neither exploited nor blocked.
+neither exploited nor blocked. The run ends when the GA spends the budget.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .benchmarks import BudgetedEvaluator, Problem
 from .bsp import BspArchive, Region, RoiSuggestion
 from .cmaes import CmaState, cma_init, cma_run, default_lambda
 from .cnrga import generations, maybe_prune
-from .errors import BudgetExhaustedError, ParameterError, SearchSpaceExhaustedError
+from .errors import ParameterError, SearchSpaceExhaustedError
 
 EXPLORE = "explore"
 EXPLOIT = "exploit"
@@ -116,8 +116,6 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
             reason = cma_run(state, evaluator, rng).value
             archive.block(roi.subroot)
             _close_phase(phases, EXPLOIT, evaluator.used, roi, reason)
-    except BudgetExhaustedError:  # raised by the explorer before it inserts
-        pass
     except SearchSpaceExhaustedError:
         exhausted = True
     _close_phase(phases, EXPLORE, evaluator.used)
@@ -171,10 +169,8 @@ def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
         for generation in generations(archive, evaluator, rng):
             for _ in generation:
                 pass
-            if lru:
+            if lru and evaluator.remaining:  # nothing is inserted after the last evaluation
                 maybe_prune(archive)
-    except BudgetExhaustedError:
-        pass
     except SearchSpaceExhaustedError:
         exhausted = True
     _close_phase(phases, EXPLORE, evaluator.used)

@@ -66,6 +66,19 @@ def test_report_rebuilds_each_verdict_from_a_log(tmp_path, capsys):
     assert "fingerprints: match" in out
 
 
+def test_wide_base_spread_is_resolved_when_every_change_run_is_better(tmp_path, capsys):
+    # peak_rss_mb: the base's quartile spread (27.25) is wider than the bound
+    # (10% of 60) and than the medians' distance (about 21), and every
+    # change run reads below every base run
+    base = [40.0, 41.0, 42.0, 55.0, 58.0, 62.0, 65.0, 75.0, 80.0, 85.0]
+    pairs = [dict(values, peak_rss_mb=(b, 39.0 + 0.01 * i))
+             for i, (values, b) in enumerate(zip(PAIRS, base))]
+    log = tmp_path / "ab.jsonl"
+    write_log(log, pairs)
+    assert ab.main(["--report", str(log)]) == 0
+    assert table(capsys.readouterr().out)["peak_rss_mb"] == ("10/10", "within bound")
+
+
 def test_report_keeps_only_complete_pairs(tmp_path, capsys):
     # a comparison cut in its last pair, after the change's run
     log = tmp_path / "ab.jsonl"

@@ -11,14 +11,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from histarch import (BspArchive, BudgetExhaustedError, ExperimentConfig,
-                      Region, StopReason, cma_init, cma_run, default_lambda,
-                      derive_depth_params, generations, hr_run,
-                      kruskal_wallis, run_experiment)
-from histarch.benchmarks import BudgetedEvaluator, Problem, ellipsoid_weights, make_suite
+from histarch import (BspArchive, ExperimentConfig, Region, StopReason, cma_init,
+                      cma_run, default_lambda, derive_depth_params, hr_run,
+                      kruskal_wallis, run_algorithm, run_experiment)
+from histarch.benchmarks import Problem, ellipsoid_weights, make_suite
 from histarch.cli import main
 from test_stats import kw_oracle
-from util import budgeted, walk_region
+from util import LoggingProblem, budgeted, walk_region
 
 
 @contextmanager
@@ -45,20 +44,6 @@ def test_criterion_01_parameter_formulas():
         assert derive_depth_params(300_000, 14) == (19, 4)
 
 
-def _cnrga_points(problem, budget, seed):
-    evaluator = BudgetedEvaluator(problem, budget)
-    archive = BspArchive(problem.domain)
-    rng = np.random.default_rng(seed)
-    try:
-        for leaves in generations(archive, evaluator, rng):
-            for _ in leaves:
-                pass
-    except BudgetExhaustedError:
-        pass
-    assert evaluator.used == budget
-    return np.array([leaf.point.coords for leaf in archive.iter_leaves()])
-
-
 def _has_duplicates(points):
     # pairwise max-abs distance is zero exactly when every coordinate
     # matches; the O(n^2) scan runs in blocks to bound memory
@@ -79,7 +64,9 @@ def test_criterion_02_non_revisiting_property():
             problem = next(p for p in make_suite(dim, seed=2013)
                            if p.name == "rastrigin")
             for seed in range(10):
-                points = _cnrga_points(problem, 2000, seed)
+                logger = LoggingProblem(problem)
+                run_algorithm(logger.build(), "cnrga", 2000, np.random.default_rng(seed))
+                points = np.array([x for x, _ in logger.log])
                 assert len(points) == 2000
                 assert not _has_duplicates(points)
 
@@ -102,7 +89,7 @@ def test_criterion_03_bsp_oracles():
             lowers[i], uppers[i] = lo, hi
 
         log_total = np.logaddexp.reduce(np.log(uppers - lowers).sum(axis=1))
-        assert abs(np.exp(log_total - domain.log_volume()) - 1.0) <= 1e-9
+        assert abs(np.exp(log_total - np.log(domain.span).sum()) - 1.0) <= 1e-9
 
         at_top = uppers == domain.upper  # outer boundary stays inclusive
         for _ in range(1000):

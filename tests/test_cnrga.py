@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from histarch import (BspArchive, BudgetExhaustedError, NewLeaf, Region, SearchPoint,
-                      SearchSpaceExhaustedError, evaluate_via_archive, generations,
-                      maybe_prune)
+from histarch import (BspArchive, NewLeaf, Region, SearchPoint, SearchSpaceExhaustedError,
+                      evaluate_via_archive, generations, maybe_prune, run_algorithm)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
 from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
-from util import ref_crossover_pair, ref_tournament_pick, same_rng_state, spy_on_parents
+from histarch.hr import run_cnrga
+from util import (LoggingProblem, ref_crossover_pair, ref_tournament_pick, same_rng_state,
+                  spy_on_parents, spy_on_prunes, tiling_relative_error)
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
@@ -181,22 +182,14 @@ def test_crossover_pair_matches_reference(rate, monkeypatch):
 
 # -- generation loop ---------------------------------------------------------
 
-def run_generations(problem, budget, seed, lru=False):
-    """Generations as ``run_cnrga`` drives them, ``maybe_prune`` after each
-    one when ``lru``; also returns the new points of each complete one."""
+def run_generations(problem, budget, seed):
+    """Drain ``generations`` to the end of the budget; also returns the new
+    points of each generation."""
     ev = BudgetedEvaluator(problem, budget)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
-    completed = []
-    try:
-        for leaves in generations(ar, ev, rng):
-            completed.append([leaf.node.point for leaf in leaves])
-            if lru:
-                maybe_prune(ar)
-    except BudgetExhaustedError:
-        pass
+    completed = [[leaf.node.point for leaf in leaves] for leaves in generations(ar, ev, rng)]
     return ev, ar, completed
-
 
 
 def rastr_problem(dim):
@@ -207,9 +200,10 @@ def rastr_problem(dim):
 
 def test_no_duplicate_evaluations_over_run(monkeypatch):
     monkeypatch.setattr("histarch.cnrga.POP_SIZE", 50)
-    ev, ar, _ = run_generations(rastr_problem(2), 2000, seed=8)
-    pts = np.array([leaf.point.coords for leaf in ar.iter_leaves()])
-    assert len(pts) == ev.used
+    logger = LoggingProblem(rastr_problem(2))
+    rec = run_algorithm(logger.build(), "cnrga", 2000, np.random.default_rng(8))
+    pts = np.array([x for x, _ in logger.log])
+    assert len(pts) == rec.evals_used == 2000
     diffs = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
     np.fill_diagonal(diffs, 1.0)
     assert diffs.min() > 0.0
@@ -221,11 +215,11 @@ def test_budget_exactness_and_elitism(monkeypatch):
     ev, ar, completed = run_generations(rastr_problem(2), 900, seed=9)
     assert ev.used == 900
     assert ar.n_points == 900
-    # 30 initial draws, then 30 generations of 29 children; the 31st
-    # generation draws its first pair before the budget stops it
+    # 30 initial draws, then 30 generations of 29 children; the budget is
+    # spent with the last of them, so no 31st generation draws a pair
     assert [len(new) for new in completed] == [30] + [29] * 30
     populations = [pop for pop, _ in bred]
-    assert len(populations) == 31
+    assert len(populations) == 30
     assert [id(p) for p in populations[0]] == [id(p) for p in completed[0]]
     # each population is the elite of the previous one, then its children
     for parents, pop, new in zip(populations, populations[1:], completed[1:]):
@@ -306,11 +300,12 @@ def test_maybe_prune_at_threshold_halves():
 
 
 def test_run_continues_cleanly_after_pruning(monkeypatch):
-    from util import tiling_relative_error
     monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 300)
     monkeypatch.setattr("histarch.cnrga.POP_SIZE", 40)
-    problem = box_problem()
-    ev, ar, _ = run_generations(problem, 1500, seed=12, lru=True)
-    assert ev.used == 1500
-    assert ar.n_points <= 300 + 40
-    assert tiling_relative_error(ar) <= 1e-9
+    prunes = spy_on_prunes(monkeypatch)
+    rec = run_cnrga(box_problem(), 1500, np.random.default_rng(12), lru=True)
+    assert rec.evals_used == 1500
+    archive, _ = prunes[-1]
+    assert all(n_points <= 300 for _, n_points in prunes)
+    assert archive.n_points <= 300 + 40
+    assert tiling_relative_error(archive) <= 1e-9

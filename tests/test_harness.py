@@ -170,6 +170,11 @@ def test_cli_stats_missing_dir_is_io_error(tmp_path):
     assert main(["stats", "--in", str(tmp_path / "absent")]) == 3
 
 
+# a summary.json that ``histarch stats`` reads back
+WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05}, "problems": ["sphere"],
+               "finals": {"sphere::hr": [1.0, 2.0]}, "reference": "hr", "failures": []}
+
+
 @pytest.mark.parametrize("summary, named", [
     ({"problems": []}, "key 'config' is missing"),
     ([1, 2], "key 'config' is missing"),
@@ -177,6 +182,8 @@ def test_cli_stats_missing_dir_is_io_error(tmp_path):
      "key 'algorithms' is missing or not a JSON list"),
     ({"config": {"algorithms": ["hr"]}, "problems": ["sphere"], "finals": {}},
      "key 'sphere::hr' is missing"),
+    (dict(WELL_FORMED, failures=[1]), "key 'failures' has a row"),
+    (dict(WELL_FORMED, failures=[["sphere", "hr"]]), "key 'failures' has a row"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
     (tmp_path / "summary.json").write_text(json.dumps(summary))

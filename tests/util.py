@@ -17,8 +17,25 @@ from scipy.special import logsumexp
 from histarch.benchmarks import (SCHWEFEL_OFFSET, BudgetedEvaluator, Problem,
                                  ellipsoid_weights, random_rotation)
 from histarch.bsp import BspNode
-from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair
+from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair, maybe_prune
 from histarch.errors import InputError, NumericalError
+
+
+class LoggingProblem:
+    """Wraps a problem so every evaluation is recorded in call order."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.log = []
+
+    def build(self):
+        def f(x, inner=self.problem.f, log=self.log):
+            v = inner(x)
+            log.append((np.array(x, dtype=float), float(v)))
+            return v
+        return Problem(self.problem.name, self.problem.dim, self.problem.domain,
+                       f, self.problem.f_opt, self.problem.category,
+                       self.problem.x_opt)
 
 
 def budgeted(f, domain, budget):
@@ -79,7 +96,7 @@ def tiling_relative_error(archive):
     if not logs:
         return 0.0
     total = logsumexp(logs)
-    return abs(np.exp(total - archive.domain.log_volume()) - 1.0)
+    return abs(np.exp(total - np.log(archive.domain.span).sum()) - 1.0)
 
 
 def interiors_disjoint(archive):
@@ -332,6 +349,19 @@ def spy_on_parents(monkeypatch):
 
     monkeypatch.setattr("histarch.cnrga.crossover_pair", spy)
     return bred
+
+
+def spy_on_prunes(monkeypatch):
+    """Record each archive the run drivers hand to ``maybe_prune``, with its
+    stored-point count after the call; the archive stays alive in the record."""
+    prunes = []  # (archive, n_points after the call)
+
+    def spy(archive):
+        maybe_prune(archive)
+        prunes.append((archive, archive.n_points))
+
+    monkeypatch.setattr("histarch.hr.maybe_prune", spy)
+    return prunes
 
 
 def ref_split_dim(new_coords, old_coords):

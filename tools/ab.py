@@ -29,7 +29,8 @@ the change won (ties count for neither side) and a verdict:
 - ``gain``: the change won at least nine tenths of the pairs and the
   medians differ by more than the base's q1-q3 spread;
 - ``unresolved``: the base's q1-q3 spread is wider than the bound, so the
-  runs cannot tell a change within the bound from noise;
+  runs cannot tell a change within the bound from noise, unless every run
+  of the change reads better than every run of the base;
 - ``within bound``: none of these.
 
 It then prints the failed runs and whether every run printed the same
@@ -115,7 +116,8 @@ def verdict(base: list[float], change: list[float], won: int, higher: bool,
         return "regression"
     if 10 * won >= 9 * len(change) and gained > q3 - q1:
         return "gain"
-    if q3 - q1 > bound * abs(base_median):
+    always_better = min(change) > max(base) if higher else max(change) < min(base)
+    if q3 - q1 > bound * abs(base_median) and not always_better:
         return "unresolved"
     return "within bound"
 
