@@ -10,7 +10,7 @@ Kruskal-Wallis significance marks.
 
 from .benchmarks import BudgetedEvaluator, Problem, make_suite, suite_manifest
 from .bsp import (Blocked, BspArchive, BspNode, NewLeaf, Region, Revisit,
-                  RoiSuggestion, SearchPoint)
+                  RoiSuggestion, SearchPoint, Subtree)
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_run,
                     cma_sample, cma_update, default_lambda, stagnation_window)
 from .cnrga import evaluate_via_archive, generations, maybe_prune

@@ -9,10 +9,19 @@ exploited sub-regions against further insertion.
 A node stores only its split, its links, its point and the two flags the
 policies need (``blocked``, ``last_touch``); only leaves hold points, and a
 blocked cell is known by its flag alone. Cell bounds and depth are
-derived: ``insert`` counts depth on its walk down from the root, and
+derived: ``insert`` counts depth on its walk down the tree, and
 ``region_of`` clips the domain along the ancestor path. Nothing cached
 has to be rebuilt when pruning moves a subtree up, so ``prune_lru`` costs
 one sort plus O(1) per removed leaf.
+
+A walk starts at the root, or at the node of a ``Subtree``: the deepest
+node through which every point of a closed box routes, at a known depth,
+on a walk from the root. ``subtree`` finds that node once for a box, and
+each ``insert(x, within=...)`` of a point in the box starts there, with
+the same outcome, the same tree and the same stamps as a walk from the
+root. Inserts only split leaves, so they keep a ``Subtree`` valid;
+``block`` and ``prune_lru`` change the tree above leaves and make every
+``Subtree`` taken before them stale, and ``insert`` rejects a stale one.
 
 Each child links back to its parent, so a tree is one reference cycle.
 An archive breaks every parent link of its current tree when it is
@@ -38,6 +47,16 @@ class SearchPoint:
     coords: np.ndarray
     fitness: float = float("nan")
     eval_index: int = 0
+
+
+def _in_box(lower, upper, x) -> bool:
+    """Whether ``x`` lies in the closed box [lower, upper]; all three are
+    sequences of Python floats, which at these sizes compare faster than
+    numpy arrays. A NaN coordinate never lies in a box."""
+    for lo, v, hi in zip(lower, x, upper):
+        if not lo <= v <= hi:
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +104,8 @@ class Region:
 
         Raises InputError unless ``coords`` is a vector of ``dim`` values.
         The bounds are compared as Python floats, which at these sizes is
-        cheaper than numpy comparisons and reductions.
+        cheaper than numpy comparisons and reductions. The loop is
+        ``_in_box`` written out, because every evaluation runs it.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.shape != self.lower.shape:
@@ -160,6 +180,23 @@ class Blocked:
     """The insert path crossed a blocked sub-region; nothing was stored."""
 
 
+@dataclass(frozen=True, slots=True)
+class Subtree:
+    """Where the walk of any point of the closed box [lower, upper] may start.
+
+    A walk from the root takes every point of the box through ``node`` at
+    ``depth``; ``lower`` and ``upper`` are tuples of Python floats. Made by
+    ``BspArchive.subtree`` and valid for that archive until its next
+    ``block`` or ``prune_lru``, which replace the archive's ``epoch``.
+    """
+
+    node: BspNode
+    depth: int
+    lower: tuple
+    upper: tuple
+    epoch: object
+
+
 @dataclass
 class RoiSuggestion:
     """A densely sampled sub-region plus the solutions found inside it."""
@@ -189,28 +226,48 @@ class BspArchive:
         self.root = BspNode(None)
         self.n_points = 0
         self._clock = 0
+        # replaced by every change above the leaves; a Subtree holds the
+        # token it was taken under, so a stale or foreign one never matches
+        self._epoch = object()
 
     # -- insertion ---------------------------------------------------
 
-    def insert(self, coords: np.ndarray):
+    def insert(self, coords: np.ndarray, within: Subtree | None = None):
         """Route ``coords`` to its leaf cell and grow the tree.
 
-        Returns NewLeaf, Revisit or Blocked. The node where the walk ends
-        (the blocked node, the revisited leaf or both new leaves) is
-        stamped with the current clock. The LRU pruning policy reads the
-        stamps of leaves only, and a walk that reaches a leaf ends there.
+        Returns NewLeaf, Revisit or Blocked. The walk starts at the root,
+        or at ``within.node`` when ``within`` is given, which gives the
+        same outcome, tree and stamps for any point of its box (see
+        ``subtree``). The node where the walk ends (the blocked node, the
+        revisited leaf or both new leaves) is stamped with the current
+        clock. The LRU pruning policy reads the stamps of leaves only,
+        and a walk that reaches a leaf ends there.
+
+        Raises InputError for a wrong shape or a non-finite coordinate,
+        DomainError for a point outside the domain (outside ``within``'s
+        box when given) and StructuralError for a ``within`` taken from
+        another archive or before this archive's last block or prune. On
+        any error nothing is stored and the clock does not advance.
         """
         coords = np.asarray(coords, dtype=float)
-        if not self.domain.contains(coords):  # also rejects a wrong shape
-            if not np.isfinite(coords).all():
+        if within is None:
+            (lower, upper), node, depth = self.domain.bounds, self.root, 0
+        elif within.epoch is not self._epoch:
+            raise StructuralError("subtree is stale or from another archive")
+        else:
+            lower, upper, node, depth = within.lower, within.upper, within.node, within.depth
+        if coords.shape != self.domain.lower.shape:
+            raise InputError(f"expected {self.domain.dim} coordinates, "
+                             f"got shape {coords.shape}")
+        x = coords.tolist()
+        if not _in_box(lower, upper, x):
+            if not all(map(math.isfinite, x)):
                 raise InputError("coordinates must be finite")
-            raise DomainError("coordinates outside the search domain")
+            raise DomainError("coordinates outside the search domain" if within is None
+                              else "coordinates outside the subtree's box")
 
         self._clock += 1
         clock = self._clock
-        node = self.root
-        depth = 0
-        x = coords.tolist()
         # the walk is the hot loop: plain attribute tests and Python
         # floats cost less per level than properties and numpy scalars
         while not node.blocked and node.below is not None:
@@ -257,6 +314,41 @@ class BspArchive:
         return NewLeaf(new_leaf, depth + 1)
 
     # -- queries -----------------------------------------------------
+
+    def subtree(self, lower, upper) -> Subtree:
+        """Deepest node whose cell holds the closed box [lower, upper].
+
+        Walks once from the root. At a split on dimension d at value s it
+        goes below when upper[d] < s and above when lower[d] >= s; it stops
+        at a split the box straddles, at a leaf or at a blocked node. Every
+        point of the box therefore routes through the returned node, at
+        the same depth, on a walk from the root. Raises InputError unless
+        the bounds are finite vectors of the domain's dimension,
+        ParameterError when a lower bound exceeds its upper bound and
+        DomainError when the box does not lie in the domain.
+        """
+        lo = np.asarray(lower, dtype=float)
+        hi = np.asarray(upper, dtype=float)
+        if lo.shape != self.domain.lower.shape or hi.shape != lo.shape:
+            raise InputError(f"box bounds must be vectors of {self.domain.dim} values")
+        los, his = lo.tolist(), hi.tolist()
+        if not (_in_box(*self.domain.bounds, los) and _in_box(*self.domain.bounds, his)):
+            if not all(map(math.isfinite, los + his)):
+                raise InputError("box bounds must be finite")
+            raise DomainError("box outside the search domain")
+        if not all(l <= h for l, h in zip(los, his)):
+            raise ParameterError("box lower bound exceeds its upper bound")
+        node = self.root
+        depth = 0
+        while not node.blocked and node.below is not None:
+            if his[node.split_dim] < node.split_value:
+                node = node.below
+            elif los[node.split_dim] >= node.split_value:
+                node = node.above
+            else:
+                break
+            depth += 1
+        return Subtree(node, depth, tuple(los), tuple(his), self._epoch)
 
     def region_of(self, node: BspNode) -> Region:
         """Cell of ``node``: the domain clipped by every ancestor split.
@@ -312,6 +404,7 @@ class BspArchive:
         """
         self.region_of(subroot)  # rejects nodes of other archives
         subroot.blocked = True
+        self._epoch = object()
 
     @property
     def n_leaves(self) -> int:
@@ -341,6 +434,7 @@ class BspArchive:
             raise ParameterError("prune fraction must lie in (0, 1)")
         if self.n_points == 0:
             raise ParameterError("cannot prune an empty archive")
+        self._epoch = object()
         n_remove = int(np.floor(fraction * self.n_points))
         if n_remove == 0:
             return

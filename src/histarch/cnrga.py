@@ -4,9 +4,13 @@ Exploration is driven purely by uniform gene-exchange crossover, which
 never invents a new coordinate value, so duplicates are common; every
 candidate is routed through the BSP archive, and a duplicate is replaced
 by an adaptive mutation drawn from the revisited leaf's own cell instead
-of being re-evaluated. ``generations`` is the GA's only loop and ends
-with the budget: the cNrGA baselines drain every generation, and the
-hybrid leaves one at the first leaf that fires the ROI query.
+of being re-evaluated. Because crossover copies coordinates, every child
+lies in the bounding box of its generation's parents, so each child is
+routed from the parents' subtree (``BspArchive.subtree``) instead of from
+the root; redraws and the initial uniform population walk from the root.
+``generations`` is the GA's only loop and ends with the budget: the
+cNrGA baselines drain every generation, and the hybrid leaves one at the
+first leaf that fires the ROI query.
 ``maybe_prune`` halves the archive once it holds LRU_CAPACITY points;
 only the cNrGA-LRU baseline's driver calls it, between generations. The
 hybrid's explorer and both cNrGA baselines run the same GA: POP_SIZE and
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsp import BspArchive, Blocked, NewLeaf, SearchPoint
+from .bsp import BspArchive, Blocked, NewLeaf, SearchPoint, Subtree
 from .errors import BudgetExhaustedError, SearchSpaceExhaustedError
 
 MAX_REVISIT_RETRIES = 100
@@ -33,13 +37,16 @@ LRU_CAPACITY = 10_000
 LRU_FRACTION = 0.5
 
 
-def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> NewLeaf:
+def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
+                         within: Subtree | None = None) -> NewLeaf:
     """Insert, dodge revisits and blocked cells, evaluate exactly once.
 
-    A revisit is replaced by a uniform draw from the revisited leaf's
-    cell (after MAX_REVISIT_RETRIES consecutive revisits, a uniform domain
-    draw). A blocked outcome is replaced by a uniform domain draw, which
-    goes back through the archive. A streak of MAX_REVISIT_RETRIES +
+    The first insert starts at ``within`` when given (``coords`` must lie
+    in its box); every redraw walks from the root. A revisit is replaced
+    by a uniform draw from the revisited leaf's cell (after
+    MAX_REVISIT_RETRIES consecutive revisits, a uniform domain draw). A
+    blocked outcome is replaced by a uniform domain draw, which goes back
+    through the archive. A streak of MAX_REVISIT_RETRIES +
     MAX_BLOCKED_DRAWS redraws that store nothing means the archive cannot
     take another point (blocked cells cover the domain, or every free cell
     is too small to split in floating point), which aborts the search.
@@ -51,7 +58,8 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng) -> NewLeaf
     coords = np.asarray(coords, dtype=float)
     revisit_streak = 0
     for _ in range(MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS + 1):
-        outcome = archive.insert(coords)
+        outcome = archive.insert(coords, within)
+        within = None
         if isinstance(outcome, NewLeaf):
             point = outcome.node.point
             point.fitness = evaluator(point.coords)
@@ -106,12 +114,19 @@ def generations(archive: BspArchive, evaluator, rng):
     that is bred again from the same parents (the initial one is drawn
     again), and the points it evaluated stay in the archive.
     The GA ends where a drawn candidate finds no budget left.
+    Children are routed from the subtree of their parents' bounding box,
+    taken when the generation is first iterated, so after whatever the
+    caller did to the archive between generations.
     """
-    def evaluated(candidates, population):
+    def evaluated(candidates, population, parents):
+        within = None
+        if parents:
+            genes = np.array([p.coords for p in parents])
+            within = archive.subtree(genes.min(axis=0), genes.max(axis=0))
         for coords in candidates:
             if not evaluator.remaining:
                 return
-            leaf = evaluate_via_archive(coords, archive, evaluator, rng)
+            leaf = evaluate_via_archive(coords, archive, evaluator, rng, within)
             population.append(leaf.node.point)
             yield leaf
 
@@ -127,7 +142,7 @@ def generations(archive: BspArchive, evaluator, rng):
         else:
             population = []
             candidates = (archive.domain.uniform_point(rng) for _ in range(POP_SIZE))
-        yield evaluated(candidates, population)
+        yield evaluated(candidates, population, parents)
         if len(population) == POP_SIZE:
             parents = population
 

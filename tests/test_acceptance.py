@@ -14,7 +14,7 @@ import pytest
 from histarch import (BspArchive, ExperimentConfig, Region, StopReason, cma_init,
                       cma_run, default_lambda, derive_depth_params, hr_run,
                       kruskal_wallis, run_algorithm, run_experiment)
-from histarch.benchmarks import Problem, ellipsoid_weights, make_suite
+from histarch.benchmarks import ellipsoid_weights, make_suite
 from histarch.cli import main
 from test_stats import kw_oracle
 from util import LoggingProblem, budgeted, walk_region
@@ -143,16 +143,9 @@ def test_criterion_07_hr_structural_trace():
     with criterion(7, "HR trace structure on 10D Rastrigin", 60.0):
         base = next(p for p in make_suite(10, seed=2013) if p.name == "rastrigin")
         for seed in range(10):
-            log = []
-
-            def logged(x, _inner=base.f, _log=log):
-                v = _inner(x)
-                _log.append(np.array(x))
-                return v
-
-            problem = Problem(base.name, base.dim, base.domain, logged,
-                              base.f_opt, base.category, base.x_opt)
-            record = hr_run(problem, 20_000, np.random.default_rng(seed))
+            logger = LoggingProblem(base)
+            record = hr_run(logger.build(), 20_000, np.random.default_rng(seed))
+            log = [x for x, _ in logger.log]
             assert record.evals_used == 20_000
             exploits = [ph for ph in record.phases if ph.kind == "exploit"]
             assert len(exploits) >= 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf,
-                      ParameterError, Region, Revisit)
+                      ParameterError, Region, Revisit, StructuralError)
 from util import (bsp_nodes_left_by, depth_of, interiors_disjoint, locate_brute,
                   max_leaf_depth, ref_split_dim, ref_uniform_point, same_rng_state,
                   tiling_relative_error, walk_region)
@@ -188,6 +188,28 @@ def test_insert_non_finite_raises():
     ar = fresh()
     with pytest.raises(InputError):
         ar.insert(np.array([np.nan, 5.0]))
+
+
+def test_subtree_rejects_bad_boxes_and_foreign_archives():
+    ar = fill_random(fresh(), 50, np.random.default_rng(5))
+    with pytest.raises(InputError):
+        ar.subtree([1.0], [2.0])
+    with pytest.raises(InputError):
+        ar.subtree([np.nan, 1.0], [2.0, 2.0])
+    with pytest.raises(DomainError):
+        ar.subtree([1.0, 1.0], [11.0, 2.0])
+    with pytest.raises(ParameterError):
+        ar.subtree([3.0, 1.0], [2.0, 2.0])
+    within = ar.subtree([1.0, 1.0], [2.0, 2.0])
+    assert within.depth == depth_of(within.node) > 0
+    for bad in ([1.5], [np.nan, 1.5]):
+        with pytest.raises(InputError):
+            ar.insert(bad, within=within)
+    # an archive with an equal tree must still refuse another's subtree
+    twin = fill_random(fresh(), 50, np.random.default_rng(5))
+    with pytest.raises(StructuralError):
+        twin.insert([1.5, 1.5], within=within)
+    assert ar.n_points == twin.n_points == 50
 
 
 def test_split_leaf_hands_its_point_to_a_child():

@@ -6,6 +6,12 @@ compare them after every operation with the parent-link oracles in
 outlive every pruning step that leaves a point stored under it. Leaf
 recency stamps, and so the leaves a prune removes, must match an oracle
 that stamps every node on each insert's walk.
+
+Each round's points are inserted from the subtree of their bounding box,
+and a twin archive takes the same operations with every walk from the
+root: both must agree on every outcome, tree and stamp. A subtree taken
+before a prune or block must be refused afterwards, and a point outside
+its box must be refused without storing anything.
 """
 
 import numpy as np
@@ -13,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histarch import Blocked, BspArchive, NewLeaf, Region, Revisit, StructuralError
+from histarch import (Blocked, BspArchive, DomainError, NewLeaf, Region, Revisit,
+                      StructuralError)
 from util import depth_of, locate_brute, tiling_relative_error, walk_region
 
 LV, K = 2, 1
@@ -63,10 +70,14 @@ def walk_to_leaf(ar, x):
 class WalkStamps:
     """LRU stamps as first written: each insert stamps every node on its
     walk from the root, and a split stamps both new leaves. Prune reads
-    leaf stamps only, so on leaves they must equal the archive's."""
+    leaf stamps only, so on leaves they must equal the archive's.
+
+    Every insert is repeated on ``twin``, a second archive that always
+    walks from the root, and must end the same way there."""
 
     def __init__(self, archive):
         self.archive = archive
+        self.twin = BspArchive(archive.domain)
         self.clock = 0
         self.stamps = {}  # id(node) -> (node, clock); holding the node keeps ids unique
 
@@ -76,18 +87,25 @@ class WalkStamps:
     def stamp_of(self, node):
         return self.stamps[id(node)][1]
 
-    def insert(self, coords):
+    def insert(self, coords, within=None):
         self.clock += 1
         node = self.archive.root
         self._stamp(node)
         while not node.blocked and node.is_internal:
             node = node.below if coords[node.split_dim] < node.split_value else node.above
             self._stamp(node)
-        outcome = self.archive.insert(np.asarray(coords, dtype=float))
+        outcome = self.archive.insert(np.asarray(coords, dtype=float), within=within)
         if isinstance(outcome, NewLeaf) and outcome.depth > 0:
             parent = outcome.node.parent
             for child in (parent.below, parent.above):
                 self._stamp(child)
+        twin_outcome = self.twin.insert(np.asarray(coords, dtype=float))
+        assert type(twin_outcome) is type(outcome)
+        if isinstance(outcome, NewLeaf):
+            assert twin_outcome.depth == outcome.depth
+            assert twin_outcome.node.point.eval_index == outcome.node.point.eval_index
+        elif isinstance(outcome, Revisit):
+            assert twin_outcome.leaf.point.eval_index == outcome.leaf.point.eval_index
         return outcome
 
 
@@ -103,6 +121,10 @@ def check_roi(ar, new_leaf):
 
 
 def check_invariants(ar, oracle, blocked_points, rng):
+    twin = oracle.twin
+    assert ar.dump() == twin.dump()
+    assert [leaf.last_touch for leaf in ar.iter_leaves()] == \
+        [leaf.last_touch for leaf in twin.iter_leaves()]
     leaves = list(ar.iter_leaves())
     assert len(leaves) == ar.n_points
     assert all(leaf.last_touch == oracle.stamp_of(leaf) for leaf in leaves)
@@ -140,22 +162,36 @@ def test_archive_invariants_under_random_operations(dim, plan):
     # points keeps their ids from being reused by later ones
     blocked_points = {}
     for points, step in plan:
-        for coords in points:
-            outcome = oracle.insert(coords[:dim])
+        # the round's bounding box, whose faces its extreme points lie on
+        points = np.array(points)[:, :dim]
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        within = ar.subtree(lo, hi)
+        for coords in points.tolist():
+            outcome = oracle.insert(coords, within)
             assert isinstance(outcome, (NewLeaf, Revisit, Blocked))
             if isinstance(outcome, NewLeaf):
                 assert outcome.depth == depth_of(outcome.node)
                 check_roi(ar, outcome)
             check_invariants(ar, oracle, blocked_points, rng)
+        # a point just outside the box, past either face, stores nothing
+        for face, toward in ((lo, -np.inf), (hi, np.inf)):
+            outside = face.copy()
+            outside[0] = np.nextafter(face[0], toward)
+            n_points, clock, dump = ar.n_points, ar._clock, ar.dump()
+            with pytest.raises(DomainError):
+                ar.insert(outside, within=within)
+            assert (ar.n_points, ar._clock, ar.dump()) == (n_points, clock, dump)
         if step is None:
             continue
         kind, arg = step
+        twin = oracle.twin
         if kind == "prune":
             n_before = ar.n_points
             before = list(ar.iter_leaves())
             n_remove = int(np.floor(arg * n_before))
             oldest = sorted(before, key=lambda leaf: (oracle.stamp_of(leaf), leaf.point.eval_index))
             ar.prune_lru(arg)
+            twin.prune_lru(arg)
             assert ar.n_points == n_before - n_remove
             kept = {id(leaf) for leaf in ar.iter_leaves()}
             assert {id(leaf) for leaf in before if id(leaf) not in kept} == \
@@ -170,6 +206,12 @@ def test_archive_invariants_under_random_operations(dim, plan):
                 continue
             subroot = candidates[arg % len(candidates)]
             ar.block(subroot)
+            twin.block(preorder(twin.root)[1:][arg % len(candidates)])
             blocked_points.update((id(n.point), n.point) for n in preorder(subroot)
                                   if n.point is not None)
+        # the structural change made the round's subtree stale
+        n_points, clock = ar.n_points, ar._clock
+        with pytest.raises(StructuralError):
+            ar.insert(points[0], within=within)
+        assert (ar.n_points, ar._clock) == (n_points, clock)
         check_invariants(ar, oracle, blocked_points, rng)

@@ -6,8 +6,8 @@ from histarch import (BspArchive, NewLeaf, Region, SearchPoint, SearchSpaceExhau
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
 from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
 from histarch.hr import run_cnrga
-from util import (LoggingProblem, ref_crossover_pair, ref_tournament_pick, same_rng_state,
-                  spy_on_parents, spy_on_prunes, tiling_relative_error)
+from util import (LoggingProblem, record_digest, ref_crossover_pair, ref_tournament_pick,
+                  same_rng_state, spy_on_parents, spy_on_prunes, tiling_relative_error)
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
@@ -272,6 +272,40 @@ def test_unfinished_generation_is_bred_again(monkeypatch):
     for (parents, _), (pop, _), new in zip(bred, bred[1:], (children, last)):
         assert pop[0] is min(parents, key=lambda p: p.fitness)
         assert [id(p) for p in pop[1:]] == [id(p) for p in new]
+
+
+class RootWalkArchive(BspArchive):
+    """Reference archive: every insert walks from the root."""
+
+    def insert(self, coords, within=None):
+        return super().insert(coords)
+
+
+@pytest.mark.parametrize("lru", [False, True])
+def test_children_from_parents_subtree_match_root_walks(lru, monkeypatch):
+    # 4 000 evaluations store 4 000 points, so with lru the archive is
+    # pruned several times and subtrees are taken across prunes
+    monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 1000)
+    starts = []
+    insert = BspArchive.insert
+
+    def spy(archive, coords, within=None):
+        if within is not None:
+            starts.append(within.depth)
+        return insert(archive, coords, within)
+
+    monkeypatch.setattr(BspArchive, "insert", spy)
+    fast = run_cnrga(rastr_problem(10), 4000, np.random.default_rng(3), lru=lru,
+                     dump_tree=True)
+    monkeypatch.setattr("histarch.hr.BspArchive", RootWalkArchive)
+    n_started = len(starts)
+    ref = run_cnrga(rastr_problem(10), 4000, np.random.default_rng(3), lru=lru,
+                    dump_tree=True)
+    assert len(starts) == n_started  # the reference never used a subtree
+    assert n_started > 0 and max(starts) > 0
+    assert fast.tree_dump is not None
+    assert fast == ref
+    assert record_digest(fast) == record_digest(ref)
 
 
 # -- memory management ---------------------------------------------------------
