@@ -22,10 +22,10 @@ print(archive.dump())
 print("== a duplicate is a revisit; its mutation cell is the leaf's box ==")
 outcome = archive.insert(np.array([2.0, 5.0]))
 assert isinstance(outcome, Revisit)
-cell = archive.mutation_region(outcome.leaf)
-print(f"mutation cell: {cell.lower} .. {cell.upper}")
+lower, upper = outcome.cell.cell_bounds
+print(f"mutation cell: {lower} .. {upper}")
 rng = np.random.default_rng(0)
-mutant = cell.uniform_point(rng)
+mutant = outcome.cell.uniform_point(rng)
 print(f"mutant drawn inside it: {mutant} -> {type(archive.insert(mutant)).__name__}")
 
 print()

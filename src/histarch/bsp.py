@@ -2,17 +2,19 @@
 
 Every evaluated solution is a leaf of the tree; the leaf cells tile the
 domain exactly. The archive detects revisits (a candidate landing on an
-already-stored point), hands out per-leaf mutation boxes, answers whether
-a new leaf's sub-region counts as a region of interest, and can block
-exploited sub-regions against further insertion.
+already-stored point) and reports each with the revisited leaf's cell,
+answers whether a new leaf's sub-region counts as a region of interest,
+and can block exploited sub-regions against further insertion.
 
 A node stores only its split, its links, its point and the two flags the
 policies need (``blocked``, ``last_touch``); only leaves hold points, and a
 blocked cell is known by its flag alone. Cell bounds and depth are
-derived: ``insert`` counts depth on its walk down the tree, and
-``region_of`` clips the domain along the ancestor path. Nothing cached
-has to be rebuilt when pruning moves a subtree up, so ``prune_lru`` costs
-one sort plus O(1) per removed leaf.
+derived: ``insert`` counts depth on its walk down the tree, and a cell is
+the cell of an ancestor clipped by the splits between the two
+(``_cell_bounds``): the domain for ``region_of``, the cell of the node the
+walk started at for a revisit. Nothing cached has to be rebuilt when
+pruning moves a subtree up, so ``prune_lru`` costs one sort plus O(1) per
+removed leaf.
 
 A walk starts at the root, or at the node of a ``Subtree``: the deepest
 node through which every point of a closed box routes, at a known depth,
@@ -22,6 +24,8 @@ the same outcome, the same tree and the same stamps as a walk from the
 root. Inserts only split leaves, so they keep a ``Subtree`` valid;
 ``block`` and ``prune_lru`` change the tree above leaves and make every
 ``Subtree`` taken before them stale, and ``insert`` rejects a stale one.
+A ``Revisit`` carries the revisited leaf as a ``Subtree``, so a redraw
+from the leaf's cell starts its walk at the leaf.
 
 Each child links back to its parent, so a tree is one reference cycle.
 An archive breaks every parent link of its current tree when it is
@@ -127,10 +131,10 @@ class BspNode:
 
     Only the root of an empty archive holds neither. A node stores no
     bounds and no depth: its cell is ``BspArchive.region_of(node)``, and
-    ``insert`` reports a new leaf's depth. ``last_touch`` is the clock of
-    the last insert that ended at the node. ``parent`` is ``None`` at the
-    root, on a node ``prune_lru`` removed, and on every node once its
-    archive has been released.
+    ``insert`` reports a new leaf's depth and a revisited leaf's cell.
+    ``last_touch`` is the clock of the last insert that ended at the node.
+    ``parent`` is ``None`` at the root, on a node ``prune_lru`` removed,
+    and on every node once its archive has been released.
     """
 
     __slots__ = (
@@ -170,9 +174,15 @@ class NewLeaf:
 @dataclass(slots=True)
 class Revisit:
     """The coordinates equal a stored point's, or are too close to it to
-    split between them in floating point."""
+    split between them in floating point.
+
+    ``cell`` is the Subtree of ``leaf``: its ``cell_bounds`` are the leaf's
+    cell, and its box is that cell with every upper face that a split set
+    moved one float down, since a walk sends a point on a split value
+    above the split."""
 
     leaf: BspNode
+    cell: Subtree
 
 
 @dataclass(slots=True)
@@ -185,16 +195,34 @@ class Subtree:
     """Where the walk of any point of the closed box [lower, upper] may start.
 
     A walk from the root takes every point of the box through ``node`` at
-    ``depth``; ``lower`` and ``upper`` are tuples of Python floats. Made by
-    ``BspArchive.subtree`` and valid for that archive until its next
-    ``block`` or ``prune_lru``, which replace the archive's ``epoch``.
+    ``depth``; ``lower`` and ``upper`` are tuples of Python floats, and
+    ``cell_bounds`` is ``(lower, upper)`` of the node's cell in the same
+    form. Made by ``BspArchive.subtree`` or carried by a ``Revisit``, and
+    valid for that archive until its next ``block`` or ``prune_lru``,
+    which replace the archive's ``epoch``.
     """
 
     node: BspNode
     depth: int
     lower: tuple
     upper: tuple
+    cell_bounds: tuple
     epoch: object
+
+    def contains(self, x) -> bool:
+        """Whether the sequence of Python floats ``x`` lies in the closed box."""
+        return _in_box(self.lower, self.upper, x)
+
+    def uniform_point(self, rng: np.random.Generator) -> list:
+        """A uniform draw from the node's cell, as a list of Python floats.
+
+        Equal bit for bit, and in the generator state it leaves, to
+        ``Region(*cell_bounds).uniform_point(rng)``. It can round onto an
+        upper face and so fall outside the box.
+        """
+        lower, upper = self.cell_bounds
+        return [lo + (hi - lo) * u
+                for lo, hi, u in zip(lower, upper, rng.random(len(lower)).tolist())]
 
 
 @dataclass
@@ -206,16 +234,36 @@ class RoiSuggestion:
     seeds: list[SearchPoint]
 
 
+def _cell_bounds(node, levels, bounds):
+    """``(lower, upper)`` lists of ``node``'s cell, given ``bounds``, the
+    cell of its ancestor ``levels`` up: that cell clipped by every split in
+    between, deepest last. Bounds are copied from split values, never
+    computed, so a cell shares its faces bit for bit with its neighbours."""
+    lower, upper = map(list, bounds)
+    path = []
+    for _ in range(levels):
+        path.append(node)
+        node = node.parent
+    for child in reversed(path):
+        parent = child.parent
+        if parent.below is child:
+            upper[parent.split_dim] = parent.split_value
+        else:
+            lower[parent.split_dim] = parent.split_value
+    return lower, upper
+
+
 def _preorder(node):
-    """``(depth, n)`` for each node ``n`` under ``node`` in pre-order (a node,
-    its below subtree, its above subtree); ``depth`` counts from ``node``."""
-    stack = [(0, node)]
+    """Each node under ``node`` in pre-order: a node, its below subtree, its
+    above subtree. It yields bare nodes, as a full scan's cost is mostly
+    per-node allocation; ``dump`` derives depths from parent links."""
+    stack = [node]
     while stack:
-        depth, n = stack.pop()
-        yield depth, n
+        n = stack.pop()
+        yield n
         if n.below is not None:
-            stack.append((depth + 1, n.above))
-            stack.append((depth + 1, n.below))
+            stack.append(n.above)
+            stack.append(n.below)
 
 
 class BspArchive:
@@ -238,8 +286,10 @@ class BspArchive:
         Returns NewLeaf, Revisit or Blocked. The walk starts at the root,
         or at ``within.node`` when ``within`` is given, which gives the
         same outcome, tree and stamps for any point of its box (see
-        ``subtree``). The node where the walk ends (the blocked node, the
-        revisited leaf or both new leaves) is stamped with the current
+        ``subtree``). A Revisit's cell is clipped from the cell of the
+        node the walk started at, so only the levels this walk went down
+        are climbed again. The node where the walk ends (the blocked node,
+        the revisited leaf or both new leaves) is stamped with the current
         clock. The LRU pruning policy reads the stamps of leaves only,
         and a walk that reaches a leaf ends there.
 
@@ -291,7 +341,11 @@ class BspArchive:
         a, b = y[split_dim], x[split_dim]
         split_value = 0.5 * (a + b)
         if not (min(a, b) < split_value < max(a, b)):
-            return Revisit(node)  # identical, or too close to separate in float
+            # identical, or too close to separate in float
+            if within is None:
+                return Revisit(node, self._leaf_subtree(node, depth, depth, self.domain.bounds))
+            return Revisit(node, self._leaf_subtree(node, depth, depth - within.depth,
+                                                    within.cell_bounds))
         # the leaf becomes a split whose two leaf children hold the old
         # and the new point
         node.split_dim = split_dim
@@ -322,7 +376,8 @@ class BspArchive:
         goes below when upper[d] < s and above when lower[d] >= s; it stops
         at a split the box straddles, at a leaf or at a blocked node. Every
         point of the box therefore routes through the returned node, at
-        the same depth, on a walk from the root. Raises InputError unless
+        the same depth, on a walk from the root. The Subtree also carries
+        the node's cell (``_cell_bounds``). Raises InputError unless
         the bounds are finite vectors of the domain's dimension,
         ParameterError when a lower bound exceeds its upper bound and
         DomainError when the box does not lie in the domain.
@@ -348,34 +403,35 @@ class BspArchive:
             else:
                 break
             depth += 1
-        return Subtree(node, depth, tuple(los), tuple(his), self._epoch)
+        lower, upper = _cell_bounds(node, depth, self.domain.bounds)
+        return Subtree(node, depth, tuple(los), tuple(his), (tuple(lower), tuple(upper)),
+                       self._epoch)
+
+    def _leaf_subtree(self, leaf, depth, levels, bounds) -> Subtree:
+        """The Subtree of ``leaf`` at ``depth``, whose cell is clipped from
+        ``bounds``, the cell of its ancestor ``levels`` up.
+
+        Its box is the cell with each upper face that a split set (every
+        one below the domain's) moved one float down, so that every point
+        of the closed box routes to ``leaf``.
+        """
+        lower, upper = _cell_bounds(leaf, levels, bounds)
+        lower, upper = tuple(lower), tuple(upper)
+        nextafter, inf = math.nextafter, math.inf
+        box_upper = tuple([hi if hi == top else nextafter(hi, -inf)
+                           for hi, top in zip(upper, self.domain.bounds[1])])
+        return Subtree(leaf, depth, lower, box_upper, (lower, upper), self._epoch)
 
     def region_of(self, node: BspNode) -> Region:
-        """Cell of ``node``: the domain clipped by every ancestor split.
-
-        Bounds are copied from split values, never computed, so a cell
-        shares its faces bit for bit with its neighbours.
-        """
-        path = []
+        """Cell of ``node``: the domain clipped by every ancestor split."""
+        depth = 0
         top = node
         while top.parent is not None:
-            path.append(top)
             top = top.parent
+            depth += 1
         if top is not self.root:
             raise StructuralError("node does not belong to this archive")
-        lower, upper = map(list, self.domain.bounds)
-        for child in reversed(path):
-            parent = child.parent
-            if parent.below is child:
-                upper[parent.split_dim] = parent.split_value
-            else:
-                lower[parent.split_dim] = parent.split_value
-        return Region(lower, upper)
-
-    def mutation_region(self, revisited_leaf: BspNode) -> Region:
-        if revisited_leaf.below is not None or revisited_leaf.point is None:
-            raise StructuralError("mutation region is defined for leaves only")
-        return self.region_of(revisited_leaf)
+        return Region(*_cell_bounds(node, depth, self.domain.bounds))
 
     def roi_trigger(self, new_leaf: BspNode, depth: int, lv: int,
                     k: int) -> RoiSuggestion | None:
@@ -393,7 +449,7 @@ class BspArchive:
         node = new_leaf
         for _ in range(depth - lv):
             node = node.parent
-        seeds = [leaf.point for leaf in self._iter_leaves(node)]
+        seeds = [leaf.point for leaf in self._leaves(node)]
         return RoiSuggestion(node, self.region_of(node), seeds)
 
     def block(self, subroot: BspNode):
@@ -412,12 +468,11 @@ class BspArchive:
         return self.n_points
 
     def iter_leaves(self):
-        return self._iter_leaves(self.root)
+        return iter(self._leaves(self.root))
 
-    def _iter_leaves(self, node):
-        for _, n in _preorder(node):
-            if n.below is None and n.point is not None:
-                yield n
+    def _leaves(self, node):
+        """The leaves under ``node`` that hold a point, in pre-order."""
+        return [n for n in _preorder(node) if n.below is None and n.point is not None]
 
     # -- memory management --------------------------------------------
 
@@ -439,7 +494,7 @@ class BspArchive:
         if n_remove == 0:
             return
         victims = sorted(
-            self.iter_leaves(),
+            self._leaves(self.root),
             key=lambda leaf: (leaf.last_touch, leaf.point.eval_index),
         )[:n_remove]
         for leaf in victims:
@@ -468,7 +523,7 @@ class BspArchive:
 
     def __del__(self):
         # see the module docstring: the released tree must hold no cycle
-        for _, node in _preorder(self.root):
+        for node in _preorder(self.root):
             node.parent = None
 
     # -- debug dump ----------------------------------------------------
@@ -481,8 +536,11 @@ class BspArchive:
         coordinates.
         """
         lines = []
-        for depth, n in _preorder(self.root):
+        depths = {None: -1}  # the root's parent; then each internal node's depth
+        for n in _preorder(self.root):
+            depth = depths[n.parent] + 1
             if n.below is not None:
+                depths[n] = depth
                 lines.append(f"{depth} internal {n.split_dim} {float(n.split_value)!r} "
                              f"{int(n.blocked)}")
             elif n.point is not None:

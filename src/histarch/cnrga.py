@@ -7,7 +7,9 @@ by an adaptive mutation drawn from the revisited leaf's own cell instead
 of being re-evaluated. Because crossover copies coordinates, every child
 lies in the bounding box of its generation's parents, so each child is
 routed from the parents' subtree (``BspArchive.subtree``) instead of from
-the root; redraws and the initial uniform population walk from the root.
+the root. A revisit's redraw is routed from the revisited leaf, which the
+``Revisit`` carries with its cell; domain redraws and the initial uniform
+population walk from the root.
 ``generations`` is the GA's only loop and ends with the budget: the
 cNrGA baselines drain every generation, and the hybrid leaves one at the
 first leaf that fires the ROI query.
@@ -42,14 +44,17 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
     """Insert, dodge revisits and blocked cells, evaluate exactly once.
 
     The first insert starts at ``within`` when given (``coords`` must lie
-    in its box); every redraw walks from the root. A revisit is replaced
-    by a uniform draw from the revisited leaf's cell (after
-    MAX_REVISIT_RETRIES consecutive revisits, a uniform domain draw). A
-    blocked outcome is replaced by a uniform domain draw, which goes back
-    through the archive. A streak of MAX_REVISIT_RETRIES +
-    MAX_BLOCKED_DRAWS redraws that store nothing means the archive cannot
-    take another point (blocked cells cover the domain, or every free cell
-    is too small to split in floating point), which aborts the search.
+    in its box). A revisit is replaced by a uniform draw from the
+    revisited leaf's cell (``Revisit.cell``), whose walk starts at that
+    leaf; after MAX_REVISIT_RETRIES consecutive revisits, by a uniform
+    domain draw. A blocked outcome is replaced by a uniform domain draw,
+    which goes back through the archive. Domain draws walk from the root,
+    and so does a cell draw that rounded onto a split value on the cell's
+    upper face, as a walk from the root sends it above that split. A
+    streak of MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws that store
+    nothing means the archive cannot take another point (blocked cells
+    cover the domain, or every free cell is too small to split in floating
+    point), which aborts the search.
     ``evaluator`` must be callable and expose ``remaining``. Returns the
     NewLeaf; the evaluated point is ``leaf.node.point``.
     """
@@ -59,20 +64,22 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
     revisit_streak = 0
     for _ in range(MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS + 1):
         outcome = archive.insert(coords, within)
-        within = None
         if isinstance(outcome, NewLeaf):
             point = outcome.node.point
             point.fitness = evaluator(point.coords)
             return outcome
         if isinstance(outcome, Blocked):
             revisit_streak = 0
-            coords = archive.domain.uniform_point(rng)
+            coords, within = archive.domain.uniform_point(rng), None
             continue
         revisit_streak += 1
         if revisit_streak > MAX_REVISIT_RETRIES:
-            coords = archive.domain.uniform_point(rng)
+            coords, within = archive.domain.uniform_point(rng), None
         else:
-            coords = archive.mutation_region(outcome.leaf).uniform_point(rng)
+            within = outcome.cell
+            coords = within.uniform_point(rng)
+            if not within.contains(coords):
+                within = None
     raise SearchSpaceExhaustedError(
         f"{MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS} consecutive redraws stored no point")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf,
-                      ParameterError, Region, Revisit, StructuralError)
+                      ParameterError, Region, Revisit, StructuralError, Subtree)
 from util import (bsp_nodes_left_by, depth_of, interiors_disjoint, locate_brute,
                   max_leaf_depth, ref_split_dim, ref_uniform_point, same_rng_state,
                   tiling_relative_error, walk_region)
@@ -77,12 +77,16 @@ def test_regions_compare_and_hash_by_identity():
 
 
 def assert_same_uniform_draws(region, seed, n=200):
-    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    """``Region.uniform_point``, and ``Subtree.uniform_point`` from a cell
+    with the region's bounds, draw what numpy's bounded uniform draws."""
+    cell = Subtree(None, 0, *region.bounds, region.bounds, None)
+    fast, ref, via_cell = (np.random.default_rng(seed) for _ in range(3))
     for _ in range(n):
         point = region.uniform_point(fast)
         assert point.tobytes() == ref_uniform_point(region, ref).tobytes()
+        assert np.array(cell.uniform_point(via_cell)).tobytes() == point.tobytes()
         assert region.contains(point)
-    assert same_rng_state(fast, ref)
+    assert same_rng_state(fast, ref) and same_rng_state(via_cell, ref)
 
 
 @pytest.mark.parametrize("dim", [2, 10, 30])
@@ -225,7 +229,7 @@ def test_split_leaf_hands_its_point_to_a_child():
     assert (2.0, 5.0) in leaf_coords and (1.0, 1.0) in leaf_coords
 
 
-# -- region_of / mutation_region -----------------------------------------
+# -- region_of / revisit cells ---------------------------------------------
 
 def test_region_of_root_is_domain():
     ar = fresh()
@@ -284,28 +288,20 @@ def test_mutation_region_is_revisited_leaf_cell():
     ar.insert(np.array([2.0, 5.0]))
     ar.insert(np.array([8.0, 6.0]))
     out = ar.insert(np.array([2.0, 5.0]))
-    reg = ar.mutation_region(out.leaf)
-    assert np.array_equal(reg.lower, [0.0, 0.0])
-    assert np.array_equal(reg.upper, [5.0, 10.0])
-
-
-def test_mutation_region_rejects_non_leaves():
-    from histarch import StructuralError
-    ar = fresh()
-    with pytest.raises(StructuralError):
-        ar.mutation_region(ar.root)  # empty archive: the root holds no point
-    ar.insert(np.array([2.0, 5.0]))
-    ar.insert(np.array([8.0, 6.0]))
-    with pytest.raises(StructuralError):
-        ar.mutation_region(ar.root)  # a split
+    cell = out.cell
+    assert cell.node is out.leaf and cell.depth == 1
+    assert cell.cell_bounds == ((0.0, 0.0), (5.0, 10.0))
+    # the split at x0 = 5 sends x0 == 5 above, so the box ends one float
+    # below it; the domain's face x1 = 10 stays closed
+    assert cell.lower == (0.0, 0.0) and cell.upper == (np.nextafter(5.0, 0.0), 10.0)
 
 
 def test_deep_mutation_region_shrinks():
     rng = np.random.default_rng(9)
     ar = fill_random(fresh(), 300, rng)
     deepest = max(ar.iter_leaves(), key=depth_of)
-    reg = ar.mutation_region(deepest)
-    assert np.log(reg.span).sum() < np.log(ar.domain.span).sum()
+    lower, upper = ar.insert(deepest.point.coords).cell.cell_bounds
+    assert np.log(np.subtract(upper, lower)).sum() < np.log(ar.domain.span).sum()
 
 
 def test_mutation_region_resample_never_revisits():
@@ -314,11 +310,11 @@ def test_mutation_region_resample_never_revisits():
     ar.insert(np.array([2.0, 5.0]))
     ar.insert(np.array([8.0, 6.0]))
     out = ar.insert(np.array([2.0, 5.0]))
-    reg = ar.mutation_region(out.leaf)
     revisits = 0
     for _ in range(1000):
-        sample = reg.uniform_point(rng)
-        if not isinstance(ar.insert(sample), NewLeaf):
+        sample = out.cell.uniform_point(rng)
+        within = out.cell if out.cell.contains(sample) else None
+        if not isinstance(ar.insert(sample, within), NewLeaf):
             revisits += 1
     assert revisits == 0
 

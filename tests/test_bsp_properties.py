@@ -11,7 +11,12 @@ Each round's points are inserted from the subtree of their bounding box,
 and a twin archive takes the same operations with every walk from the
 root: both must agree on every outcome, tree and stamp. A subtree taken
 before a prune or block must be refused afterwards, and a point outside
-its box must be refused without storing anything.
+its box must be refused without storing anything. A subtree's cell, and
+the cell every Revisit carries, must equal the parent-link oracle's bit
+for bit. After a revisit in a round, the round's points in the revisited
+leaf's closed cell are inserted again from that cell, or from the root
+when they lie on an upper face a split set, which a root walk sends out
+of the cell.
 """
 
 import numpy as np
@@ -19,9 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histarch import (Blocked, BspArchive, DomainError, NewLeaf, Region, Revisit,
-                      StructuralError)
-from util import depth_of, locate_brute, tiling_relative_error, walk_region
+from histarch import (Blocked, BspArchive, DomainError, NewLeaf, Problem, Region, Revisit,
+                      StructuralError, evaluate_via_archive)
+from histarch.benchmarks import BudgetedEvaluator, sphere
+from util import (RootWalkArchive, ScriptedRng, depth_of, locate_brute,
+                  tiling_relative_error, walk_region)
 
 LV, K = 2, 1
 
@@ -61,10 +68,35 @@ def preorder(top):
 
 
 def walk_to_leaf(ar, x):
-    node = ar.root
-    while node.is_internal:
-        node = node.below if x[node.split_dim] < node.split_value else node.above
-    return node
+    return root_walk(ar, x)[-1]
+
+
+def root_walk(ar, x):
+    """The nodes a walk from the root passes, down to a leaf."""
+    path = [ar.root]
+    while path[-1].is_internal:
+        node = path[-1]
+        path.append(node.below if x[node.split_dim] < node.split_value else node.above)
+    return path
+
+
+def check_cell(ar, cell):
+    """A Subtree's node cell and depth equal the parent-link oracle's."""
+    lo, hi = walk_region(ar, cell.node)
+    assert same_bits(cell.cell_bounds[0], lo) and same_bits(cell.cell_bounds[1], hi)
+    assert cell.depth == depth_of(cell.node)
+
+
+def check_revisit_cell(ar, outcome):
+    """A Revisit's cell is its leaf's, and its box is that cell with each
+    upper face a split set moved one float down."""
+    cell = outcome.cell
+    assert cell.node is outcome.leaf and not cell.node.is_internal
+    check_cell(ar, cell)
+    lo, hi = cell.cell_bounds
+    assert cell.lower == lo
+    assert same_bits(cell.upper, [h if h == top else np.nextafter(h, -np.inf)
+                                  for h, top in zip(hi, ar.domain.upper)])
 
 
 class WalkStamps:
@@ -106,7 +138,32 @@ class WalkStamps:
             assert twin_outcome.node.point.eval_index == outcome.node.point.eval_index
         elif isinstance(outcome, Revisit):
             assert twin_outcome.leaf.point.eval_index == outcome.leaf.point.eval_index
+            check_revisit_cell(self.archive, outcome)
+            check_revisit_cell(self.twin, twin_outcome)
+            assert twin_outcome.cell.cell_bounds == outcome.cell.cell_bounds
         return outcome
+
+
+def insert_in_cell(oracle, cell, points):
+    """Insert every point of ``points`` in the closed cell of a Revisit's
+    ``cell``, then the cell's two corners and the revisited point moved
+    onto each upper face, as a redraw is inserted: from the cell when its
+    box holds the point, else from the root. A point outside the box lies
+    on an upper face that a split set, and a root walk sends it past the
+    cell's node."""
+    ar = oracle.archive
+    lo, hi = cell.cell_bounds
+    stored = cell.node.point.coords.tolist()
+    on_faces = [stored[:d] + [h] + stored[d + 1:] for d, h in enumerate(hi)]
+    for x in points + [list(lo), list(hi)] + on_faces:
+        if not all(a <= v <= b for a, v, b in zip(lo, x, hi)):
+            continue
+        if cell.contains(x):
+            oracle.insert(x, cell)
+        else:
+            assert any(v == b < top for v, b, top in zip(x, hi, ar.domain.upper))
+            assert cell.node not in root_walk(ar, x)
+            oracle.insert(x)
 
 
 def check_roi(ar, new_leaf):
@@ -166,12 +223,20 @@ def test_archive_invariants_under_random_operations(dim, plan):
         points = np.array(points)[:, :dim]
         lo, hi = points.min(axis=0), points.max(axis=0)
         within = ar.subtree(lo, hi)
+        check_cell(ar, within)
         for coords in points.tolist():
             outcome = oracle.insert(coords, within)
             assert isinstance(outcome, (NewLeaf, Revisit, Blocked))
             if isinstance(outcome, NewLeaf):
                 assert outcome.depth == depth_of(outcome.node)
                 check_roi(ar, outcome)
+            elif isinstance(outcome, Revisit):
+                insert_in_cell(oracle, outcome.cell, points.tolist())
+            check_invariants(ar, oracle, blocked_points, rng)
+        # one revisit per round at least: the round's first point again
+        outcome = oracle.insert(points[0].tolist(), within)
+        if isinstance(outcome, Revisit):
+            insert_in_cell(oracle, outcome.cell, points.tolist())
             check_invariants(ar, oracle, blocked_points, rng)
         # a point just outside the box, past either face, stores nothing
         for face, toward in ((lo, -np.inf), (hi, np.inf)):
@@ -215,3 +280,27 @@ def test_archive_invariants_under_random_operations(dim, plan):
             ar.insert(points[0], within=within)
         assert (ar.n_points, ar._clock) == (n_points, clock)
         check_invariants(ar, oracle, blocked_points, rng)
+
+
+def test_cell_draw_on_a_split_face_walks_from_the_root():
+    # (2, 5) and (8, 6) split x0 at 5; (4.5, 5) then splits (2, 5)'s cell at
+    # x0 = 3.25, so the revisited leaf (4.5, 5) has the cell [3.25, 5] x [0, 10]
+    # and its upper face x0 = 5 is a split's. The largest unit draw takes
+    # 3.25 + 1.75 * (1 - 2**-53) to exactly 5.0, which a root walk sends
+    # above the split, into (8, 6)'s cell.
+    domain = Region(np.zeros(2), np.full(2, 10.0))
+    problem = Problem("sphere", 2, domain, sphere, 0.0, "unimodal", np.zeros(2))
+    archives, points = [], []
+    for archive in (BspArchive(domain), RootWalkArchive(domain)):
+        ev = BudgetedEvaluator(problem, 10)
+        rng = np.random.default_rng(0)
+        for coords in ([2.0, 5.0], [8.0, 6.0], [4.5, 5.0]):
+            evaluate_via_archive(np.array(coords), archive, ev, rng)
+        rigged = ScriptedRng([np.nextafter(1.0, 0.0), 0.5], n=1)
+        points.append(evaluate_via_archive(np.array([4.5, 5.0]), archive, ev, rigged))
+        archives.append(archive)
+    fast, ref = points
+    assert fast.node.point.coords.tolist() == [5.0, 5.0]
+    assert fast.node.parent is archives[0].root.above  # (8, 6)'s former leaf
+    assert fast.depth == ref.depth == 2
+    assert archives[0].dump() == archives[1].dump()

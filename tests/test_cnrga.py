@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from histarch import (BspArchive, NewLeaf, Region, SearchPoint, SearchSpaceExhaustedError,
-                      evaluate_via_archive, generations, maybe_prune, run_algorithm)
+from histarch import (BspArchive, NewLeaf, Region, Revisit, SearchPoint,
+                      SearchSpaceExhaustedError, evaluate_via_archive, generations, maybe_prune,
+                      run_algorithm)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
 from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
 from histarch.hr import run_cnrga
-from util import (LoggingProblem, record_digest, ref_crossover_pair, ref_tournament_pick,
-                  same_rng_state, spy_on_parents, spy_on_prunes, tiling_relative_error)
+from util import (LoggingProblem, RootWalkArchive, ScriptedRng, record_digest,
+                  ref_crossover_pair, ref_tournament_pick, same_rng_state, spy_on_parents,
+                  spy_on_prunes, tiling_relative_error)
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
@@ -67,22 +69,6 @@ def test_whole_domain_blocked_signals_exhaustion():
         evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng)
 
 
-class _ScriptedRng:
-    """Returns fixed unit-interval values from random() for the first n
-    calls, then delegates to a real generator."""
-
-    def __init__(self, fixed, n, seed=0):
-        self.fixed = np.asarray(fixed, dtype=float)
-        self.n = n
-        self.inner = np.random.default_rng(seed)
-
-    def random(self, size):
-        if self.n > 0:
-            self.n -= 1
-            return self.fixed.copy()
-        return self.inner.random(size)
-
-
 def test_revisit_cascade_falls_back_to_domain_sample():
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 10)
@@ -90,7 +76,7 @@ def test_revisit_cascade_falls_back_to_domain_sample():
     real = np.random.default_rng(4)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, real)
     # every draw maps to 10 * (0.2, 0.5) == (2, 5) in the one-leaf cell [0, 10]^2
-    rigged = _ScriptedRng([0.2, 0.5], n=150)
+    rigged = ScriptedRng([0.2, 0.5], n=150)
     point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rigged).node.point
     assert ev.used == 2
     assert np.abs(point.coords - np.array([2.0, 5.0])).max() > 0
@@ -274,35 +260,34 @@ def test_unfinished_generation_is_bred_again(monkeypatch):
         assert [id(p) for p in pop[1:]] == [id(p) for p in new]
 
 
-class RootWalkArchive(BspArchive):
-    """Reference archive: every insert walks from the root."""
-
-    def insert(self, coords, within=None):
-        return super().insert(coords)
-
-
-@pytest.mark.parametrize("lru", [False, True])
-def test_children_from_parents_subtree_match_root_walks(lru, monkeypatch):
-    # 4 000 evaluations store 4 000 points, so with lru the archive is
-    # pruned several times and subtrees are taken across prunes
+@pytest.mark.parametrize("algo", ["cnrga", "cnrga_lru", "hr"])
+def test_children_from_parents_subtree_match_root_walks(algo, monkeypatch):
+    # 4 000 evaluations store 4 000 points, so cnrga_lru's archive is
+    # pruned several times and subtrees are taken across prunes. Both GA
+    # children (from their parents' subtree) and revisit redraws (from the
+    # revisited leaf) start below the root.
     monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 1000)
-    starts = []
+    starts = []  # (depth, whether the walk redraws from the last Revisit's cell)
+    last_cell = [None]
     insert = BspArchive.insert
 
     def spy(archive, coords, within=None):
         if within is not None:
-            starts.append(within.depth)
-        return insert(archive, coords, within)
+            starts.append((within.depth, within is last_cell[0]))
+        outcome = insert(archive, coords, within)
+        last_cell[0] = outcome.cell if isinstance(outcome, Revisit) else None
+        return outcome
 
     monkeypatch.setattr(BspArchive, "insert", spy)
-    fast = run_cnrga(rastr_problem(10), 4000, np.random.default_rng(3), lru=lru,
-                     dump_tree=True)
+    fast = run_algorithm(rastr_problem(10), algo, 4000, np.random.default_rng(3),
+                         dump_tree=True)
     monkeypatch.setattr("histarch.hr.BspArchive", RootWalkArchive)
     n_started = len(starts)
-    ref = run_cnrga(rastr_problem(10), 4000, np.random.default_rng(3), lru=lru,
-                    dump_tree=True)
+    ref = run_algorithm(rastr_problem(10), algo, 4000, np.random.default_rng(3),
+                        dump_tree=True)
     assert len(starts) == n_started  # the reference never used a subtree
-    assert n_started > 0 and max(starts) > 0
+    assert max(depth for depth, _ in starts) > 0
+    assert {redraw for _, redraw in starts} == {True, False}
     assert fast.tree_dump is not None
     assert fast == ref
     assert record_digest(fast) == record_digest(ref)

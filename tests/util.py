@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from histarch.benchmarks import (SCHWEFEL_OFFSET, BudgetedEvaluator, Problem,
                                  ellipsoid_weights, random_rotation)
-from histarch.bsp import BspNode
+from histarch.bsp import BspArchive, BspNode
 from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair, maybe_prune
 from histarch.errors import InputError, NumericalError
 
@@ -335,6 +335,29 @@ def ref_crossover_pair(individuals, rate, rng):
     c1[swap] = p2.coords[swap]
     c2[swap] = p1.coords[swap]
     return c1, c2
+
+
+class ScriptedRng:
+    """Returns fixed unit-interval values from random() for the first n
+    calls, then delegates to a real generator."""
+
+    def __init__(self, fixed, n, seed=0):
+        self.fixed = np.asarray(fixed, dtype=float)
+        self.n = n
+        self.inner = np.random.default_rng(seed)
+
+    def random(self, size):
+        if self.n > 0:
+            self.n -= 1
+            return self.fixed.copy()
+        return self.inner.random(size)
+
+
+class RootWalkArchive(BspArchive):
+    """Reference archive: every insert walks from the root."""
+
+    def insert(self, coords, within=None):
+        return super().insert(coords)
 
 
 def spy_on_parents(monkeypatch):
