@@ -37,7 +37,7 @@ print(f"stop: {stop.value} at generation {state.generation} "
 
 print("\n== ill-conditioned ellipsoid trips the condition-number stop ==")
 w = ellipsoid_weights(dim, 1e8)
-state = cma_init(np.full(dim, 3.0), 0.5, lam, domain, tol_fun=None)
+state = cma_init(np.full(dim, 3.0), 0.5, lam, domain)
 ellipsoid = evaluator(lambda x: float(w @ (x * x)), 50_000)
 stop = cma_run(state, ellipsoid, np.random.default_rng(2))
 cond = np.linalg.cond(state.cov)

@@ -16,16 +16,18 @@ walk started at for a revisit. Nothing cached has to be rebuilt when
 pruning moves a subtree up, so ``prune_lru`` costs one sort plus O(1) per
 removed leaf.
 
-A walk starts at the root, or at the node of a ``Subtree``: the deepest
-node through which every point of a closed box routes, at a known depth,
-on a walk from the root. ``subtree`` finds that node once for a box, and
-each ``insert(x, within=...)`` of a point in the box starts there, with
-the same outcome, the same tree and the same stamps as a walk from the
-root. Inserts only split leaves, so they keep a ``Subtree`` valid;
-``block`` and ``prune_lru`` change the tree above leaves and make every
-``Subtree`` taken before them stale, and ``insert`` rejects a stale one.
-A ``Revisit`` carries the revisited leaf as a ``Subtree``, so a redraw
-from the leaf's cell starts its walk at the leaf.
+A walk starts at the root, or at the node of a ``Subtree``: a node at a
+known depth, its cell, and its box, the points whose walk from the root
+passes through the node. The box is the cell with every upper face that
+a split set moved one float down, as a walk sends a point on a split
+value above the split. ``subtree`` gives the deepest node through which
+every point of a closed query box routes, and a ``Revisit`` carries the
+revisited leaf's. ``insert(x, within=...)`` starts at ``within``'s node
+when ``x`` lies in its box and at the root otherwise, with the same
+outcome, the same tree and the same stamps either way. Inserts only
+split leaves, so they keep a ``Subtree`` valid; ``block`` and
+``prune_lru`` change the tree above leaves and make every ``Subtree``
+taken before them stale, and ``insert`` rejects a stale one.
 
 Each child links back to its parent, so a tree is one reference cycle.
 An archive breaks every parent link of its current tree when it is
@@ -158,10 +160,6 @@ class BspNode:
         self.blocked = False
         self.last_touch = 0
 
-    @property
-    def is_internal(self) -> bool:
-        return self.below is not None
-
 
 @dataclass(slots=True)
 class NewLeaf:
@@ -174,14 +172,9 @@ class NewLeaf:
 @dataclass(slots=True)
 class Revisit:
     """The coordinates equal a stored point's, or are too close to it to
-    split between them in floating point.
+    split between them in floating point; ``cell`` is the Subtree of the
+    revisited leaf, ``cell.node``."""
 
-    ``cell`` is the Subtree of ``leaf``: its ``cell_bounds`` are the leaf's
-    cell, and its box is that cell with every upper face that a split set
-    moved one float down, since a walk sends a point on a split value
-    above the split."""
-
-    leaf: BspNode
     cell: Subtree
 
 
@@ -192,12 +185,11 @@ class Blocked:
 
 @dataclass(frozen=True, slots=True)
 class Subtree:
-    """Where the walk of any point of the closed box [lower, upper] may start.
-
-    A walk from the root takes every point of the box through ``node`` at
-    ``depth``; ``lower`` and ``upper`` are tuples of Python floats, and
-    ``cell_bounds`` is ``(lower, upper)`` of the node's cell in the same
-    form. Made by ``BspArchive.subtree`` or carried by a ``Revisit``, and
+    """Where a walk may start: ``node`` at ``depth``, its cell [lower, upper]
+    and its box [lower, box_upper], the points whose walk from the root
+    passes through ``node``. ``box_upper`` is ``upper`` with every face a
+    split set moved one float down; all three bounds are tuples of Python
+    floats. Made by ``BspArchive.subtree`` or carried by a ``Revisit``, and
     valid for that archive until its next ``block`` or ``prune_lru``,
     which replace the archive's ``epoch``.
     """
@@ -206,23 +198,18 @@ class Subtree:
     depth: int
     lower: tuple
     upper: tuple
-    cell_bounds: tuple
+    box_upper: tuple
     epoch: object
-
-    def contains(self, x) -> bool:
-        """Whether the sequence of Python floats ``x`` lies in the closed box."""
-        return _in_box(self.lower, self.upper, x)
 
     def uniform_point(self, rng: np.random.Generator) -> list:
         """A uniform draw from the node's cell, as a list of Python floats.
 
         Equal bit for bit, and in the generator state it leaves, to
-        ``Region(*cell_bounds).uniform_point(rng)``. It can round onto an
+        ``Region(lower, upper).uniform_point(rng)``. It can round onto an
         upper face and so fall outside the box.
         """
-        lower, upper = self.cell_bounds
-        return [lo + (hi - lo) * u
-                for lo, hi, u in zip(lower, upper, rng.random(len(lower)).tolist())]
+        return [lo + (hi - lo) * u for lo, hi, u in
+                zip(self.lower, self.upper, rng.random(len(self.lower)).tolist())]
 
 
 @dataclass
@@ -283,38 +270,38 @@ class BspArchive:
     def insert(self, coords: np.ndarray, within: Subtree | None = None):
         """Route ``coords`` to its leaf cell and grow the tree.
 
-        Returns NewLeaf, Revisit or Blocked. The walk starts at the root,
-        or at ``within.node`` when ``within`` is given, which gives the
-        same outcome, tree and stamps for any point of its box (see
-        ``subtree``). A Revisit's cell is clipped from the cell of the
-        node the walk started at, so only the levels this walk went down
-        are climbed again. The node where the walk ends (the blocked node,
-        the revisited leaf or both new leaves) is stamped with the current
+        Returns NewLeaf, Revisit or Blocked. The walk starts at
+        ``within.node`` when ``coords`` lies in ``within``'s box, and at the
+        root otherwise; both give the same outcome, tree and stamps. A
+        Revisit's cell is clipped from the cell of the node the walk
+        started at, so only the levels this walk went down are climbed
+        again. The node where the walk ends (the blocked node, the
+        revisited leaf or both new leaves) is stamped with the current
         clock. The LRU pruning policy reads the stamps of leaves only,
         and a walk that reaches a leaf ends there.
 
         Raises InputError for a wrong shape or a non-finite coordinate,
-        DomainError for a point outside the domain (outside ``within``'s
-        box when given) and StructuralError for a ``within`` taken from
-        another archive or before this archive's last block or prune. On
-        any error nothing is stored and the clock does not advance.
+        DomainError for a point outside the domain and StructuralError
+        for a ``within`` taken from another archive or before this
+        archive's last block or prune. On any error nothing is stored and
+        the clock does not advance.
         """
-        coords = np.asarray(coords, dtype=float)
-        if within is None:
-            (lower, upper), node, depth = self.domain.bounds, self.root, 0
-        elif within.epoch is not self._epoch:
+        if within is not None and within.epoch is not self._epoch:
             raise StructuralError("subtree is stale or from another archive")
-        else:
-            lower, upper, node, depth = within.lower, within.upper, within.node, within.depth
+        coords = np.asarray(coords, dtype=float)
         if coords.shape != self.domain.lower.shape:
             raise InputError(f"expected {self.domain.dim} coordinates, "
                              f"got shape {coords.shape}")
         x = coords.tolist()
-        if not _in_box(lower, upper, x):
-            if not all(map(math.isfinite, x)):
-                raise InputError("coordinates must be finite")
-            raise DomainError("coordinates outside the search domain" if within is None
-                              else "coordinates outside the subtree's box")
+        if within is not None and _in_box(within.lower, within.box_upper, x):
+            node, depth, cell = within.node, within.depth, (within.lower, within.upper)
+        elif _in_box(*self.domain.bounds, x):
+            node, depth, cell = self.root, 0, self.domain.bounds
+        elif not all(map(math.isfinite, x)):
+            raise InputError("coordinates must be finite")
+        else:
+            raise DomainError("coordinates outside the search domain")
+        start = depth
 
         self._clock += 1
         clock = self._clock
@@ -342,10 +329,7 @@ class BspArchive:
         split_value = 0.5 * (a + b)
         if not (min(a, b) < split_value < max(a, b)):
             # identical, or too close to separate in float
-            if within is None:
-                return Revisit(node, self._leaf_subtree(node, depth, depth, self.domain.bounds))
-            return Revisit(node, self._leaf_subtree(node, depth, depth - within.depth,
-                                                    within.cell_bounds))
+            return Revisit(self._subtree(node, depth, depth - start, cell))
         # the leaf becomes a split whose two leaf children hold the old
         # and the new point
         node.split_dim = split_dim
@@ -370,17 +354,17 @@ class BspArchive:
     # -- queries -----------------------------------------------------
 
     def subtree(self, lower, upper) -> Subtree:
-        """Deepest node whose cell holds the closed box [lower, upper].
+        """Subtree of the deepest node whose cell holds the closed box
+        [lower, upper].
 
         Walks once from the root. At a split on dimension d at value s it
         goes below when upper[d] < s and above when lower[d] >= s; it stops
         at a split the box straddles, at a leaf or at a blocked node. Every
-        point of the box therefore routes through the returned node, at
-        the same depth, on a walk from the root. The Subtree also carries
-        the node's cell (``_cell_bounds``). Raises InputError unless
-        the bounds are finite vectors of the domain's dimension,
-        ParameterError when a lower bound exceeds its upper bound and
-        DomainError when the box does not lie in the domain.
+        point of the query box therefore routes through the returned node,
+        and so lies in its box. Raises InputError unless the bounds are
+        finite vectors of the domain's dimension, ParameterError when a
+        lower bound exceeds its upper bound and DomainError when the box
+        does not lie in the domain.
         """
         lo = np.asarray(lower, dtype=float)
         hi = np.asarray(upper, dtype=float)
@@ -403,24 +387,18 @@ class BspArchive:
             else:
                 break
             depth += 1
-        lower, upper = _cell_bounds(node, depth, self.domain.bounds)
-        return Subtree(node, depth, tuple(los), tuple(his), (tuple(lower), tuple(upper)),
-                       self._epoch)
+        return self._subtree(node, depth, depth, self.domain.bounds)
 
-    def _leaf_subtree(self, leaf, depth, levels, bounds) -> Subtree:
-        """The Subtree of ``leaf`` at ``depth``, whose cell is clipped from
-        ``bounds``, the cell of its ancestor ``levels`` up.
-
-        Its box is the cell with each upper face that a split set (every
-        one below the domain's) moved one float down, so that every point
-        of the closed box routes to ``leaf``.
-        """
-        lower, upper = _cell_bounds(leaf, levels, bounds)
-        lower, upper = tuple(lower), tuple(upper)
+    def _subtree(self, node, depth, levels, bounds) -> Subtree:
+        """The Subtree of ``node`` at ``depth``, whose cell is clipped from
+        ``bounds``, the cell of its ancestor ``levels`` up. An upper face
+        below the domain's was set by a split, so the box moves it one
+        float down."""
+        lower, upper = map(tuple, _cell_bounds(node, levels, bounds))
         nextafter, inf = math.nextafter, math.inf
         box_upper = tuple([hi if hi == top else nextafter(hi, -inf)
                            for hi, top in zip(upper, self.domain.bounds[1])])
-        return Subtree(leaf, depth, lower, box_upper, (lower, upper), self._epoch)
+        return Subtree(node, depth, lower, upper, box_upper, self._epoch)
 
     def region_of(self, node: BspNode) -> Region:
         """Cell of ``node``: the domain clipped by every ancestor split."""

@@ -23,9 +23,11 @@ from .bsp import Region
 from .errors import InputError, NumericalError, ParameterError
 
 # stop thresholds: covariance condition number, flat best-of-generation
-# spread over the stagnation window, and the step-size floor relative to sigma0
+# spread over the stagnation window, flat spread within one generation, and
+# the step-size floor relative to sigma0
 COV_CONDITION_LIMIT = 1e14
 STAGNATION_TOL = 1e-12
+TOL_FUN = 1e-12
 TOL_X_FACTOR = 1e-12
 
 
@@ -74,7 +76,6 @@ class CmaState:
     # identity's before the first), which cma_update whitens the shift with
     eig_basis: np.ndarray
     eig_scale: np.ndarray  # sqrt of eigenvalues
-    tol_fun: float | None = 1e-12  # None disables the tol_fun stop
     best_history: deque = field(default_factory=deque)
     last_fit_range: float = float("inf")
 
@@ -83,8 +84,7 @@ class CmaState:
         return self.mean.size
 
 
-def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region,
-             tol_fun: float | None = 1e-12) -> CmaState:
+def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region) -> CmaState:
     """Fresh strategy state: identity covariance, zero paths."""
     mean0 = np.asarray(mean0, dtype=float)
     dim = mean0.size
@@ -131,7 +131,6 @@ def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region,
         sigma0=float(sigma0),
         eig_basis=np.eye(dim),
         eig_scale=np.ones(dim),
-        tol_fun=tol_fun,
         best_history=deque(maxlen=window),
     )
 
@@ -247,8 +246,7 @@ def cma_check_stop(state: CmaState) -> StopReason | None:
             return StopReason.STAGNATION
     # tol_fun only kicks in after the stagnation window has had its chance,
     # so a flat landscape is reported as stagnation, not premature tol_fun
-    if state.tol_fun is not None and state.generation >= window \
-            and state.last_fit_range <= state.tol_fun:
+    if state.generation >= window and state.last_fit_range <= TOL_FUN:
         return StopReason.TOL_FUN
     if state.sigma * math.sqrt(state.cov.diagonal().max()) < TOL_X_FACTOR * state.sigma0:
         return StopReason.TOL_X

@@ -6,10 +6,11 @@ candidate is routed through the BSP archive, and a duplicate is replaced
 by an adaptive mutation drawn from the revisited leaf's own cell instead
 of being re-evaluated. Because crossover copies coordinates, every child
 lies in the bounding box of its generation's parents, so each child is
-routed from the parents' subtree (``BspArchive.subtree``) instead of from
-the root. A revisit's redraw is routed from the revisited leaf, which the
-``Revisit`` carries with its cell; domain redraws and the initial uniform
-population walk from the root.
+inserted with the parents' subtree (``BspArchive.subtree``), and a
+revisit's redraw with the revisited leaf's (``Revisit.cell``); the
+archive starts each walk there or, for a point outside that subtree's
+box, at the root. Domain redraws and the initial uniform population walk
+from the root.
 ``generations`` is the GA's only loop and ends with the budget: the
 cNrGA baselines drain every generation, and the hybrid leaves one at the
 first leaf that fires the ROI query.
@@ -43,24 +44,20 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
                          within: Subtree | None = None) -> NewLeaf:
     """Insert, dodge revisits and blocked cells, evaluate exactly once.
 
-    The first insert starts at ``within`` when given (``coords`` must lie
-    in its box). A revisit is replaced by a uniform draw from the
-    revisited leaf's cell (``Revisit.cell``), whose walk starts at that
-    leaf; after MAX_REVISIT_RETRIES consecutive revisits, by a uniform
-    domain draw. A blocked outcome is replaced by a uniform domain draw,
-    which goes back through the archive. Domain draws walk from the root,
-    and so does a cell draw that rounded onto a split value on the cell's
-    upper face, as a walk from the root sends it above that split. A
-    streak of MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws that store
-    nothing means the archive cannot take another point (blocked cells
-    cover the domain, or every free cell is too small to split in floating
-    point), which aborts the search.
+    The first insert is given ``within`` (see ``BspArchive.insert``). A
+    revisit is replaced by a uniform draw from the revisited leaf's cell,
+    inserted with that cell (``Revisit.cell``); after MAX_REVISIT_RETRIES
+    consecutive revisits, by a uniform domain draw. A blocked outcome is
+    replaced by a uniform domain draw, which goes back through the
+    archive. A streak of MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws
+    that store nothing means the archive cannot take another point
+    (blocked cells cover the domain, or every free cell is too small to
+    split in floating point), which aborts the search.
     ``evaluator`` must be callable and expose ``remaining``. Returns the
     NewLeaf; the evaluated point is ``leaf.node.point``.
     """
     if evaluator.remaining <= 0:
         raise BudgetExhaustedError("no evaluations left")
-    coords = np.asarray(coords, dtype=float)
     revisit_streak = 0
     for _ in range(MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS + 1):
         outcome = archive.insert(coords, within)
@@ -78,8 +75,6 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
         else:
             within = outcome.cell
             coords = within.uniform_point(rng)
-            if not within.contains(coords):
-                within = None
     raise SearchSpaceExhaustedError(
         f"{MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS} consecutive redraws stored no point")
 

@@ -99,7 +99,24 @@ def _failed_counts(failures) -> Counter:
     return Counter((prob, algo) for prob, algo, _, _ in failures)
 
 
+def _outcomes(config: ExperimentConfig, cells):
+    """Each cell's ``_execute_cell`` outcome, in cell order, as it arrives."""
+    execute = functools.partial(_execute_cell, config)
+    if config.workers == 1:
+        yield from map(execute, cells)
+        return
+    # imported here: the process pool and multiprocessing cost a fresh
+    # interpreter about 20 ms that a single-worker sweep never needs
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        yield from pool.map(execute, cells, chunksize=1)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run every cell and aggregate the final errors. With ``out_dir`` set,
+    each run's files are written as its outcome arrives, and its tree dump
+    is then dropped from the record, so a sweep holds one dump at a time;
+    the tables and the summary are written at the end."""
     suite = _suite(config.dim, config.suite_seed)
     if config.problems is not None:
         known = {p.name for p in suite}
@@ -109,22 +126,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         suite = [p for p in suite if p.name in config.problems]
     problem_names = [p.name for p in suite]
     f_opt = {p.name: p.f_opt for p in suite}
+    out = None if config.out_dir is None else _output_dir(config)
 
     cells = list(itertools.product(problem_names, config.algorithms, range(config.runs)))
-    execute = functools.partial(_execute_cell, config)
-    if config.workers == 1:
-        outcomes = list(map(execute, cells))
-    else:
-        # imported here: the process pool and multiprocessing cost a fresh
-        # interpreter about 20 ms that a single-worker sweep never needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(execute, cells, chunksize=1))
-
     finals: dict = {(p, a): [] for p in problem_names for a in config.algorithms}
     records: dict = {(p, a): [] for p in problem_names for a in config.algorithms}
     failures = []
-    for (prob, algo, run_idx), (status, payload) in zip(cells, outcomes):
+    for (prob, algo, run_idx), (status, payload) in zip(cells, _outcomes(config, cells)):
         if status == "failed":
             failures.append((prob, algo, run_idx, payload))
             records[(prob, algo)].append(None)
@@ -137,11 +145,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             err = err - f_opt[prob]
         finals[(prob, algo)].append(float(err))
         records[(prob, algo)].append(record)
+        if out is not None:
+            _persist_run(config, out, f"{prob}__{algo}__run{run_idx}", record)
+            record.tree_dump = None
 
     table = build_stats_table(finals, problem_names, config.algorithms,
                               config.reference, config.alpha, _failed_counts(failures))
     result = ExperimentResult(config, table, finals, records, failures)
-    if config.out_dir is not None:
+    if out is not None:
         persist_result(result, suite)
     return result
 
@@ -197,37 +208,47 @@ def summary_payload(result: ExperimentResult, suite) -> dict:
     }
 
 
-def persist_result(result: ExperimentResult, suite):
-    out = Path(result.config.out_dir)
+def _output_dir(config: ExperimentConfig) -> Path:
+    """``out_dir`` and the per-run directories the config asks for, created."""
+    out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for wanted, name in ((config.trace, "runs"), (config.gnuplot, "traces"),
+                             (config.dump_tree, "trees")):
+            if wanted:
+                (out / name).mkdir(exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"failed writing results under {out}: {exc}") from exc
+    return out
+
+
+def _persist_run(config: ExperimentConfig, out: Path, stem: str, rec: RunRecord):
+    """One run's record, convergence trace and tree dump, as the config asks."""
+    try:
+        if config.trace:
+            record = dataclasses.asdict(rec)
+            del record["tree_dump"]
+            (out / "runs" / f"{stem}.json").write_text(
+                json.dumps(record, indent=2) + "\n", newline="\n")
+        if config.gnuplot:
+            lines = [f"{e} {_fmt(v)}" for e, v in rec.best_trace]
+            (out / "traces" / f"{stem}.dat").write_text("\n".join(lines) + "\n",
+                                                        newline="\n")
+        if config.dump_tree and rec.tree_dump is not None:
+            (out / "trees" / f"{stem}.txt").write_text(rec.tree_dump, newline="\n")
+    except OSError as exc:
+        raise OSError(f"failed writing results under {out}: {exc}") from exc
+
+
+def persist_result(result: ExperimentResult, suite):
+    """The tables and the summary of a finished sweep."""
+    out = Path(result.config.out_dir)
+    try:
         (out / "results.csv").write_text(results_csv(result.table), newline="\n")
         (out / "ranks.csv").write_text(ranks_csv(result.table), newline="\n")
         payload = summary_payload(result, suite)
         (out / "summary.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
-        config = result.config
-        runs_dir, traces_dir, trees_dir = out / "runs", out / "traces", out / "trees"
-        for wanted, directory in ((config.trace, runs_dir), (config.gnuplot, traces_dir),
-                                  (config.dump_tree, trees_dir)):
-            if wanted:
-                directory.mkdir(exist_ok=True)
-        for (prob, algo), recs in sorted(result.records.items()):
-            for i, rec in enumerate(recs):
-                if rec is None:
-                    continue
-                stem = f"{prob}__{algo}__run{i}"
-                if config.trace:
-                    record = dataclasses.asdict(rec)
-                    del record["tree_dump"]
-                    (runs_dir / f"{stem}.json").write_text(
-                        json.dumps(record, indent=2) + "\n", newline="\n")
-                if config.gnuplot:
-                    lines = [f"{e} {_fmt(v)}" for e, v in rec.best_trace]
-                    (traces_dir / f"{stem}.dat").write_text("\n".join(lines) + "\n",
-                                                            newline="\n")
-                if config.dump_tree and rec.tree_dump is not None:
-                    (trees_dir / f"{stem}.txt").write_text(rec.tree_dump, newline="\n")
     except OSError as exc:
         raise OSError(f"failed writing results under {out}: {exc}") from exc
 
@@ -240,6 +261,17 @@ def _field(mapping, key: str, kind: type, where: str):
     return value
 
 
+def _items(mapping, key: str, kind: type, where: str) -> list:
+    """``mapping[key]`` if it is a list of items of exactly ``kind``, else a
+    ParameterError naming ``key``. The harness writes every final as a
+    float, so neither JSON ``true`` nor ``1`` is a final."""
+    values = _field(mapping, key, list, where)
+    if not all(type(v) is kind for v in values):
+        raise ParameterError(f"{where}: key {key!r} has an item that is not a JSON "
+                             f"{kind.__name__}")
+    return values
+
+
 def recompute_stats(in_dir) -> StatsTable:
     """Rebuild the tables from a stored summary.json and rewrite the CSVs."""
     in_dir = Path(in_dir)
@@ -249,21 +281,22 @@ def recompute_stats(in_dir) -> StatsTable:
     except OSError as exc:
         raise OSError(f"cannot read {summary_path}: {exc}") from exc
     cfg = _field(payload, "config", dict, summary_path)
-    problems = _field(payload, "problems", list, summary_path)
-    algorithms = _field(cfg, "algorithms", list, summary_path)
-    finals = {tuple(key.split("::", 1)): values
-              for key, values in _field(payload, "finals", dict, summary_path).items()}
-    for cell in itertools.product(problems, algorithms):
-        if cell not in finals:
-            raise ParameterError(f"{summary_path}: key {'::'.join(cell)!r} is missing")
+    problems = _items(payload, "problems", str, summary_path)
+    algorithms = _items(cfg, "algorithms", str, summary_path)
+    stored = _field(payload, "finals", dict, summary_path)
+    finals = {cell: _items(stored, "::".join(cell), float, summary_path)
+              for cell in itertools.product(problems, algorithms)}
     failures = _field(payload, "failures", list, summary_path)
-    if not all(isinstance(row, list) and len(row) == 4 for row in failures):
+    if not all(isinstance(row, list) and len(row) == 4
+               and all(type(name) is str for name in row[:2]) for row in failures):
         raise ParameterError(f"{summary_path}: key 'failures' has a row that is not "
-                             "a four-item list")
+                             "a four-item list of problem, algorithm, run and message")
+    alpha = _field(cfg, "alpha", float, summary_path)
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"{summary_path}: key 'alpha' must lie in (0, 1)")
     table = build_stats_table(finals, problems, algorithms,
                               _field(payload, "reference", str, summary_path),
-                              _field(cfg, "alpha", float, summary_path),
-                              _failed_counts(failures))
+                              alpha, _failed_counts(failures))
     try:
         (in_dir / "results.csv").write_text(results_csv(table), newline="\n")
         (in_dir / "ranks.csv").write_text(ranks_csv(table), newline="\n")

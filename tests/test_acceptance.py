@@ -97,7 +97,7 @@ def test_criterion_03_bsp_oracles():
             inside = ((x >= lowers) & ((x < uppers) | (at_top & (x <= uppers)))).all(axis=1)
             assert inside.sum() == 1
             node = archive.root
-            while node.is_internal:
+            while node.below is not None:
                 node = node.below if x[node.split_dim] < node.split_value else node.above
             assert leaves[int(np.nonzero(inside)[0][0])] is node
 
@@ -129,7 +129,7 @@ def test_criterion_06_condition_number_stop():
     with criterion(6, "axis-ratio-1e8 ellipsoid trips cond(C) > 1e14", 60.0):
         domain = Region(np.full(10, -100.0), np.full(10, 100.0))
         w = ellipsoid_weights(10, 1e8)
-        state = cma_init(np.full(10, 3.0), 0.5, 10, domain, tol_fun=None)
+        state = cma_init(np.full(10, 3.0), 0.5, 10, domain)
         evaluator = budgeted(lambda x: float(w @ (x * x)), domain, 50_000)
         stop = cma_run(state, evaluator, np.random.default_rng(6))
         evals = evaluator.used

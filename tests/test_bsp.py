@@ -79,7 +79,7 @@ def test_regions_compare_and_hash_by_identity():
 def assert_same_uniform_draws(region, seed, n=200):
     """``Region.uniform_point``, and ``Subtree.uniform_point`` from a cell
     with the region's bounds, draw what numpy's bounded uniform draws."""
-    cell = Subtree(None, 0, *region.bounds, region.bounds, None)
+    cell = Subtree(None, 0, *region.bounds, region.bounds[1], None)
     fast, ref, via_cell = (np.random.default_rng(seed) for _ in range(3))
     for _ in range(n):
         point = region.uniform_point(fast)
@@ -119,7 +119,7 @@ def test_first_insert_is_depth_zero_leaf():
     out = ar.insert(np.array([2.0, 5.0]))
     assert isinstance(out, NewLeaf)
     assert out.depth == 0
-    assert out.node is ar.root and not ar.root.is_internal and ar.root.point is not None
+    assert out.node is ar.root and ar.root.below is None and ar.root.point is not None
     assert ar.n_points == 1
     assert list(ar.iter_leaves()) == [ar.root]
 
@@ -152,7 +152,7 @@ def test_exact_duplicate_is_revisit():
     first = ar.insert(np.array([2.0, 5.0]))
     out = ar.insert(np.array([2.0, 5.0]))
     assert isinstance(out, Revisit)
-    assert out.leaf is first.node
+    assert out.cell.node is first.node
     assert ar.n_points == 1
 
 
@@ -216,13 +216,26 @@ def test_subtree_rejects_bad_boxes_and_foreign_archives():
     assert ar.n_points == twin.n_points == 50
 
 
+def test_subtree_of_a_box_ending_on_a_split_is_above_that_split():
+    # a point on the split value x0 = 5 routes above it, so a box whose
+    # upper face lies on the split straddles it
+    ar = fresh()
+    ar.insert(np.array([2.0, 5.0]))
+    ar.insert(np.array([8.0, 6.0]))
+    within = ar.subtree([1.0, 1.0], [5.0, 2.0])
+    assert within.node is ar.root and within.box_upper == (10.0, 10.0)
+    assert ar.subtree([5.0, 1.0], [5.0, 2.0]).node is ar.root.above
+    below = ar.subtree([1.0, 1.0], [np.nextafter(5.0, 0.0), 2.0])
+    assert below.node is ar.root.below and below.box_upper == (np.nextafter(5.0, 0.0), 10.0)
+
+
 def test_split_leaf_hands_its_point_to_a_child():
     ar = fresh()
     ar.insert(np.array([2.0, 5.0]))
     ar.insert(np.array([8.0, 6.0]))
     ar.insert(np.array([1.0, 1.0]))  # splits the (2,5) leaf
     internal = ar.root.below
-    assert internal.is_internal
+    assert internal.below is not None
     assert internal.point is None
     assert ar.root.point is None
     leaf_coords = sorted(tuple(l.point.coords) for l in ar.iter_leaves())
@@ -277,7 +290,7 @@ def test_split_value_strictly_between_creating_points():
     stack = [ar.root]
     while stack:
         node = stack.pop()
-        if node.is_internal:
+        if node.below is not None:
             lo, hi = walk_region(ar, node)
             assert lo[node.split_dim] < node.split_value < hi[node.split_dim]
             stack.extend((node.below, node.above))
@@ -289,18 +302,19 @@ def test_mutation_region_is_revisited_leaf_cell():
     ar.insert(np.array([8.0, 6.0]))
     out = ar.insert(np.array([2.0, 5.0]))
     cell = out.cell
-    assert cell.node is out.leaf and cell.depth == 1
-    assert cell.cell_bounds == ((0.0, 0.0), (5.0, 10.0))
+    assert cell.node is ar.root.below and cell.depth == 1
+    assert (cell.lower, cell.upper) == ((0.0, 0.0), (5.0, 10.0))
     # the split at x0 = 5 sends x0 == 5 above, so the box ends one float
     # below it; the domain's face x1 = 10 stays closed
-    assert cell.lower == (0.0, 0.0) and cell.upper == (np.nextafter(5.0, 0.0), 10.0)
+    assert cell.box_upper == (np.nextafter(5.0, 0.0), 10.0)
 
 
 def test_deep_mutation_region_shrinks():
     rng = np.random.default_rng(9)
     ar = fill_random(fresh(), 300, rng)
     deepest = max(ar.iter_leaves(), key=depth_of)
-    lower, upper = ar.insert(deepest.point.coords).cell.cell_bounds
+    cell = ar.insert(deepest.point.coords).cell
+    lower, upper = cell.lower, cell.upper
     assert np.log(np.subtract(upper, lower)).sum() < np.log(ar.domain.span).sum()
 
 
@@ -313,8 +327,7 @@ def test_mutation_region_resample_never_revisits():
     revisits = 0
     for _ in range(1000):
         sample = out.cell.uniform_point(rng)
-        within = out.cell if out.cell.contains(sample) else None
-        if not isinstance(ar.insert(sample, within), NewLeaf):
+        if not isinstance(ar.insert(sample, out.cell), NewLeaf):
             revisits += 1
     assert revisits == 0
 
@@ -341,7 +354,7 @@ def test_point_location_matches_brute_force():
     for _ in range(200):
         x = ar.domain.uniform_point(rng)
         node = ar.root
-        while node.is_internal:
+        while node.below is not None:
             node = node.below if x[node.split_dim] < node.split_value else node.above
         assert node.point is not None
         assert locate_brute(ar, x) is node
@@ -488,7 +501,7 @@ def _internal_nodes(ar):
     stack = [ar.root]
     while stack:
         node = stack.pop()
-        if node.is_internal:
+        if node.below is not None:
             yield node
             stack.extend((node.below, node.above))
 

@@ -7,27 +7,30 @@ outlive every pruning step that leaves a point stored under it. Leaf
 recency stamps, and so the leaves a prune removes, must match an oracle
 that stamps every node on each insert's walk.
 
-Each round's points are inserted from the subtree of their bounding box,
+Each round's points are inserted with the subtree of their bounding box,
 and a twin archive takes the same operations with every walk from the
-root: both must agree on every outcome, tree and stamp. A subtree taken
-before a prune or block must be refused afterwards, and a point outside
-its box must be refused without storing anything. A subtree's cell, and
-the cell every Revisit carries, must equal the parent-link oracle's bit
-for bit. After a revisit in a round, the round's points in the revisited
-leaf's closed cell are inserted again from that cell, or from the root
-when they lie on an upper face a split set, which a root walk sends out
-of the cell.
+root: both must agree on every outcome, tree and stamp. The query box
+must lie in the subtree's box, and the subtree's node must be the deepest
+that holds it. A subtree taken before a prune or block must be refused
+afterwards; a point outside its box but in the domain is stored as a
+root walk stores it, and a point outside the domain is refused without
+storing anything. Every subtree's cell, and the cell every Revisit
+carries, must equal the parent-link oracle's bit for bit, and its box must
+be that cell with each upper face a split set moved one float down. After
+a revisit in a round, the round's points in the revisited leaf's closed
+cell, the cell's corners, points on each of its faces and points one
+float outside each face are inserted with that cell.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from histarch import (Blocked, BspArchive, DomainError, NewLeaf, Problem, Region, Revisit,
                       StructuralError, evaluate_via_archive)
 from histarch.benchmarks import BudgetedEvaluator, sphere
-from util import (RootWalkArchive, ScriptedRng, depth_of, locate_brute,
+from util import (RootWalkArchive, ScriptedRng, depth_of, leaf_cells, locate_brute,
                   tiling_relative_error, walk_region)
 
 LV, K = 2, 1
@@ -61,7 +64,7 @@ def preorder(top):
     while stack:
         node = stack.pop()
         nodes.append(node)
-        if node.is_internal:
+        if node.below is not None:
             stack.append(node.above)
             stack.append(node.below)
     return nodes
@@ -74,29 +77,31 @@ def walk_to_leaf(ar, x):
 def root_walk(ar, x):
     """The nodes a walk from the root passes, down to a leaf."""
     path = [ar.root]
-    while path[-1].is_internal:
+    while path[-1].below is not None:
         node = path[-1]
         path.append(node.below if x[node.split_dim] < node.split_value else node.above)
     return path
 
 
 def check_cell(ar, cell):
-    """A Subtree's node cell and depth equal the parent-link oracle's."""
+    """A Subtree's cell and depth equal the parent-link oracle's, and its
+    box is that cell with each upper face a split set moved one float down."""
     lo, hi = walk_region(ar, cell.node)
-    assert same_bits(cell.cell_bounds[0], lo) and same_bits(cell.cell_bounds[1], hi)
+    assert same_bits(cell.lower, lo) and same_bits(cell.upper, hi)
+    assert same_bits(cell.box_upper, [h if h == top else np.nextafter(h, -np.inf)
+                                      for h, top in zip(hi, ar.domain.upper)])
     assert cell.depth == depth_of(cell.node)
 
 
-def check_revisit_cell(ar, outcome):
-    """A Revisit's cell is its leaf's, and its box is that cell with each
-    upper face a split set moved one float down."""
-    cell = outcome.cell
-    assert cell.node is outcome.leaf and not cell.node.is_internal
-    check_cell(ar, cell)
-    lo, hi = cell.cell_bounds
-    assert cell.lower == lo
-    assert same_bits(cell.upper, [h if h == top else np.nextafter(h, -np.inf)
-                                  for h, top in zip(hi, ar.domain.upper)])
+def check_query_box(ar, within, lo, hi):
+    """``subtree(lo, hi)``'s box holds the query box, and its node is the
+    deepest whose cell holds it: a leaf, a blocked node or a split the
+    query box straddles."""
+    check_cell(ar, within)
+    assert (np.array(within.lower) <= lo).all() and (hi <= np.array(within.box_upper)).all()
+    node = within.node
+    if node.below is not None and not node.blocked:
+        assert lo[node.split_dim] < node.split_value <= hi[node.split_dim]
 
 
 class WalkStamps:
@@ -123,7 +128,7 @@ class WalkStamps:
         self.clock += 1
         node = self.archive.root
         self._stamp(node)
-        while not node.blocked and node.is_internal:
+        while not node.blocked and node.below is not None:
             node = node.below if coords[node.split_dim] < node.split_value else node.above
             self._stamp(node)
         outcome = self.archive.insert(np.asarray(coords, dtype=float), within=within)
@@ -137,33 +142,48 @@ class WalkStamps:
             assert twin_outcome.depth == outcome.depth
             assert twin_outcome.node.point.eval_index == outcome.node.point.eval_index
         elif isinstance(outcome, Revisit):
-            assert twin_outcome.leaf.point.eval_index == outcome.leaf.point.eval_index
-            check_revisit_cell(self.archive, outcome)
-            check_revisit_cell(self.twin, twin_outcome)
-            assert twin_outcome.cell.cell_bounds == outcome.cell.cell_bounds
+            leaf, twin_leaf = outcome.cell.node, twin_outcome.cell.node
+            assert twin_leaf.point.eval_index == leaf.point.eval_index
+            assert leaf.below is None and twin_leaf.below is None
+            check_cell(self.archive, outcome.cell)
+            check_cell(self.twin, twin_outcome.cell)
+            assert (twin_outcome.cell.lower, twin_outcome.cell.upper) == \
+                (outcome.cell.lower, outcome.cell.upper)
         return outcome
 
 
+def insert_near(oracle, within, points):
+    """Insert each of ``points`` with ``within``, as the twin inserts it
+    from the root; one outside the domain is refused and stores nothing."""
+    ar = oracle.archive
+    for x in points:
+        if ar.domain.contains(x):
+            oracle.insert(x, within)
+            continue
+        n_points, clock, dump = ar.n_points, ar._clock, ar.dump()
+        with pytest.raises(DomainError):
+            ar.insert(x, within=within)
+        assert (ar.n_points, ar._clock, ar.dump()) == (n_points, clock, dump)
+
+
 def insert_in_cell(oracle, cell, points):
-    """Insert every point of ``points`` in the closed cell of a Revisit's
-    ``cell``, then the cell's two corners and the revisited point moved
-    onto each upper face, as a redraw is inserted: from the cell when its
-    box holds the point, else from the root. A point outside the box lies
-    on an upper face that a split set, and a root walk sends it past the
+    """Insert with a Revisit's ``cell`` every point of ``points`` in its
+    closed cell, the cell's two corners, the revisited point moved onto
+    each face, and one float past each face. A point on an upper face a
+    split set lies outside the box, and a root walk sends it past the
     cell's node."""
     ar = oracle.archive
-    lo, hi = cell.cell_bounds
+    lo, hi = cell.lower, cell.upper
     stored = cell.node.point.coords.tolist()
-    on_faces = [stored[:d] + [h] + stored[d + 1:] for d, h in enumerate(hi)]
-    for x in points + [list(lo), list(hi)] + on_faces:
-        if not all(a <= v <= b for a, v, b in zip(lo, x, hi)):
-            continue
-        if cell.contains(x):
-            oracle.insert(x, cell)
-        else:
-            assert any(v == b < top for v, b, top in zip(x, hi, ar.domain.upper))
+    moved = [stored[:d] + [v] + stored[d + 1:]
+             for d in range(len(stored))
+             for v in (lo[d], hi[d], np.nextafter(lo[d], -np.inf), np.nextafter(hi[d], np.inf))]
+    in_cell = [x for x in points if all(a <= v <= b for a, v, b in zip(lo, x, hi))]
+    near = in_cell + [list(lo), list(hi)] + moved
+    for x in near:
+        if any(v == b < top for v, b, top in zip(x, hi, ar.domain.upper)):
             assert cell.node not in root_walk(ar, x)
-            oracle.insert(x)
+    insert_near(oracle, cell, near)
 
 
 def check_roi(ar, new_leaf):
@@ -179,24 +199,25 @@ def check_roi(ar, new_leaf):
 
 def check_invariants(ar, oracle, blocked_points, rng):
     twin = oracle.twin
-    assert ar.dump() == twin.dump()
+    dump = ar.dump()
+    assert dump == twin.dump()
     assert [leaf.last_touch for leaf in ar.iter_leaves()] == \
         [leaf.last_touch for leaf in twin.iter_leaves()]
     leaves = list(ar.iter_leaves())
     assert len(leaves) == ar.n_points
     assert all(leaf.last_touch == oracle.stamp_of(leaf) for leaf in leaves)
-    assert all(node.point is None for node in preorder(ar.root) if node.is_internal)
-    for leaf in leaves:
-        lo, hi = walk_region(ar, leaf)
+    assert all(node.point is None for node in preorder(ar.root) if node.below is not None)
+    cells = leaf_cells(ar)
+    for leaf, lo, hi in zip(*cells):
         reg = ar.region_of(leaf)
         assert same_bits(reg.lower, lo) and same_bits(reg.upper, hi)
     if leaves:
-        assert tiling_relative_error(ar) <= 1e-9
+        assert tiling_relative_error(ar, cells) <= 1e-9
         probes = [leaf.point.coords for leaf in leaves]
         probes += [ar.domain.uniform_point(rng) for _ in range(10)]
         for x in probes:
-            assert locate_brute(ar, x) is walk_to_leaf(ar, x)
-    depths = [int(line.split(" ", 1)[0]) for line in ar.dump().splitlines()]
+            assert locate_brute(ar, x, cells) is walk_to_leaf(ar, x)
+    depths = [int(line.split(" ", 1)[0]) for line in dump.splitlines()]
     assert depths == [depth_of(node) for node in preorder(ar.root)]
     # a stored point is blocked exactly when it was under a blocked node at
     # the time of the block; a Blocked insert only refreshes recency
@@ -205,11 +226,13 @@ def check_invariants(ar, oracle, blocked_points, rng):
         if id(leaf.point) in blocked_points:
             assert isinstance(outcome, Blocked)
         else:
-            assert isinstance(outcome, Revisit) and outcome.leaf is leaf
+            assert isinstance(outcome, Revisit) and outcome.cell.node is leaf
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(dim=st.sampled_from([2, 3]), plan=rounds)
+# the second round's query box ends on the split x1 = 5 of the first
+@example(dim=2, plan=[([[0.0, 0.0, 0.0]], None), ([[0.0, 5.0, 0.0]], None)])
 def test_archive_invariants_under_random_operations(dim, plan):
     domain = Region(np.zeros(dim), np.full(dim, 10.0))
     ar = BspArchive(domain)
@@ -223,7 +246,7 @@ def test_archive_invariants_under_random_operations(dim, plan):
         points = np.array(points)[:, :dim]
         lo, hi = points.min(axis=0), points.max(axis=0)
         within = ar.subtree(lo, hi)
-        check_cell(ar, within)
+        check_query_box(ar, within, lo, hi)
         for coords in points.tolist():
             outcome = oracle.insert(coords, within)
             assert isinstance(outcome, (NewLeaf, Revisit, Blocked))
@@ -238,14 +261,13 @@ def test_archive_invariants_under_random_operations(dim, plan):
         if isinstance(outcome, Revisit):
             insert_in_cell(oracle, outcome.cell, points.tolist())
             check_invariants(ar, oracle, blocked_points, rng)
-        # a point just outside the box, past either face, stores nothing
+        # points one float past either face of the query box
+        outside = []
         for face, toward in ((lo, -np.inf), (hi, np.inf)):
-            outside = face.copy()
-            outside[0] = np.nextafter(face[0], toward)
-            n_points, clock, dump = ar.n_points, ar._clock, ar.dump()
-            with pytest.raises(DomainError):
-                ar.insert(outside, within=within)
-            assert (ar.n_points, ar._clock, ar.dump()) == (n_points, clock, dump)
+            x = face.copy()
+            x[0] = np.nextafter(face[0], toward)
+            outside.append(x.tolist())
+        insert_near(oracle, within, outside)
         if step is None:
             continue
         kind, arg = step

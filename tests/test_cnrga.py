@@ -293,6 +293,39 @@ def test_children_from_parents_subtree_match_root_walks(algo, monkeypatch):
     assert record_digest(fast) == record_digest(ref)
 
 
+@pytest.mark.parametrize("algo", ["cnrga", "hr"])
+def test_inserts_given_a_subtree_start_at_its_node(algo, monkeypatch):
+    # A point whose walk from the root passes through the subtree's node
+    # lies in the subtree's box, so insert starts at that node. The only
+    # points that walk from the root are revisit redraws that rounded onto
+    # an upper face of the leaf's cell that a split set.
+    starts = []  # (point's root walk passes the node, given the last Revisit's cell)
+    last_cell = [None]
+    insert = BspArchive.insert
+
+    def spy(archive, coords, within=None):
+        if within is not None:
+            x = np.asarray(coords, dtype=float).tolist()
+            node = archive.root
+            while node is not within.node and node.below is not None:
+                node = node.below if x[node.split_dim] < node.split_value else node.above
+            passes, redraw = node is within.node, within is last_cell[0]
+            in_box = all(lo <= v <= hi for lo, v, hi in zip(within.lower, x, within.box_upper))
+            assert in_box == passes
+            if not passes:
+                assert redraw
+                assert any(v == hi < top for v, hi, top in
+                           zip(x, within.upper, archive.domain.bounds[1]))
+            starts.append((passes, redraw))
+        outcome = insert(archive, coords, within)
+        last_cell[0] = outcome.cell if isinstance(outcome, Revisit) else None
+        return outcome
+
+    monkeypatch.setattr(BspArchive, "insert", spy)
+    run_algorithm(rastr_problem(10), algo, 4000, np.random.default_rng(3))
+    assert {redraw for _, redraw in starts} == {True, False}
+
+
 # -- memory management ---------------------------------------------------------
 
 def grow_archive(problem, n, seed=11):

@@ -184,6 +184,14 @@ WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05}, "problems": ["sp
      "key 'sphere::hr' is missing"),
     (dict(WELL_FORMED, failures=[1]), "key 'failures' has a row"),
     (dict(WELL_FORMED, failures=[["sphere", "hr"]]), "key 'failures' has a row"),
+    (dict(WELL_FORMED, failures=[[["sphere"], "hr", 0, "crash"]]), "key 'failures' has a row"),
+    (dict(WELL_FORMED, finals={"sphere::hr": None}), "key 'sphere::hr' is missing"),
+    (dict(WELL_FORMED, finals={"sphere::hr": ["1.0", "2.0"]}),
+     "key 'sphere::hr' has an item that is not a JSON float"),
+    (dict(WELL_FORMED, finals={"sphere::hr": [10 ** 400]}),
+     "key 'sphere::hr' has an item that is not a JSON float"),
+    (dict(WELL_FORMED, problems=[1]), "key 'problems' has an item that is not a JSON str"),
+    (dict(WELL_FORMED, config={"algorithms": ["hr"], "alpha": 1.5}), "key 'alpha' must lie"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
     (tmp_path / "summary.json").write_text(json.dumps(summary))

@@ -63,39 +63,38 @@ def walk_region(archive, node):
     return lo, hi
 
 
-def contains_halfopen(lo, hi, dom_lo, dom_hi, x):
-    """Membership under the traversal convention: below-splits are
-    half-open above, the outer domain boundary stays inclusive."""
-    for d in range(len(x)):
-        if x[d] < lo[d]:
-            return False
-        if x[d] > hi[d]:
-            return False
-        if x[d] == hi[d] and hi[d] != dom_hi[d]:
-            return False
-    return True
+def leaf_cells(archive):
+    """The stored leaves and the lower and upper bounds of their
+    ``walk_region`` cells as (leaves, D) arrays, computed once for many
+    ``locate_brute`` probes."""
+    leaves = list(archive.iter_leaves())
+    boxes = [walk_region(archive, leaf) for leaf in leaves]
+    dim = archive.domain.dim
+    return (leaves, np.array([lo for lo, _ in boxes]).reshape(-1, dim),
+            np.array([hi for _, hi in boxes]).reshape(-1, dim))
 
 
-def locate_brute(archive, x):
-    """The unique leaf whose half-open cell contains x."""
-    matches = []
-    for leaf in archive.iter_leaves():
-        lo, hi = walk_region(archive, leaf)
-        if contains_halfopen(lo, hi, archive.domain.lower, archive.domain.upper, x):
-            matches.append(leaf)
+def locate_brute(archive, x, cells=None):
+    """The unique leaf whose cell contains x under the traversal
+    convention: below-splits are half-open above, the outer domain
+    boundary stays inclusive. ``cells`` are the archive's ``leaf_cells``,
+    computed here when not given."""
+    leaves, lows, highs = leaf_cells(archive) if cells is None else cells
+    x = np.asarray(x, dtype=float)
+    at_top = highs == archive.domain.upper
+    inside = ((lows <= x) & ((x < highs) | (at_top & (x <= highs)))).all(axis=1)
+    matches = np.flatnonzero(inside)
     assert len(matches) == 1, f"point in {len(matches)} cells"
-    return matches[0]
+    return leaves[matches[0]]
 
 
-def tiling_relative_error(archive):
-    """|sum of leaf volumes / domain volume - 1|, summed in log space."""
-    logs = []
-    for leaf in archive.iter_leaves():
-        lo, hi = walk_region(archive, leaf)
-        logs.append(np.log(hi - lo).sum())
-    if not logs:
+def tiling_relative_error(archive, cells=None):
+    """|sum of leaf volumes / domain volume - 1|, summed in log space;
+    ``cells`` are the archive's ``leaf_cells``, computed here when not given."""
+    _, lows, highs = leaf_cells(archive) if cells is None else cells
+    if not len(lows):
         return 0.0
-    total = logsumexp(logs)
+    total = logsumexp(np.log(highs - lows).sum(axis=1))
     return abs(np.exp(total - np.log(archive.domain.span).sum()) - 1.0)
 
 
