@@ -37,16 +37,16 @@ while roi is None:
     out = archive.insert(np.array([value, 1.0]))
     if isinstance(out, NewLeaf):
         print(f"  inserted x0={value:<8.4g} -> leaf depth {out.depth}")
-        roi = archive.roi_trigger(out.node, out.depth, LV, K)
+        roi = archive.roi_trigger(out, LV, K)
     value /= 2.0
 print(f"trigger at depth >= lv+k = {LV + K}")
-print(f"suggested sub-root depth {LV} (lv), "
-      f"region {roi.region.lower} .. {roi.region.upper}, {len(roi.seeds)} seeds")
+print(f"suggested cell at depth {roi.cell.depth} (lv), "
+      f"{roi.cell.lower} .. {roi.cell.upper}, {len(roi.seeds)} seeds")
 
 print()
-print("== blocking the sub-root closes its cell to the explorer ==")
-archive.block(roi.subroot)
-inside = 0.5 * (roi.region.lower + roi.region.upper)
+print("== blocking the ROI's cell closes it to the explorer ==")
+archive.block(roi.cell)
+inside = 0.5 * (np.array(roi.cell.lower) + np.array(roi.cell.upper))
 print(f"insert at its centre -> {type(archive.insert(inside)).__name__}")
 outside = np.array([2.0, 9.5])
 print(f"insert outside       -> {type(archive.insert(outside)).__name__}")

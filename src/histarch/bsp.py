@@ -3,31 +3,32 @@
 Every evaluated solution is a leaf of the tree; the leaf cells tile the
 domain exactly. The archive detects revisits (a candidate landing on an
 already-stored point) and reports each with the revisited leaf's cell,
-answers whether a new leaf's sub-region counts as a region of interest,
-and can block exploited sub-regions against further insertion.
+answers whether a new leaf's depth-``lv`` ancestor is a region of
+interest, and can block exploited cells against further insertion.
 
 A node stores only its split, its links, its point and the two flags the
 policies need (``blocked``, ``last_touch``); only leaves hold points, and a
 blocked cell is known by its flag alone. Cell bounds and depth are
 derived: ``insert`` counts depth on its walk down the tree, and a cell is
-the cell of an ancestor clipped by the splits between the two
-(``_cell_bounds``): the domain for ``region_of``, the cell of the node the
-walk started at for a revisit. Nothing cached has to be rebuilt when
-pruning moves a subtree up, so ``prune_lru`` costs one sort plus O(1) per
-removed leaf.
+the cell of an ancestor clipped by the splits between the two: the
+domain for ``subtree`` and ``roi_trigger``, the cell of the node the walk
+started at for a revisit. Nothing cached has to be rebuilt when pruning
+moves a subtree up, so ``prune_lru`` costs one sort plus O(1) per removed
+leaf.
 
-A walk starts at the root, or at the node of a ``Subtree``: a node at a
-known depth, its cell, and its box, the points whose walk from the root
-passes through the node. The box is the cell with every upper face that
-a split set moved one float down, as a walk sends a point on a split
+The archive hands out a tree position in one form, a ``Subtree``: a node
+at a known depth, its cell, and its box, the points whose walk from the
+root passes through the node. The box is the cell with every upper face
+that a split set moved one float down, as a walk sends a point on a split
 value above the split. ``subtree`` gives the deepest node through which
-every point of a closed query box routes, and a ``Revisit`` carries the
-revisited leaf's. ``insert(x, within=...)`` starts at ``within``'s node
-when ``x`` lies in its box and at the root otherwise, with the same
-outcome, the same tree and the same stamps either way. Inserts only
-split leaves, so they keep a ``Subtree`` valid; ``block`` and
+every point of a closed query box routes, a ``Revisit`` carries the
+revisited leaf's and an ``RoiSuggestion`` the region of interest's.
+``insert(x, within=...)`` starts at ``within``'s node when ``x`` lies in
+its box and at the root otherwise, with the same outcome, the same tree
+and the same stamps either way; ``block`` closes a ``Subtree``'s cell.
+Inserts only split leaves, so they keep a ``Subtree`` valid; ``block`` and
 ``prune_lru`` change the tree above leaves and make every ``Subtree``
-taken before them stale, and ``insert`` rejects a stale one.
+taken before them stale, and ``insert`` and ``block`` reject a stale one.
 
 Each child links back to its parent, so a tree is one reference cycle.
 An archive breaks every parent link of its current tree when it is
@@ -132,8 +133,9 @@ class BspNode:
     """Tree node; a leaf holds a point, an internal node holds a split.
 
     Only the root of an empty archive holds neither. A node stores no
-    bounds and no depth: its cell is ``BspArchive.region_of(node)``, and
-    ``insert`` reports a new leaf's depth and a revisited leaf's cell.
+    bounds and no depth: ``insert`` reports a new leaf's depth and a
+    revisited leaf's cell, and a ``Subtree`` carries a node's depth and
+    cell.
     ``last_touch`` is the clock of the last insert that ended at the node.
     ``parent`` is ``None`` at the root, on a node ``prune_lru`` removed,
     and on every node once its archive has been released.
@@ -189,9 +191,9 @@ class Subtree:
     and its box [lower, box_upper], the points whose walk from the root
     passes through ``node``. ``box_upper`` is ``upper`` with every face a
     split set moved one float down; all three bounds are tuples of Python
-    floats. Made by ``BspArchive.subtree`` or carried by a ``Revisit``, and
-    valid for that archive until its next ``block`` or ``prune_lru``,
-    which replace the archive's ``epoch``.
+    floats. Made by ``BspArchive.subtree`` and ``BspArchive.roi_trigger``
+    or carried by a ``Revisit``, and valid for that archive until its next
+    ``block`` or ``prune_lru``, which replace the archive's ``epoch``.
     """
 
     node: BspNode
@@ -212,32 +214,13 @@ class Subtree:
                 zip(self.lower, self.upper, rng.random(len(self.lower)).tolist())]
 
 
-@dataclass
+@dataclass(slots=True)
 class RoiSuggestion:
-    """A densely sampled sub-region plus the solutions found inside it."""
+    """A densely sampled cell, the Subtree ``cell``, plus the solutions
+    stored inside it."""
 
-    subroot: BspNode
-    region: Region
+    cell: Subtree
     seeds: list[SearchPoint]
-
-
-def _cell_bounds(node, levels, bounds):
-    """``(lower, upper)`` lists of ``node``'s cell, given ``bounds``, the
-    cell of its ancestor ``levels`` up: that cell clipped by every split in
-    between, deepest last. Bounds are copied from split values, never
-    computed, so a cell shares its faces bit for bit with its neighbours."""
-    lower, upper = map(list, bounds)
-    path = []
-    for _ in range(levels):
-        path.append(node)
-        node = node.parent
-    for child in reversed(path):
-        parent = child.parent
-        if parent.below is child:
-            upper[parent.split_dim] = parent.split_value
-        else:
-            lower[parent.split_dim] = parent.split_value
-    return lower, upper
 
 
 def _preorder(node):
@@ -390,54 +373,56 @@ class BspArchive:
         return self._subtree(node, depth, depth, self.domain.bounds)
 
     def _subtree(self, node, depth, levels, bounds) -> Subtree:
-        """The Subtree of ``node`` at ``depth``, whose cell is clipped from
-        ``bounds``, the cell of its ancestor ``levels`` up. An upper face
-        below the domain's was set by a split, so the box moves it one
-        float down."""
-        lower, upper = map(tuple, _cell_bounds(node, levels, bounds))
+        """The Subtree of ``node`` at ``depth``. Its cell is ``bounds``, the
+        cell of its ancestor ``levels`` up, clipped by every split in
+        between, deepest last. Bounds are copied from split values, never
+        computed, so a cell shares its faces bit for bit with its
+        neighbours. An upper face below the domain's was set by a split,
+        so the box moves it one float down."""
+        lower, upper = map(list, bounds)
+        path, ancestor = [], node
+        for _ in range(levels):
+            path.append(ancestor)
+            ancestor = ancestor.parent
+        for child in reversed(path):
+            parent = child.parent
+            if parent.below is child:
+                upper[parent.split_dim] = parent.split_value
+            else:
+                lower[parent.split_dim] = parent.split_value
         nextafter, inf = math.nextafter, math.inf
         box_upper = tuple([hi if hi == top else nextafter(hi, -inf)
                            for hi, top in zip(upper, self.domain.bounds[1])])
-        return Subtree(node, depth, lower, upper, box_upper, self._epoch)
+        return Subtree(node, depth, tuple(lower), tuple(upper), box_upper, self._epoch)
 
-    def region_of(self, node: BspNode) -> Region:
-        """Cell of ``node``: the domain clipped by every ancestor split."""
-        depth = 0
-        top = node
-        while top.parent is not None:
-            top = top.parent
-            depth += 1
-        if top is not self.root:
-            raise StructuralError("node does not belong to this archive")
-        return Region(*_cell_bounds(node, depth, self.domain.bounds))
-
-    def roi_trigger(self, new_leaf: BspNode, depth: int, lv: int,
-                    k: int) -> RoiSuggestion | None:
+    def roi_trigger(self, leaf: NewLeaf, lv: int, k: int) -> RoiSuggestion | None:
         """Region-of-interest query for a leaf just returned by insert.
 
-        ``depth`` is the leaf's depth as counted by insert; ``lv`` and
-        ``k`` are the caller's non-negative depth thresholds. Fires when
-        ``depth`` is >= lv + k; the suggestion is rooted at the leaf's
-        ancestor at depth lv and carries every leaf point stored
-        underneath it at the time of the query. Reads the tree and
-        changes nothing.
+        ``lv`` and ``k`` are the caller's non-negative depth thresholds.
+        Fires when the leaf's depth is >= lv + k; the suggestion's cell is
+        the Subtree of the leaf's ancestor at depth lv, and its seeds are
+        every leaf point stored underneath that ancestor at the time of
+        the query. Reads the tree and changes nothing.
         """
-        if depth < lv + k:
+        if leaf.depth < lv + k:
             return None
-        node = new_leaf
-        for _ in range(depth - lv):
+        node = leaf.node
+        for _ in range(leaf.depth - lv):
             node = node.parent
-        seeds = [leaf.point for leaf in self._leaves(node)]
-        return RoiSuggestion(node, self.region_of(node), seeds)
+        seeds = [n.point for n in self._leaves(node)]
+        return RoiSuggestion(self._subtree(node, lv, lv, self.domain.bounds), seeds)
 
-    def block(self, subroot: BspNode):
-        """Close ``subroot``'s cell to future insertion.
+    def block(self, cell: Subtree):
+        """Close ``cell`` to future insertion.
 
         The flag is the only record of the block: ``insert`` returns
-        Blocked for every point routed through ``subroot``.
+        Blocked for every point routed through ``cell.node``. Raises
+        StructuralError, and changes nothing, for a ``cell`` taken from
+        another archive or before this archive's last block or prune.
         """
-        self.region_of(subroot)  # rejects nodes of other archives
-        subroot.blocked = True
+        if cell.epoch is not self._epoch:
+            raise StructuralError("subtree is stale or from another archive")
+        cell.node.blocked = True
         self._epoch = object()
 
     @property
@@ -495,7 +480,8 @@ class BspArchive:
             grand.below = sibling
         else:
             grand.above = sibling
-        # detach the removed nodes so region_of rejects them
+        # the removed leaf and its parent link each other, a reference
+        # cycle: breaking it frees both by reference counting
         leaf.parent = parent.parent = None
         self.n_points -= 1
 

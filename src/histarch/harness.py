@@ -44,6 +44,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.algorithms:
             raise ParameterError("at least one algorithm is required")
+        if self.problems is not None and not self.problems:
+            raise ParameterError("at least one problem is required")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ParameterError(f"unknown algorithm id {algo!r}")
@@ -283,6 +285,9 @@ def recompute_stats(in_dir) -> StatsTable:
     cfg = _field(payload, "config", dict, summary_path)
     problems = _items(payload, "problems", str, summary_path)
     algorithms = _items(cfg, "algorithms", str, summary_path)
+    for key, names in (("problems", problems), ("algorithms", algorithms)):
+        if not names:
+            raise ParameterError(f"{summary_path}: key {key!r} is an empty list")
     stored = _field(payload, "finals", dict, summary_path)
     finals = {cell: _items(stored, "::".join(cell), float, summary_path)
               for cell in itertools.product(problems, algorithms)}
@@ -294,9 +299,12 @@ def recompute_stats(in_dir) -> StatsTable:
     alpha = _field(cfg, "alpha", float, summary_path)
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"{summary_path}: key 'alpha' must lie in (0, 1)")
-    table = build_stats_table(finals, problems, algorithms,
-                              _field(payload, "reference", str, summary_path),
-                              alpha, _failed_counts(failures))
+    reference = _field(payload, "reference", str, summary_path)
+    if reference not in algorithms:
+        raise ParameterError(f"{summary_path}: key 'reference' names {reference!r}, "
+                             "which key 'algorithms' does not list")
+    table = build_stats_table(finals, problems, algorithms, reference, alpha,
+                              _failed_counts(failures))
     try:
         (in_dir / "results.csv").write_text(results_csv(table), newline="\n")
         (in_dir / "ranks.csv").write_text(ranks_csv(table), newline="\n")

@@ -4,12 +4,14 @@ The hybrid runs the non-revisiting GA (``cnrga.generations``) as its
 explorer and asks the archive (``roi_trigger``) about each leaf the GA
 adds. When a leaf lands at depth lv+k, with (lv, k) derived from the
 budget and the CMA-ES population size, the GA leaves its generation at
-that leaf, the leaf points under its depth-lv ancestor seed a CMA-ES
-state, and one ``cma_run`` exploits it out of the shared evaluation
-budget. CMA-ES candidates are evaluated directly and never inserted into
-the archive, so the blocked-region bookkeeping stays a statement about the
-explorer only. When CMA-ES stops, the sub-root is blocked and the GA
-breeds an unfinished generation again from the same parents (the initial
+that leaf. The region of interest is the cell of the leaf's depth-lv
+ancestor, a ``Subtree``: the leaf points under it seed a CMA-ES state,
+whose initial step size its longest side sets, and one ``cma_run``
+exploits it out of the shared evaluation budget. CMA-ES candidates are
+evaluated directly and never inserted into the archive, so the
+blocked-cell bookkeeping stays a statement about the explorer only. When
+CMA-ES stops, the archive blocks the ROI's cell and the GA breeds an
+unfinished generation again from the same parents (the initial
 population is drawn again). An ROI that fires on the last evaluation is
 neither exploited nor blocked. The run ends when the GA spends the budget.
 """
@@ -69,14 +71,15 @@ def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:
     """CMA-ES start state for a region of interest.
 
     The mean is the arithmetic mean of the collected solutions; the
-    initial step size is SIGMA_FACTOR times the longest side of the
-    region. Sampling stays bounded by the full problem domain: the region
+    initial step size is SIGMA_FACTOR times the longest side of the ROI's
+    cell. Sampling stays bounded by the full problem domain: the cell
     guides the restart, it does not constrain the exploitation.
     """
     if not roi.seeds:
         raise ParameterError("a region of interest must carry at least one seed")
     mean0 = np.mean([p.coords for p in roi.seeds], axis=0)
-    sigma0 = SIGMA_FACTOR * float(roi.region.span.max())
+    cell = roi.cell
+    sigma0 = SIGMA_FACTOR * max(hi - lo for lo, hi in zip(cell.lower, cell.upper))
     return cma_init(mean0, sigma0, lam, domain)
 
 
@@ -87,8 +90,8 @@ def _close_phase(phases: list, kind: str, end: int,
     if end < start:
         return
     if roi is not None:
-        phases.append(Phase(kind, start, end, roi.region.lower.tolist(),
-                            roi.region.upper.tolist(), stop))
+        phases.append(Phase(kind, start, end, list(roi.cell.lower),
+                            list(roi.cell.upper), stop))
     else:
         phases.append(Phase(kind, start, end, stop_reason=stop))
 
@@ -107,14 +110,14 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
             # unless that leaf completed the generation, breeds it again after
             # the exploit phase; an ROI found once the budget is gone is
             # neither exploited nor blocked
-            roi = next(filter(None, (archive.roi_trigger(leaf.node, leaf.depth, lv, k)
+            roi = next(filter(None, (archive.roi_trigger(leaf, lv, k)
                                      for leaf in generation)), None)
             if roi is None or evaluator.remaining == 0:
                 continue
             _close_phase(phases, EXPLORE, evaluator.used)
             state = seed_cma_from_roi(roi, lam, problem.domain)
             reason = cma_run(state, evaluator, rng).value
-            archive.block(roi.subroot)
+            archive.block(roi.cell)
             _close_phase(phases, EXPLOIT, evaluator.used, roi, reason)
     except SearchSpaceExhaustedError:
         exhausted = True

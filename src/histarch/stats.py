@@ -114,11 +114,14 @@ class CellStats:
 
     @classmethod
     def from_finals(cls, finals, n_failed: int = 0) -> "CellStats":
-        """Summary of a cell's final errors; NaN throughout when it has none."""
+        """Summary of a cell's final errors; NaN throughout when it has none.
+        An infinite final makes ``std`` NaN, without numpy's warning about
+        the inf - inf it computes."""
         a = np.asarray(finals, dtype=float)
         if a.size == 0:
             return cls(math.nan, math.nan, math.nan, math.nan, math.nan, 0, n_failed)
-        std = float(a.std(ddof=1)) if a.size > 1 else 0.0
+        with np.errstate(invalid="ignore"):
+            std = float(a.std(ddof=1)) if a.size > 1 else 0.0
         return cls(float(a.min()), float(a.max()), float(np.median(a)),
                    float(a.mean()), std, int(a.size), n_failed)
 

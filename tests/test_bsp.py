@@ -5,7 +5,7 @@ from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf,
                       ParameterError, Region, Revisit, StructuralError, Subtree)
 from util import (bsp_nodes_left_by, depth_of, interiors_disjoint, locate_brute,
                   max_leaf_depth, ref_split_dim, ref_uniform_point, same_rng_state,
-                  tiling_relative_error, walk_region)
+                  subtree_of, tiling_relative_error, walk_region)
 
 
 def box(lo, hi, dim=2):
@@ -109,7 +109,7 @@ def test_uniform_point_matches_reference_draw_in_deep_cell():
         ar.insert(centre + 2.0 ** -k * rng.uniform(-1.0, 1.0, 3))
     deepest = max(ar.iter_leaves(), key=depth_of)
     assert depth_of(deepest) >= 40
-    assert_same_uniform_draws(ar.region_of(deepest), seed=12)
+    assert_same_uniform_draws(Region(*walk_region(ar, deepest)), seed=12)
 
 
 # -- insert ---------------------------------------------------------------
@@ -242,34 +242,7 @@ def test_split_leaf_hands_its_point_to_a_child():
     assert (2.0, 5.0) in leaf_coords and (1.0, 1.0) in leaf_coords
 
 
-# -- region_of / revisit cells ---------------------------------------------
-
-def test_region_of_root_is_domain():
-    ar = fresh()
-    reg = ar.region_of(ar.root)
-    assert np.array_equal(reg.lower, ar.domain.lower)
-    assert np.array_equal(reg.upper, ar.domain.upper)
-
-
-def test_region_of_depth1_leaf_single_clip():
-    ar = fresh()
-    ar.insert(np.array([2.0, 5.0]))
-    ar.insert(np.array([8.0, 6.0]))
-    below = ar.root.below
-    reg = ar.region_of(below)
-    assert np.array_equal(reg.lower, [0.0, 0.0])
-    assert np.array_equal(reg.upper, [5.0, 10.0])
-
-
-def test_region_of_detached_node_raises():
-    from histarch import StructuralError
-    from histarch.bsp import BspNode
-    ar = fresh()
-    stray = BspNode(None)
-    other = BspNode(stray)
-    with pytest.raises(StructuralError):
-        ar.region_of(other)
-
+# -- cells / revisit cells -------------------------------------------------
 
 def test_every_leaf_point_inside_its_region_random_tree():
     rng = np.random.default_rng(7)
@@ -277,8 +250,6 @@ def test_every_leaf_point_inside_its_region_random_tree():
     for leaf in ar.iter_leaves():
         lo, hi = walk_region(ar, leaf)
         assert (leaf.point.coords >= lo).all() and (leaf.point.coords <= hi).all()
-        reg = ar.region_of(leaf)
-        assert np.array_equal(reg.lower, lo) and np.array_equal(reg.upper, hi)
 
 
 def test_split_value_strictly_between_creating_points():
@@ -413,7 +384,7 @@ def chain_insert(ar, n, dim=2):
 def first_roi(ar, leaves, lv, k):
     """The first ROI the trigger reports over ``leaves``, in insert order."""
     for leaf in leaves:
-        roi = ar.roi_trigger(leaf.node, leaf.depth, lv, k)
+        roi = ar.roi_trigger(leaf, lv, k)
         if roi is not None:
             return roi
     return None
@@ -432,9 +403,12 @@ def test_roi_trigger_fires_at_lv_plus_k():
     assert max_leaf_depth(ar) == 21
     roi = first_roi(ar, leaves, 17, 4)
     assert roi is not None
-    assert depth_of(roi.subroot) == 17
+    assert roi.cell.depth == depth_of(roi.cell.node) == 17
+    # the cell and box are the oracle's, bit for bit, under the current epoch
+    assert roi.cell == subtree_of(ar, roi.cell.node)
+    cell = Region(roi.cell.lower, roi.cell.upper)
     for seed in roi.seeds:
-        assert roi.region.contains(seed.coords)
+        assert cell.contains(seed.coords)
 
 
 def test_roi_chain_has_k_plus_one_seeds():
@@ -442,7 +416,8 @@ def test_roi_chain_has_k_plus_one_seeds():
     ar = fresh()
     roi = first_roi(ar, chain_insert(ar, k + 1), 0, k)
     assert roi is not None
-    assert roi.subroot is ar.root
+    assert roi.cell.node is ar.root
+    assert (roi.cell.lower, roi.cell.upper) == ar.domain.bounds
     assert len(roi.seeds) == k + 1
 
 
@@ -453,7 +428,7 @@ def test_roi_seeds_are_leaves_and_distinct():
     while roi is None:
         outcome = ar.insert(ar.domain.uniform_point(rng) / 4.0)  # cluster to deepen fast
         if isinstance(outcome, NewLeaf):
-            roi = ar.roi_trigger(outcome.node, outcome.depth, 2, 3)
+            roi = ar.roi_trigger(outcome, 2, 3)
     seeds = roi.seeds
     coords = np.array([s.coords for s in seeds])
     for i in range(len(coords)):
@@ -466,7 +441,7 @@ def test_roi_seeds_are_leaves_and_distinct():
 def test_block_root_blocks_everything():
     rng = np.random.default_rng(18)
     ar = fill_random(fresh(), 10, rng)
-    ar.block(ar.root)
+    ar.block(subtree_of(ar, ar.root))
     for _ in range(20):
         assert isinstance(ar.insert(ar.domain.uniform_point(rng)), Blocked)
 
@@ -474,10 +449,9 @@ def test_block_root_blocks_everything():
 def test_blocked_subroot_rejects_its_own_centroid():
     ar = fresh()
     chain_insert(ar, 4)
-    sub = ar.root.below  # a proper subtree, not the root
-    ar.block(sub)
-    cell = ar.region_of(sub)
-    centroid = 0.5 * (cell.lower + cell.upper)
+    cell = subtree_of(ar, ar.root.below)  # a proper subtree, not the root
+    ar.block(cell)
+    centroid = 0.5 * (np.array(cell.lower) + np.array(cell.upper))
     assert isinstance(ar.insert(centroid), Blocked)
 
 
@@ -485,7 +459,7 @@ def test_blocking_matches_box_membership_oracle():
     rng = np.random.default_rng(19)
     ar = fill_random(fresh(), 60, rng)
     subroot = next(n for n in _internal_nodes(ar) if depth_of(n) == 2)
-    ar.block(subroot)
+    ar.block(subtree_of(ar, subroot))
     lo, hi = walk_region(ar, subroot)
     for _ in range(1000):
         x = ar.domain.uniform_point(rng)
@@ -495,6 +469,44 @@ def test_blocking_matches_box_membership_oracle():
             assert isinstance(outcome, Blocked)
         else:
             assert not isinstance(outcome, Blocked)
+
+
+def _flags_dump_clock(ar):
+    flags = [n.blocked for n in _internal_nodes(ar)] + [n.blocked for n in ar.iter_leaves()]
+    return flags, ar.dump(), ar._clock
+
+
+def test_block_refuses_a_foreign_or_stale_subtree():
+    ar, twin = fresh(), fresh()
+    for archive in (ar, twin):
+        fill_random(archive, 40, np.random.default_rng(20))
+    before = _flags_dump_clock(ar)
+    foreign = subtree_of(twin, twin.root.below)
+    with pytest.raises(StructuralError):
+        ar.block(foreign)
+    assert _flags_dump_clock(ar) == before and not ar.root.below.blocked
+    for change in (lambda: ar.block(subtree_of(ar, ar.root.above)),
+                   lambda: ar.prune_lru(0.25)):
+        stale = subtree_of(ar, ar.root.below)
+        change()
+        before = _flags_dump_clock(ar)
+        with pytest.raises(StructuralError):
+            ar.block(stale)
+        assert _flags_dump_clock(ar) == before
+    assert not ar.root.below.blocked
+
+
+def test_roi_cell_outlives_inserts_and_blocks_its_node():
+    ar = fresh()
+    roi = first_roi(ar, chain_insert(ar, 6), 2, 3)
+    assert roi is not None and roi.cell.depth == 2
+    # (9, 9) lands outside the cell; inserts only split leaves, so the
+    # cell stays valid
+    assert isinstance(ar.insert(np.array([9.0, 9.0])), NewLeaf)
+    ar.block(roi.cell)
+    assert roi.cell.node.blocked
+    centre = 0.5 * (np.array(roi.cell.lower) + np.array(roi.cell.upper))
+    assert isinstance(ar.insert(centre), Blocked)
 
 
 def _internal_nodes(ar):
@@ -597,9 +609,9 @@ def test_dropped_archive_leaves_no_tree_for_the_cyclic_collector():
         old_root = ar.root
         ar.prune_lru(0.5)
         assert ar.root is not old_root and ar.n_points == 101
-        ar.block(ar.root.below)
-        assert isinstance(ar.insert(ar.region_of(ar.root.below).uniform_point(rng)),
-                          Blocked)
+        cell = subtree_of(ar, ar.root.below)
+        ar.block(cell)
+        assert isinstance(ar.insert(cell.uniform_point(rng)), Blocked)
     assert len(bsp_nodes_left_by(grow_prune_block_drop)) == 0
 
 

@@ -9,7 +9,7 @@ from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
 from histarch.hr import run_cnrga
 from util import (LoggingProblem, RootWalkArchive, ScriptedRng, record_digest,
                   ref_crossover_pair, ref_tournament_pick, same_rng_state, spy_on_parents,
-                  spy_on_prunes, tiling_relative_error)
+                  spy_on_prunes, subtree_of, tiling_relative_error, walk_region)
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
@@ -37,7 +37,7 @@ def test_duplicate_is_replaced_by_mutant_in_leaf_cell():
     rng = np.random.default_rng(1)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
     evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
-    cell = ar.region_of(ar.root.below)  # leaf currently holding (2, 5)
+    cell = Region(*walk_region(ar, ar.root.below))  # leaf currently holding (2, 5)
     point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng).node.point
     assert ev.used == 3  # one evaluation despite the revisit
     assert np.abs(point.coords - np.array([2.0, 5.0])).max() > 0
@@ -51,7 +51,7 @@ def test_blocked_half_redirects_everything_right():
     rng = np.random.default_rng(2)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
     evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
-    ar.block(ar.root.below)  # left half x < 5
+    ar.block(subtree_of(ar, ar.root.below))  # left half x < 5
     for _ in range(10_000):
         coords = np.array([rng.uniform(0.0, 5.0), rng.uniform(0.0, 10.0)])
         point = evaluate_via_archive(coords, ar, ev, rng).node.point
@@ -64,7 +64,7 @@ def test_whole_domain_blocked_signals_exhaustion():
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(3)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
-    ar.block(ar.root)
+    ar.block(subtree_of(ar, ar.root))
     with pytest.raises(SearchSpaceExhaustedError):
         evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng)
 

@@ -1,13 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import histarch.harness as harness
-from histarch import ExperimentConfig, ParameterError, recompute_stats, run_experiment
+from histarch import (ExperimentConfig, ParameterError, Problem, Region, recompute_stats,
+                      run_experiment)
+from histarch.hr import ALGORITHMS
 from histarch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +53,8 @@ def test_config_validation():
         small_config(algorithms=["cmaes", "cmaes"])
     with pytest.raises(ParameterError):
         run_experiment(small_config(problems=["nope"]))
+    with pytest.raises(ParameterError, match="at least one problem"):
+        small_config(problems=[])
 
 
 def test_results_reproducible_and_worker_independent(tmp_path):
@@ -123,6 +129,24 @@ def test_failed_run_excluded_with_flag(tmp_path, monkeypatch, capsys):
     assert row.endswith(",2,1")
 
 
+def test_never_finite_objective_sweeps_without_warnings(tmp_path, monkeypatch):
+    # every value is NaN, so every run ends with an infinite final error;
+    # the suite's RuntimeWarning filter turns any numpy warning into an error
+    domain = Region(np.full(2, -5.0), np.full(2, 5.0))
+    nan_problem = Problem("nan", 2, domain, lambda x: math.nan, 0.0, "unimodal")
+    monkeypatch.setattr(harness, "_suite", lambda dim, seed: [nan_problem])
+    out = tmp_path / "nan"
+    result = run_experiment(small_config(str(out), algorithms=list(ALGORITHMS),
+                                         problems=None))
+    assert not result.failures
+    for algo in ALGORITHMS:
+        cell = result.table.cells[("nan", algo)]
+        assert (cell.n_runs, cell.best, cell.median, cell.mean) == (2, math.inf, math.inf,
+                                                                    math.inf)
+        assert math.isnan(cell.std)
+    assert "nan,hr,inf,inf,inf,inf,nan,2,0" in (out / "results.csv").read_text()
+
+
 # -- CLI ---------------------------------------------------------------------
 
 def cli_run_args(out, extra=()):
@@ -147,6 +171,16 @@ def test_cli_missing_budget_is_config_error(tmp_path, capsys):
     code = main(["run", "--suite", "2d", "--algos", "cmaes",
                  "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("names", [",", ""])
+def test_cli_empty_problem_list_is_config_error(tmp_path, capsys, names):
+    out = tmp_path / "x"
+    code = main(["run", "--suite", "2d", "--algos", "cmaes", "--budget", "100",
+                 "--runs", "2", "--problems", names, "--out", str(out)])
+    assert code == 2
+    assert "at least one problem" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_algo_is_config_error(tmp_path):
@@ -192,6 +226,11 @@ WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05}, "problems": ["sp
      "key 'sphere::hr' has an item that is not a JSON float"),
     (dict(WELL_FORMED, problems=[1]), "key 'problems' has an item that is not a JSON str"),
     (dict(WELL_FORMED, config={"algorithms": ["hr"], "alpha": 1.5}), "key 'alpha' must lie"),
+    (dict(WELL_FORMED, reference="zzz"), "key 'reference' names 'zzz'"),
+    (dict(WELL_FORMED, reference=None), "key 'reference' is missing"),
+    (dict(WELL_FORMED, config={"algorithms": [], "alpha": 0.05}),
+     "key 'algorithms' is an empty list"),
+    (dict(WELL_FORMED, problems=[]), "key 'problems' is an empty list"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
     (tmp_path / "summary.json").write_text(json.dumps(summary))

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from histarch import (ParameterError, Region, RoiSuggestion, StopReason, cma_init,
-                      cma_run, derive_depth_params, hr_run, make_suite, run_algorithm,
-                      seed_cma_from_roi)
+from histarch import (ParameterError, Region, RoiSuggestion, StopReason, Subtree,
+                      cma_init, cma_run, derive_depth_params, hr_run, make_suite,
+                      run_algorithm, seed_cma_from_roi)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
 from histarch.bsp import BspArchive, SearchPoint
 from histarch.cnrga import LRU_CAPACITY, POP_SIZE
@@ -40,10 +40,11 @@ def test_depth_params_reference_values():
 # -- seeding -------------------------------------------------------------
 
 def roi_of(seed_coords, lower, upper):
-    region = Region(np.asarray(lower, float), np.asarray(upper, float))
+    """An ROI whose cell is [lower, upper], with no tree behind it."""
+    lower, upper = tuple(map(float, lower)), tuple(map(float, upper))
     seeds = [SearchPoint(np.asarray(c, float), 0.0, i)
              for i, c in enumerate(seed_coords)]
-    return RoiSuggestion(None, region, seeds)
+    return RoiSuggestion(Subtree(None, 0, lower, upper, upper, None), seeds)
 
 
 def test_seed_mean_and_sigma_from_region():
@@ -70,14 +71,13 @@ def test_seed_mean_stays_inside_region():
         coords = [rng.uniform(lower, upper) for _ in range(rng.integers(1, 8))]
         roi = roi_of(coords, lower, upper)
         state = seed_cma_from_roi(roi, 7, Region(np.full(3, -20.0), np.full(3, 20.0)))
-        assert roi.region.contains(state.mean)
+        assert Region(roi.cell.lower, roi.cell.upper).contains(state.mean)
 
 
 def test_empty_seeds_rejected():
-    region = Region(np.zeros(2), np.ones(2))
-    roi = RoiSuggestion(None, region, [])
+    roi = roi_of([], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ParameterError):
-        seed_cma_from_roi(roi, 6, region)
+        seed_cma_from_roi(roi, 6, Region(np.zeros(2), np.ones(2)))
 
 
 def test_non_finite_covariance_ends_phase_as_numerical_error():
@@ -244,7 +244,7 @@ def test_restarting_cmaes_restarts_on_flat_objective():
 
 @pytest.mark.parametrize("lru", [False, True])
 def test_cnrga_makes_no_roi_query(lru, monkeypatch):
-    def refuse(self, new_leaf, depth, lv, k):
+    def refuse(self, leaf, lv, k):
         raise AssertionError("the cNrGA baselines must not query the ROI trigger")
 
     monkeypatch.setattr(BspArchive, "roi_trigger", refuse)

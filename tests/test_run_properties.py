@@ -6,14 +6,16 @@ and an objective that returns NaN or +-inf on part or all of the box, or
 raises its own exception after n calls. Every algorithm must then spend
 exactly its budget, set ``search_space_exhausted``, or let the
 objective's exception propagate, and the phases must tile the
-evaluations it used. The deadline bounds each example's time.
+evaluations it used. The deadline bounds each example's time. The
+examples come from a fixed seed, so an edit to the test body does not
+swap the whole example set.
 """
 
 from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from histarch import Problem, Region, run_algorithm
@@ -55,13 +57,14 @@ def hostile_problems(draw):
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
+@seed(2019)
 @settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=100)
 @given(hostile=hostile_problems(), budget=st.integers(1, 300),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_every_run_ends_in_a_defined_outcome(algo, hostile, budget, seed):
+       run_seed=st.integers(0, 2 ** 32 - 1))
+def test_every_run_ends_in_a_defined_outcome(algo, hostile, budget, run_seed):
     problem, raise_after, calls = hostile
     try:
-        rec = run_algorithm(problem, algo, budget, np.random.default_rng(seed))
+        rec = run_algorithm(problem, algo, budget, np.random.default_rng(run_seed))
     except ObjectiveFailure:
         assert raise_after is not None and calls[0] == raise_after + 1
         return

@@ -2,7 +2,9 @@
 test modules.
 
 The tree oracles deliberately re-derive tree geometry from parent links
-and the domain box instead of trusting the library's own ``region_of``.
+and the domain box instead of trusting the cells the library hands out:
+``walk_region`` gives a node's cell and ``subtree_of`` its whole
+``Subtree``.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from scipy.special import logsumexp
 
 from histarch.benchmarks import (SCHWEFEL_OFFSET, BudgetedEvaluator, Problem,
                                  ellipsoid_weights, random_rotation)
-from histarch.bsp import BspArchive, BspNode
+from histarch.bsp import BspArchive, BspNode, Subtree
 from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair, maybe_prune
 from histarch.errors import InputError, NumericalError
 
@@ -44,8 +46,8 @@ def budgeted(f, domain, budget):
 
 
 def walk_region(archive, node):
-    """Region of a node computed by clipping the domain along each
-    ancestor split (independent of ``BspArchive.region_of``)."""
+    """Cell of a node computed by clipping the domain along each ancestor
+    split (independent of the archive's own cell computation)."""
     chain = []
     cur = node
     while cur.parent is not None:
@@ -61,6 +63,16 @@ def walk_region(archive, node):
             assert parent.above is child, "child not linked from its parent"
             lo[parent.split_dim] = parent.split_value
     return lo, hi
+
+
+def subtree_of(archive, node):
+    """``node``'s Subtree, built from the oracles: its ``walk_region`` cell,
+    its ``depth_of`` depth, the box with every upper face below the
+    domain's moved one float down, and the archive's current epoch."""
+    lo, hi = walk_region(archive, node)
+    box_upper = np.where(hi == archive.domain.upper, hi, np.nextafter(hi, -np.inf))
+    return Subtree(node, depth_of(node), tuple(lo.tolist()), tuple(hi.tolist()),
+                   tuple(box_upper.tolist()), archive._epoch)
 
 
 def leaf_cells(archive):
