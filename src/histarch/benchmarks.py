@@ -3,8 +3,16 @@
 These are classic box-constrained test functions (plus one hybrid and one
 composition problem), NOT the official CEC 2013/2017 suites: those need
 external data files and reference code. Shifts and rotations are generated
-deterministically from a seed, with optima kept inside the central 80% of
-the domain so no optimum sits on a boundary.
+deterministically from a seed.
+
+Only ``sr_rastrigin`` and ``composition`` are shifted, by draws from
+[-80, 80]^D, so their optima lie inside the central 80% of the domain.
+Sphere, rot_ellipsoid, Rastrigin, Ackley and Griewank have their optimum
+at the centre of the domain, and Rosenbrock at (1, ..., 1). Two optima lie
+outside the central 80%: Schwefel's, at 420.97 per coordinate on
+[-500, 500], and the hybrid's on its Schwefel group, at 84.19 on
+[-100, 100]; the hybrid's other two groups have theirs at 0. No optimum
+sits on a boundary.
 """
 
 from __future__ import annotations

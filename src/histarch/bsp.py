@@ -110,18 +110,11 @@ class Region:
         """Whether ``coords`` lies in the closed box; a NaN coordinate never does.
 
         Raises InputError unless ``coords`` is a vector of ``dim`` values.
-        The bounds are compared as Python floats, which at these sizes is
-        cheaper than numpy comparisons and reductions. The loop is
-        ``_in_box`` written out, because every evaluation runs it.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.shape != self.lower.shape:
             raise InputError(f"expected {self.dim} coordinates, got shape {coords.shape}")
-        los, his = self.bounds
-        for lo, x, hi in zip(los, coords.tolist(), his):
-            if not lo <= x <= hi:
-                return False
-        return True
+        return _in_box(*self.bounds, coords.tolist())
 
     def uniform_point(self, rng: np.random.Generator) -> np.ndarray:
         # the values and generator state of rng.uniform(lower, upper), at a

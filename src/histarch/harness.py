@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -74,14 +75,8 @@ class ExperimentResult:
     failures: list  # (problem, algo, run_index, message)
 
 
-_SUITE_CACHE: dict = {}
-
-
-def _suite(dim: int, seed: int):
-    key = (dim, seed)
-    if key not in _SUITE_CACHE:
-        _SUITE_CACHE[key] = make_suite(dim, seed)
-    return _SUITE_CACHE[key]
+# one suite per (dim, seed) and process, shared by every cell a process runs
+_suite = functools.cache(make_suite)
 
 
 def _execute_cell(config: ExperimentConfig, cell: tuple):
@@ -161,6 +156,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 # -- persistence ---------------------------------------------------------
 
+# Strict JSON has no infinity. The evaluator ranks NaN and -inf as +inf, so
+# +inf is the one non-finite value a sweep can produce; the JSON files
+# write it as this string, and every other float as a JSON number.
+INF = "Infinity"
+
+
+def _json_float(x: float):
+    return INF if x == math.inf else x
+
+
+def _dumps(payload, **kwargs) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False, **kwargs) + "\n"
+
+
 def _fmt(x: float) -> str:
     return f"{x:.10e}"
 
@@ -203,7 +212,7 @@ def summary_payload(result: ExperimentResult, suite) -> dict:
         "config": cfg,
         "suite": suite_manifest(suite),
         "problems": list(result.table.problems),
-        "finals": {f"{p}::{a}": result.finals[(p, a)]
+        "finals": {f"{p}::{a}": [_json_float(x) for x in result.finals[(p, a)]]
                    for p in result.table.problems for a in result.table.algorithms},
         "failures": [list(f) for f in result.failures],
         "reference": result.table.reference,
@@ -230,8 +239,8 @@ def _persist_run(config: ExperimentConfig, out: Path, stem: str, rec: RunRecord)
         if config.trace:
             record = dataclasses.asdict(rec)
             del record["tree_dump"]
-            (out / "runs" / f"{stem}.json").write_text(
-                json.dumps(record, indent=2) + "\n", newline="\n")
+            record["final_fitness"] = _json_float(rec.final_fitness)
+            (out / "runs" / f"{stem}.json").write_text(_dumps(record), newline="\n")
         if config.gnuplot:
             lines = [f"{e} {_fmt(v)}" for e, v in rec.best_trace]
             (out / "traces" / f"{stem}.dat").write_text("\n".join(lines) + "\n",
@@ -249,8 +258,7 @@ def persist_result(result: ExperimentResult, suite):
         (out / "results.csv").write_text(results_csv(result.table), newline="\n")
         (out / "ranks.csv").write_text(ranks_csv(result.table), newline="\n")
         payload = summary_payload(result, suite)
-        (out / "summary.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
+        (out / "summary.json").write_text(_dumps(payload, sort_keys=True), newline="\n")
     except OSError as exc:
         raise OSError(f"failed writing results under {out}: {exc}") from exc
 
@@ -265,13 +273,25 @@ def _field(mapping, key: str, kind: type, where: str):
 
 def _items(mapping, key: str, kind: type, where: str) -> list:
     """``mapping[key]`` if it is a list of items of exactly ``kind``, else a
-    ParameterError naming ``key``. The harness writes every final as a
-    float, so neither JSON ``true`` nor ``1`` is a final."""
+    ParameterError naming ``key``."""
     values = _field(mapping, key, list, where)
     if not all(type(v) is kind for v in values):
         raise ParameterError(f"{where}: key {key!r} has an item that is not a JSON "
                              f"{kind.__name__}")
     return values
+
+
+def _finals(stored, key: str, where) -> list:
+    """``stored[key]`` as a list of floats, if each item is a JSON float or
+    ``INF``, else a ParameterError naming ``key``. The harness writes every
+    final as a float, so neither JSON ``true`` nor ``1`` is a final. A file
+    written before ``INF`` existed holds +inf as the bare token
+    ``Infinity``, which ``json.loads`` reads as a float."""
+    values = _field(stored, key, list, where)
+    if not all(type(v) is float or v == INF for v in values):
+        raise ParameterError(f"{where}: key {key!r} has an item that is not a JSON float "
+                             f"or {INF!r}")
+    return [math.inf if v == INF else v for v in values]
 
 
 def recompute_stats(in_dir) -> StatsTable:
@@ -289,7 +309,7 @@ def recompute_stats(in_dir) -> StatsTable:
         if not names:
             raise ParameterError(f"{summary_path}: key {key!r} is an empty list")
     stored = _field(payload, "finals", dict, summary_path)
-    finals = {cell: _items(stored, "::".join(cell), float, summary_path)
+    finals = {cell: _finals(stored, "::".join(cell), summary_path)
               for cell in itertools.product(problems, algorithms)}
     failures = _field(payload, "failures", list, summary_path)
     if not all(isinstance(row, list) and len(row) == 4

@@ -23,6 +23,11 @@ build. After a revisit in a round, the round's points in the revisited
 leaf's closed cell, the cell's corners, points on each of its faces and
 points one float outside each face are inserted with that cell.
 
+The three domain tests agree on a small box: ``Region.contains``,
+``_in_box`` on the region's bounds, the evaluator's refusal and the
+archive's. Each coordinate lies on a face, one float outside it, strictly
+inside, at +-0, or is NaN or +-inf.
+
 The examples come from a fixed seed, so an edit to the test body does
 not swap the whole example set.
 """
@@ -32,9 +37,10 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from histarch import (Blocked, BspArchive, DomainError, NewLeaf, Problem, Region, Revisit,
-                      StructuralError, evaluate_via_archive)
+from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf, Problem, Region,
+                      Revisit, StructuralError, evaluate_via_archive)
 from histarch.benchmarks import BudgetedEvaluator, sphere
+from histarch.bsp import _in_box
 from util import (RootWalkArchive, ScriptedRng, depth_of, leaf_cells, locate_brute,
                   subtree_of, tiling_relative_error, walk_region)
 
@@ -328,3 +334,40 @@ def test_cell_draw_on_a_split_face_walks_from_the_root():
     assert fast.node.parent is archives[0].root.above  # (8, 6)'s former leaf
     assert fast.depth == ref.depth == 2
     assert archives[0].dump() == archives[1].dump()
+
+
+# +-0 lie on faces of the first two dimensions and outside the third
+SMALL_BOX = Region(np.array([-1.0, -0.0, 0.5]), np.array([0.0, 0.75, 3.0]))
+
+
+def on_face_or_beyond(lo, hi):
+    edges = [lo, hi, 0.0, -0.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+             np.nan, np.inf, -np.inf]
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+@seed(2019)
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coords=st.tuples(*map(on_face_or_beyond, *SMALL_BOX.bounds)))
+@example(coords=SMALL_BOX.bounds[0])
+@example(coords=SMALL_BOX.bounds[1])
+def test_domain_tests_agree(coords):
+    box = SMALL_BOX
+    x = np.array(coords)
+    inside = box.contains(x)
+    # the closed box by numpy's elementwise comparisons, false for NaN
+    assert inside == bool(np.all((box.lower <= x) & (x <= box.upper)))
+    assert inside == _in_box(*box.bounds, list(coords))
+    ev = BudgetedEvaluator(Problem("sphere", 3, box, sphere, 0.0, "unimodal"), 1)
+    archive = BspArchive(box)
+    if inside:
+        assert ev(x) == sphere(x) and ev.used == 1
+        assert isinstance(archive.insert(x), NewLeaf) and archive.n_points == 1
+        assert same_bits(archive.root.point.coords, x)
+        return
+    with pytest.raises(DomainError):
+        ev(x)
+    assert ev.used == 0
+    with pytest.raises(DomainError if np.isfinite(x).all() else InputError):
+        archive.insert(x)
+    assert archive.n_points == 0

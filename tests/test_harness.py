@@ -129,15 +129,20 @@ def test_failed_run_excluded_with_flag(tmp_path, monkeypatch, capsys):
     assert row.endswith(",2,1")
 
 
-def test_never_finite_objective_sweeps_without_warnings(tmp_path, monkeypatch):
-    # every value is NaN, so every run ends with an infinite final error;
-    # the suite's RuntimeWarning filter turns any numpy warning into an error
+def sweep_never_finite(out, monkeypatch, **kw):
+    """Every algorithm on one problem whose every value is NaN, so every run
+    ends with an infinite final error."""
     domain = Region(np.full(2, -5.0), np.full(2, 5.0))
     nan_problem = Problem("nan", 2, domain, lambda x: math.nan, 0.0, "unimodal")
     monkeypatch.setattr(harness, "_suite", lambda dim, seed: [nan_problem])
+    return run_experiment(small_config(str(out), algorithms=list(ALGORITHMS),
+                                       problems=None, **kw))
+
+
+def test_never_finite_objective_sweeps_without_warnings(tmp_path, monkeypatch):
+    # the suite's RuntimeWarning filter turns any numpy warning into an error
     out = tmp_path / "nan"
-    result = run_experiment(small_config(str(out), algorithms=list(ALGORITHMS),
-                                         problems=None))
+    result = sweep_never_finite(out, monkeypatch)
     assert not result.failures
     for algo in ALGORITHMS:
         cell = result.table.cells[("nan", algo)]
@@ -145,6 +150,39 @@ def test_never_finite_objective_sweeps_without_warnings(tmp_path, monkeypatch):
                                                                     math.inf)
         assert math.isnan(cell.std)
     assert "nan,hr,inf,inf,inf,inf,nan,2,0" in (out / "results.csv").read_text()
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-standard tokens NaN and +-Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_never_finite_sweep_writes_strict_json_and_reads_it_back(tmp_path, monkeypatch):
+    out = tmp_path / "nan"
+    sweep_never_finite(out, monkeypatch, trace=True)
+    files = [out / "summary.json", *sorted((out / "runs").glob("*.json"))]
+    assert len(files) == 1 + 2 * len(ALGORITHMS)
+    for path in files:
+        strict_json(path.read_text())
+    run = strict_json((out / "runs" / "nan__hr__run0.json").read_text())
+    assert run["final_fitness"] == harness.INF
+
+    def tables():
+        return [(out / name).read_bytes() for name in ("results.csv", "ranks.csv")]
+    written = tables()
+    recompute_stats(out)
+    assert tables() == written
+    # a summary written before strict JSON holds +inf as a bare Infinity token
+    summary = strict_json((out / "summary.json").read_text())
+    summary["finals"] = {cell: [math.inf if v == harness.INF else v for v in values]
+                         for cell, values in summary["finals"].items()}
+    legacy = json.dumps(summary, indent=2, sort_keys=True)
+    assert "Infinity," in legacy
+    (out / "summary.json").write_text(legacy)
+    recompute_stats(out)
+    assert tables() == written
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -231,6 +269,8 @@ WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05}, "problems": ["sp
     (dict(WELL_FORMED, config={"algorithms": [], "alpha": 0.05}),
      "key 'algorithms' is an empty list"),
     (dict(WELL_FORMED, problems=[]), "key 'problems' is an empty list"),
+    (dict(WELL_FORMED, finals={"sphere::hr": [1.0, "-Infinity"]}),
+     "key 'sphere::hr' has an item that is not a JSON float"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
     (tmp_path / "summary.json").write_text(json.dumps(summary))
