@@ -15,8 +15,8 @@ from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_run,
                     cma_sample, cma_update, default_lambda, stagnation_window)
 from .cnrga import evaluate_via_archive, generations, maybe_prune
 from .errors import (BudgetExhaustedError, DomainError, HistarchError,
-                     InputError, NumericalError, ParameterError,
-                     SearchSpaceExhaustedError, StructuralError)
+                     InputError, ParameterError, SearchSpaceExhaustedError,
+                     StructuralError)
 from .harness import ExperimentConfig, ExperimentResult, recompute_stats, run_experiment
 from .hr import (Phase, RunRecord, derive_depth_params, hr_run, run_algorithm,
                  run_cmaes_restart, run_cnrga, seed_cma_from_roi)

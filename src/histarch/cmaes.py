@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsp import Region
-from .errors import InputError, NumericalError, ParameterError
+from .errors import InputError, ParameterError
 
 # stop thresholds: covariance condition number, flat best-of-generation
 # spread over the stagnation window, flat spread within one generation, and
@@ -29,6 +29,13 @@ COV_CONDITION_LIMIT = 1e14
 STAGNATION_TOL = 1e-12
 TOL_FUN = 1e-12
 TOL_X_FACTOR = 1e-12
+# condition number up to which the eigenvalues of the stop check's eigh
+# decide the COV_CONDITION test alone. eigh and eigvalsh are both backward
+# stable, so their eigenvalues differ by about D * eps * lambda_max: where
+# eigh reads at most 1e12, eigvalsh cannot read above COV_CONDITION_LIMIT
+# or a lambda_min at or below 0. Beyond it eigvalsh decides, so every stop
+# decision is the one eigvalsh alone would make.
+EIGH_TRUSTED_CONDITION = 1e12
 
 
 class StopReason(enum.Enum):
@@ -37,7 +44,7 @@ class StopReason(enum.Enum):
     STAGNATION = "stagnation"
     TOL_FUN = "tol_fun"
     TOL_X = "tol_x"
-    NUMERICAL_ERROR = "numerical_error"  # sampling or update hit a degenerate state
+    NUMERICAL_ERROR = "numerical_error"  # the covariance has no usable eigendecomposition
 
 
 def default_lambda(dim: int) -> int:
@@ -72,8 +79,9 @@ class CmaState:
     chi_n: float
     domain: Region
     sigma0: float
-    # eigendecomposition of the cov the latest cma_sample drew from (the
-    # identity's before the first), which cma_update whitens the shift with
+    # eigendecomposition of cov made by the latest cma_check_stop that
+    # could make one (the identity's before the first): cma_sample draws
+    # from it and cma_update whitens the mean shift with it
     eig_basis: np.ndarray
     eig_scale: np.ndarray  # sqrt of eigenvalues
     best_history: deque = field(default_factory=deque)
@@ -90,8 +98,9 @@ def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region) -> CmaS
     dim = mean0.size
     if mean0.shape != (domain.dim,):
         raise ParameterError(f"initial mean must have shape ({domain.dim},), got {mean0.shape}")
-    if sigma0 <= 0:
-        raise ParameterError("sigma0 must be positive")
+    # written as a range so that NaN fails it too
+    if not 0.0 < sigma0 < math.inf:
+        raise ParameterError("sigma0 must be finite and positive")
     if lam < 2:
         raise ParameterError("population size must be >= 2")
     if not domain.contains(mean0):
@@ -135,18 +144,23 @@ def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region) -> CmaS
     )
 
 
-def _refresh_eig(state: CmaState):
+def _decompose(state: CmaState) -> list[float] | None:
+    """Ascending eigenvalues of ``state.cov`` from one ``eigh``, whose basis
+    and square-rooted eigenvalues replace the state's; None, with the
+    state's left as they were, when the matrix has a non-finite entry,
+    ``eigh`` fails or an eigenvalue is not finite and positive."""
     if not np.isfinite(state.cov).all():
-        raise NumericalError("covariance matrix contains non-finite entries")
+        return None
     try:
         eigvals, basis = np.linalg.eigh(state.cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigendecomposition failed") from exc
+    except np.linalg.LinAlgError:
+        return None
     values = eigvals.tolist()
-    if not all(map(math.isfinite, values)) or min(values) <= 0:
-        raise NumericalError("covariance matrix lost positive definiteness")
+    if not all(map(math.isfinite, values)) or values[0] <= 0:
+        return None
     state.eig_basis = basis
     state.eig_scale = np.sqrt(eigvals)
+    return values
 
 
 def cma_sample(state: CmaState, rng: np.random.Generator) -> np.ndarray:
@@ -155,9 +169,10 @@ def cma_sample(state: CmaState, rng: np.random.Generator) -> np.ndarray:
     Returns a float (lambda, D) array. All rows come from one
     (lambda, D) normal draw; only rows outside the box are redrawn, each
     row at most 100 draws in all, and a row still outside after that is
-    clamped to the box as a last resort.
+    clamped to the box as a last resort. Draws from the eigendecomposition
+    of ``state.cov`` that ``cma_check_stop`` made, so call it after a check
+    that returned None, as ``cma_run`` does.
     """
-    _refresh_eig(state)
     basis, scale = state.eig_basis, state.eig_scale
     lower, upper = state.domain.lower, state.domain.upper
 
@@ -179,8 +194,9 @@ def cma_sample(state: CmaState, rng: np.random.Generator) -> np.ndarray:
 def cma_update(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray):
     """One generation step: recombine, cumulate paths, adapt sigma and C.
 
-    Whitens the mean shift with the eigendecomposition ``cma_sample`` drew
-    the candidates from. +inf fitnesses rank last; NaN is rejected.
+    Whitens the mean shift with the eigendecomposition ``cma_check_stop``
+    made and ``cma_sample`` drew the candidates from. +inf fitnesses rank
+    last; NaN is rejected.
     """
     fitnesses = np.asarray(fitnesses, dtype=float)
     if len(candidates) != state.lam or fitnesses.size != state.lam:
@@ -234,11 +250,21 @@ def cma_update(state: CmaState, candidates: np.ndarray, fitnesses: np.ndarray):
 
 
 def cma_check_stop(state: CmaState) -> StopReason | None:
-    """First matching stop in priority order, or None; ``cma_run`` owns the budget."""
-    eigvals = np.linalg.eigvalsh(state.cov)
-    lowest = eigvals.min()
-    if lowest <= 0 or eigvals.max() / lowest > COV_CONDITION_LIMIT:
-        return StopReason.COV_CONDITION
+    """First matching stop in priority order, or None; ``cma_run`` owns the budget.
+
+    Makes the generation's one eigendecomposition of ``state.cov`` and
+    keeps its basis and scale on the state for ``cma_sample`` and
+    ``cma_update``. Its eigenvalues decide COV_CONDITION when their
+    condition number is at most EIGH_TRUSTED_CONDITION; otherwise, and when
+    there is no decomposition, ``eigvalsh`` decides. A covariance without a
+    decomposition that ranks no earlier reason is NUMERICAL_ERROR, the last.
+    """
+    values = _decompose(state)
+    if values is None or values[-1] > EIGH_TRUSTED_CONDITION * values[0]:
+        eigvals = np.linalg.eigvalsh(state.cov)
+        lowest = eigvals.min()
+        if lowest <= 0 or eigvals.max() / lowest > COV_CONDITION_LIMIT:
+            return StopReason.COV_CONDITION
     window = state.best_history.maxlen
     if len(state.best_history) == window:
         hi, lo = max(state.best_history), min(state.best_history)
@@ -250,6 +276,8 @@ def cma_check_stop(state: CmaState) -> StopReason | None:
         return StopReason.TOL_FUN
     if state.sigma * math.sqrt(state.cov.diagonal().max()) < TOL_X_FACTOR * state.sigma0:
         return StopReason.TOL_X
+    if values is None:
+        return StopReason.NUMERICAL_ERROR
     return None
 
 
@@ -260,15 +288,14 @@ def cma_run(state: CmaState, evaluator, rng: np.random.Generator) -> StopReason:
     is entered with budget left. Never raises on budget: the generation
     that spends the last evaluation, whole or cut to its first
     ``remaining`` rows, ends the run as BUDGET_EXHAUSTED before any update.
+    Each generation decomposes the covariance once, in ``cma_check_stop``;
+    ``cma_sample`` and ``cma_update`` read that decomposition.
     """
     while True:
         stop = cma_check_stop(state)
         if stop is not None:
             return stop
-        try:
-            candidates = cma_sample(state, rng)
-        except NumericalError:
-            return StopReason.NUMERICAL_ERROR
+        candidates = cma_sample(state, rng)
         fits = np.array([evaluator(x) for x in candidates[:evaluator.remaining]])
         if evaluator.remaining == 0:
             return StopReason.BUDGET_EXHAUSTED

@@ -27,7 +27,3 @@ class BudgetExhaustedError(HistarchError):
 
 class SearchSpaceExhaustedError(HistarchError):
     """Blocked regions cover the whole domain; the explorer cannot continue."""
-
-
-class NumericalError(HistarchError):
-    """A linear-algebra step produced non-finite values."""

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from histarch import (ParameterError, Region, StopReason, cma_check_stop,
                       cma_init, cma_run, cma_sample, cma_update, default_lambda,
                       make_suite, stagnation_window)
-from histarch.benchmarks import ellipsoid_weights
-from util import budgeted, ref_cma_sample, ref_cma_update, reference_suite
+from histarch import cmaes
+from histarch.benchmarks import ellipsoid_weights, random_rotation
+from util import (budgeted, ref_cma_sample, ref_cma_update, ref_generation_stop,
+                  reference_suite)
 
 
 def wide_domain(dim, half=100.0):
@@ -38,9 +42,10 @@ def test_init_identity_and_weights():
     assert 1.0 <= state.mu_eff <= state.mu
 
 
-def test_init_rejects_bad_sigma():
+@pytest.mark.parametrize("sigma0", [0.0, -1.0, math.nan, math.inf])
+def test_init_rejects_bad_sigma(sigma0):
     with pytest.raises(ParameterError):
-        cma_init(np.zeros(3), 0.0, 8, wide_domain(3))
+        cma_init(np.zeros(3), sigma0, 8, wide_domain(3))
 
 
 def test_init_rejects_mean_of_wrong_dimension():
@@ -82,6 +87,7 @@ def test_sample_is_one_normal_block_mapped_row_by_row():
     a = rng.standard_normal((dim, dim))
     state = cma_init(np.full(dim, 1.5), 0.8, lam, wide_domain(dim))
     state.cov = a @ a.T / dim + 0.5 * np.eye(dim)  # no draw leaves the box
+    assert cma_check_stop(state) is None
     xs = cma_sample(state, np.random.default_rng(12))
     assert isinstance(xs, np.ndarray)
     assert xs.dtype == np.float64 and xs.shape == (lam, dim)
@@ -117,6 +123,7 @@ def test_sample_covariance_tracks_cov():
     cov = a @ a.T / dim + 0.5 * np.eye(dim)
     state = cma_init(np.zeros(dim), 1.0, 20, wide_domain(dim))
     state.cov = cov
+    assert cma_check_stop(state) is None
     draws = np.empty((100_000, dim))
     i = 0
     while i < draws.shape[0]:
@@ -157,6 +164,7 @@ def test_cov_stays_symmetric_positive_definite():
         return 10 * x.size + np.sum(x * x - 10 * np.cos(2 * np.pi * x))
 
     for _ in range(60):
+        assert cma_check_stop(state) is None
         xs = cma_sample(state, rng)
         fs = np.array([rastr(x) for x in xs])
         cma_update(state, xs, fs)
@@ -196,6 +204,7 @@ def test_generations_bit_identical_to_reference(name):
     redrawn = first_draw = clamped = 0
     for _ in range(100):
         twin = copy.deepcopy(rng)
+        assert cma_check_stop(state) is None
         xs = cma_sample(state, rng)
         ref_xs = ref_cma_sample(ref, ref_rng)
         assert np.array_equal(xs, ref_xs)
@@ -263,6 +272,7 @@ def test_run_ends_on_the_generation_that_spends_the_budget(budget):
     assert cma_run(state, evaluator, rng) is StopReason.BUDGET_EXHAUSTED
     assert evaluator.used == budget and evaluator.remaining == 0
     for _ in range(2):
+        assert cma_check_stop(twin) is None
         xs = cma_sample(twin, twin_rng)
         cma_update(twin, xs, np.array([float(x @ x) for x in xs]))
     assert state.generation == twin.generation == 2
@@ -270,5 +280,115 @@ def test_run_ends_on_the_generation_that_spends_the_budget(budget):
         assert np.array_equal(getattr(state, attr), getattr(twin, attr)), attr
     assert state.sigma == twin.sigma
     # the cut generation drew all lambda rows
+    assert cma_check_stop(twin) is None
     cma_sample(twin, twin_rng)
     assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+
+# -- one eigendecomposition per generation ------------------------------
+
+# the condition numbers the test covariances are built around: log-uniform
+# over [1, 1e16], or within a thousandth of a decade of the trusted margin
+# or of the stop limit, where eigh and eigvalsh can read opposite sides
+CONDITIONS = (None, cmaes.EIGH_TRUSTED_CONDITION, cmaes.COV_CONDITION_LIMIT)
+# what is done to the matrix afterwards: nothing, a zero or a negative
+# eigenvalue, or one symmetric pair of entries made non-finite
+DEFECTS = (None, "singular", "indefinite", math.nan, math.inf, -math.inf)
+
+
+def drawn_covariance(dim, condition, defect, rng):
+    """A rotated covariance with eigenvalues from 1 to about ``condition``
+    times a random scale, then the ``defect``."""
+    if condition is None:
+        log_cond = rng.uniform(0.0, 16.0)
+    else:
+        log_cond = math.log10(condition) + rng.uniform(-1e-3, 1e-3)
+    eigvals = 10.0 ** rng.uniform(0.0, log_cond, dim)
+    eigvals[-1] = 10.0 ** log_cond
+    eigvals[0] = {"singular": 0.0, "indefinite": -10.0 ** rng.uniform(-16.0, 0.0)}.get(
+        defect, 1.0)
+    eigvals *= 10.0 ** rng.uniform(-8.0, 8.0)
+    q = random_rotation(dim, rng)
+    cov = (q * eigvals) @ q.T
+    cov = 0.5 * (cov + cov.T)
+    if isinstance(defect, float):
+        i, j = rng.integers(dim, size=2)
+        cov[i, j] = cov[j, i] = defect
+    return cov
+
+
+def outcome(check, state):
+    """What ``check(state)`` returns, or the type of what it raises."""
+    try:
+        return check(state)
+    except Exception as exc:
+        return type(exc)
+
+
+@seed(2019)
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(dim=st.integers(1, 30), condition=st.sampled_from(CONDITIONS),
+       defect=st.sampled_from(DEFECTS), flat=st.booleans(),
+       sigma=st.sampled_from([1.0, 1e-13]), numpy_seed=st.integers(0, 2 ** 32 - 1))
+def test_stop_decision_equals_eigvalsh_decision(dim, condition, defect, flat, sigma,
+                                                numpy_seed):
+    # the decision and the decomposition one generation of the first loop
+    # made: eigvalsh in the stop check, then the sampler's eigh
+    state = cma_init(np.zeros(dim), 1.0, default_lambda(dim), wide_domain(dim))
+    state.cov = drawn_covariance(dim, condition, defect, np.random.default_rng(numpy_seed))
+    state.sigma = sigma
+    window = state.best_history.maxlen
+    state.best_history.extend([1.0] * window if flat else range(window))
+    ref = copy.deepcopy(state)
+    expected = outcome(ref_generation_stop, ref)
+    assert outcome(cma_check_stop, state) == expected
+    if expected is None:
+        assert np.array_equal(state.eig_basis, ref.eig_basis)
+        assert np.array_equal(state.eig_scale, ref.eig_scale)
+
+
+def count_decompositions(monkeypatch):
+    """Record the eigenvalues of every ``eigh``, count ``eigvalsh`` calls
+    and stop checks."""
+    seen = {"eigh": [], "eigvalsh": 0, "checks": 0}
+    eigh, eigvalsh, check = np.linalg.eigh, np.linalg.eigvalsh, cmaes.cma_check_stop
+
+    def counted_eigh(a):
+        result = eigh(a)
+        seen["eigh"].append(result[0])
+        return result
+
+    def counted_eigvalsh(a):
+        seen["eigvalsh"] += 1
+        return eigvalsh(a)
+
+    def counted_check(state):
+        seen["checks"] += 1
+        return check(state)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(cmaes, "cma_check_stop", counted_check)
+    return seen
+
+
+def test_well_conditioned_run_decomposes_once_per_generation(monkeypatch):
+    seen = count_decompositions(monkeypatch)
+    state = cma_init(np.full(10, 3.0), 0.5, 10, wide_domain(10))
+    cma_run(state, budgeted(lambda x: float(x @ x), state.domain, 10_000),
+            np.random.default_rng(6))
+    assert seen["checks"] == len(seen["eigh"]) == state.generation + 1
+    assert seen["eigvalsh"] == 0
+
+
+def test_ill_conditioned_run_calls_eigvalsh_only_beyond_the_margin(monkeypatch):
+    # acceptance criterion 6's run, which ends on the condition limit
+    seen = count_decompositions(monkeypatch)
+    w = ellipsoid_weights(10, 1e8)
+    state = cma_init(np.full(10, 3.0), 0.5, 10, wide_domain(10))
+    stop = cma_run(state, budgeted(lambda x: float(w @ (x * x)), state.domain, 50_000),
+                   np.random.default_rng(6))
+    assert stop is StopReason.COV_CONDITION
+    assert seen["checks"] == len(seen["eigh"])
+    beyond = sum(ev[-1] > cmaes.EIGH_TRUSTED_CONDITION * ev[0] for ev in seen["eigh"])
+    assert 0 < beyond == seen["eigvalsh"] < seen["checks"]

@@ -19,8 +19,10 @@ from scipy.special import logsumexp
 from histarch.benchmarks import (SCHWEFEL_OFFSET, BudgetedEvaluator, Problem,
                                  ellipsoid_weights, random_rotation)
 from histarch.bsp import BspArchive, BspNode, Subtree
+from histarch.cmaes import (COV_CONDITION_LIMIT, STAGNATION_TOL, TOL_FUN,
+                            TOL_X_FACTOR, StopReason)
 from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair, maybe_prune
-from histarch.errors import InputError, NumericalError
+from histarch.errors import InputError
 
 
 class LoggingProblem:
@@ -156,9 +158,9 @@ def bsp_nodes_left_by(action):
 
 # -- reference formulas ------------------------------------------------
 # The suite's objectives and one CMA-ES generation as first written: free
-# numpy reductions (np.sum, np.prod, np.argsort, np.linalg.norm, np.outer)
-# and index arrays for the hybrid's coordinate groups. The library must
-# reproduce them bit for bit.
+# numpy reductions (np.sum, np.prod, np.argsort, np.linalg.norm, np.outer),
+# index arrays for the hybrid's coordinate groups and an eigvalsh in every
+# stop check. The library must reproduce them bit for bit.
 
 def ref_sphere(x):
     return float(np.dot(x, x))
@@ -238,20 +240,24 @@ def reference_suite(dim, seed):
 
 
 def ref_refresh_eig(state):
+    """The sampler's decomposition as first written; False, with the state
+    untouched, where the sampler failed and the run ended as
+    NUMERICAL_ERROR."""
     if not np.isfinite(state.cov).all():
-        raise NumericalError("covariance matrix contains non-finite entries")
+        return False
     try:
         eigvals, basis = np.linalg.eigh(state.cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigendecomposition failed") from exc
+    except np.linalg.LinAlgError:
+        return False
     if not np.isfinite(eigvals).all() or eigvals.min() <= 0:
-        raise NumericalError("covariance matrix lost positive definiteness")
+        return False
     state.eig_basis = basis
     state.eig_scale = np.sqrt(eigvals)
+    return True
 
 
 def ref_cma_sample(state, rng):
-    ref_refresh_eig(state)
+    assert ref_refresh_eig(state), "covariance has no usable decomposition"
     basis, scale = state.eig_basis, state.eig_scale
     lower, upper = state.domain.lower, state.domain.upper
 
@@ -266,6 +272,34 @@ def ref_cma_sample(state, rng):
             return candidates
         candidates[outside] = draw(outside.size)
     return np.clip(candidates, lower, upper)
+
+
+def ref_cma_check_stop(state):
+    """The stop check as first written: ``eigvalsh`` decides COV_CONDITION
+    on every call."""
+    eigvals = np.linalg.eigvalsh(state.cov)
+    lowest = eigvals.min()
+    if lowest <= 0 or eigvals.max() / lowest > COV_CONDITION_LIMIT:
+        return StopReason.COV_CONDITION
+    window = state.best_history.maxlen
+    if len(state.best_history) == window:
+        hi, lo = max(state.best_history), min(state.best_history)
+        if hi == lo or hi - lo <= STAGNATION_TOL:
+            return StopReason.STAGNATION
+    if state.generation >= window and state.last_fit_range <= TOL_FUN:
+        return StopReason.TOL_FUN
+    if state.sigma * math.sqrt(state.cov.diagonal().max()) < TOL_X_FACTOR * state.sigma0:
+        return StopReason.TOL_X
+    return None
+
+
+def ref_generation_stop(state):
+    """The stop one generation of the first loop made: ``ref_cma_check_stop``,
+    then NUMERICAL_ERROR when the sampler's ``ref_refresh_eig`` fails."""
+    stop = ref_cma_check_stop(state)
+    if stop is None and not ref_refresh_eig(state):
+        return StopReason.NUMERICAL_ERROR
+    return stop
 
 
 def ref_cma_update(state, candidates, fitnesses):
