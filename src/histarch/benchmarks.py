@@ -192,12 +192,12 @@ def make_suite(dim: int, seed: int) -> list[Problem]:
     problems.append(Problem("schwefel", dim, schwefel_box, schwefel, 0.0, "multimodal",
                             np.full(dim, SCHWEFEL_X_STAR)))
 
-    problems.append(_make_hybrid(dim))
-    problems.append(_make_composition(dim, rng))
+    problems.append(_make_hybrid(dim, box))
+    problems.append(_make_composition(dim, rng, box))
     return problems
 
 
-def _make_hybrid(dim: int) -> Problem:
+def _make_hybrid(dim: int, box: Region) -> Problem:
     """Coordinate-partitioned mix: Rastrigin / ellipsoid / Schwefel groups.
 
     The Schwefel group lives on the same [-100, 100] box as the others;
@@ -205,29 +205,23 @@ def _make_hybrid(dim: int) -> Problem:
     native [-500, 500] definition.
     """
     # np.array_split's three contiguous groups: the first dim % 3 groups
-    # take one coordinate more
+    # take one coordinate more, so every supported dim fills the first two
     n1, n2, n3 = (len(g) for g in np.array_split(np.arange(dim), 3))
     rast, elli, schw = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, dim)
-    w_elli = ellipsoid_weights(n2, 1e3) if n2 else np.zeros(0)
 
-    def f(x, w=w_elli):
-        total = 0.0
-        if n1:
-            total += rastrigin(x[rast])
-        if n2:
-            z = x[elli]
-            total += float(np.dot(w, z * z))
+    def f(x, w=ellipsoid_weights(n2, 1e3)):
+        z = x[elli]
+        total = rastrigin(x[rast]) + float(np.dot(w, z * z))
         if n3:
             total += schwefel(5.0 * x[schw])
         return total
 
     x_opt = np.zeros(dim)
     x_opt[schw] = SCHWEFEL_X_STAR / 5.0
-    box = Region(np.full(dim, -100.0), np.full(dim, 100.0))
     return Problem("hybrid", dim, box, f, 0.0, "hybrid", x_opt)
 
 
-def _make_composition(dim: int, rng: np.random.Generator) -> Problem:
+def _make_composition(dim: int, rng: np.random.Generator, box: Region) -> Problem:
     """Min over three shifted basins (sphere, Rastrigin, Griewank) plus biases.
 
     The bias of the first basin is 0, so the global optimum is that
@@ -241,7 +235,6 @@ def _make_composition(dim: int, rng: np.random.Generator) -> Problem:
     def f(x, shifts=shifts, biases=biases, parts=parts):
         return min(g(x - s) + b for g, s, b in zip(parts, shifts, biases))
 
-    box = Region(np.full(dim, -100.0), np.full(dim, 100.0))
     return Problem("composition", dim, box, f, 0.0, "composition", shifts[0].copy())
 
 

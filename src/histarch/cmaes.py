@@ -256,15 +256,20 @@ def cma_check_stop(state: CmaState) -> StopReason | None:
     keeps its basis and scale on the state for ``cma_sample`` and
     ``cma_update``. Its eigenvalues decide COV_CONDITION when their
     condition number is at most EIGH_TRUSTED_CONDITION; otherwise, and when
-    there is no decomposition, ``eigvalsh`` decides. A covariance without a
-    decomposition that ranks no earlier reason is NUMERICAL_ERROR, the last.
+    there is no decomposition, ``eigvalsh`` decides, unless it raises too.
+    A covariance without a decomposition that ranks no earlier reason is
+    NUMERICAL_ERROR, the last.
     """
     values = _decompose(state)
     if values is None or values[-1] > EIGH_TRUSTED_CONDITION * values[0]:
-        eigvals = np.linalg.eigvalsh(state.cov)
-        lowest = eigvals.min()
-        if lowest <= 0 or eigvals.max() / lowest > COV_CONDITION_LIMIT:
-            return StopReason.COV_CONDITION
+        try:
+            eigvals = np.linalg.eigvalsh(state.cov)
+        except np.linalg.LinAlgError:
+            values = None
+        else:  # in Python floats, inf / inf is NaN and no RuntimeWarning
+            lowest = float(eigvals.min())
+            if lowest <= 0 or float(eigvals.max()) / lowest > COV_CONDITION_LIMIT:
+                return StopReason.COV_CONDITION
     window = state.best_history.maxlen
     if len(state.best_history) == window:
         hi, lo = max(state.best_history), min(state.best_history)

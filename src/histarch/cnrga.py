@@ -11,11 +11,11 @@ revisit's redraw with the revisited leaf's (``Revisit.cell``); the
 archive starts each walk there or, for a point outside that subtree's
 box, at the root. Domain redraws and the initial uniform population walk
 from the root.
-``generations`` is the GA's only loop and ends with the budget: the
-cNrGA baselines drain every generation, and the hybrid leaves one at the
-first leaf that fires the ROI query.
+``generations`` is the GA's only loop and ends by itself, on a spent
+budget or a full archive: the cNrGA baselines drain every generation, and
+the hybrid leaves one at the first leaf that fires the ROI query.
 ``maybe_prune`` halves the archive once it holds LRU_CAPACITY points;
-only the cNrGA-LRU baseline's driver calls it, between generations. The
+only the cNrGA-LRU baseline's driver calls it, before each generation. The
 hybrid's explorer and both cNrGA baselines run the same GA: POP_SIZE and
 CROSSOVER_RATE are module constants.
 """
@@ -52,7 +52,7 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
     archive. A streak of MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws
     that store nothing means the archive cannot take another point
     (blocked cells cover the domain, or every free cell is too small to
-    split in floating point), which aborts the search.
+    split in floating point), and raises SearchSpaceExhaustedError.
     ``evaluator`` must be callable and expose ``remaining``. Returns the
     NewLeaf; the evaluated point is ``leaf.node.point``.
     """
@@ -105,7 +105,7 @@ def crossover_pair(individuals, rng):
 
 
 def generations(archive: BspArchive, evaluator, rng):
-    """The GA as one lazy iterator of NewLeafs per generation, until the budget is spent.
+    """The GA as one lazy iterator of NewLeafs per generation, until it ends.
 
     The first generation is POP_SIZE uniform domain draws; each later
     one is POP_SIZE - 1 crossover children of the population, whose
@@ -115,12 +115,16 @@ def generations(archive: BspArchive, evaluator, rng):
     once a generation has all its members: one the caller leaves before
     that is bred again from the same parents (the initial one is drawn
     again), and the points it evaluated stay in the archive.
-    The GA ends where a drawn candidate finds no budget left.
+    The GA ends where a drawn candidate finds no budget left, or where
+    ``evaluate_via_archive`` finds the archive full: no generation follows.
     Children are routed from the subtree of their parents' bounding box,
     taken when the generation is first iterated, so after whatever the
     caller did to the archive between generations.
     """
+    full = False  # the archive can take no more points
+
     def evaluated(candidates, population, parents):
+        nonlocal full
         within = None
         if parents:
             genes = np.array([p.coords for p in parents])
@@ -128,7 +132,11 @@ def generations(archive: BspArchive, evaluator, rng):
         for coords in candidates:
             if not evaluator.remaining:
                 return
-            leaf = evaluate_via_archive(coords, archive, evaluator, rng, within)
+            try:
+                leaf = evaluate_via_archive(coords, archive, evaluator, rng, within)
+            except SearchSpaceExhaustedError:
+                full = True
+                return
             population.append(leaf.node.point)
             yield leaf
 
@@ -137,7 +145,7 @@ def generations(archive: BspArchive, evaluator, rng):
             yield from crossover_pair(parents, rng)[:left]
 
     parents = []
-    while evaluator.remaining:
+    while evaluator.remaining and not full:
         if parents:
             population = [min(parents, key=lambda p: p.fitness)]
             candidates = children_of(parents)

@@ -13,7 +13,8 @@ blocked-cell bookkeeping stays a statement about the explorer only. When
 CMA-ES stops, the archive blocks the ROI's cell and the GA breeds an
 unfinished generation again from the same parents (the initial
 population is drawn again). An ROI that fires on the last evaluation is
-neither exploited nor blocked. The run ends when the GA spends the budget.
+neither exploited nor blocked. The run ends when the GA does, and
+``_finalize``, every driver's one tail, closes the record.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .benchmarks import BudgetedEvaluator, Problem
 from .bsp import BspArchive, Region, RoiSuggestion
 from .cmaes import CmaState, cma_init, cma_run, default_lambda
 from .cnrga import generations, maybe_prune
-from .errors import ParameterError, SearchSpaceExhaustedError
+from .errors import ParameterError
 
 EXPLORE = "explore"
 EXPLOIT = "exploit"
@@ -103,30 +104,28 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
     evaluator = BudgetedEvaluator(problem, budget)
     archive = BspArchive(problem.domain)
     phases: list[Phase] = []
-    exhausted = False
-    try:
-        for generation in generations(archive, evaluator, rng):
-            # the GA stops at the first leaf that fires the ROI query and,
-            # unless that leaf completed the generation, breeds it again after
-            # the exploit phase; an ROI found once the budget is gone is
-            # neither exploited nor blocked
-            roi = next(filter(None, (archive.roi_trigger(leaf, lv, k)
-                                     for leaf in generation)), None)
-            if roi is None or evaluator.remaining == 0:
-                continue
-            _close_phase(phases, EXPLORE, evaluator.used)
-            state = seed_cma_from_roi(roi, lam, problem.domain)
-            reason = cma_run(state, evaluator, rng).value
-            archive.block(roi.cell)
-            _close_phase(phases, EXPLOIT, evaluator.used, roi, reason)
-    except SearchSpaceExhaustedError:
-        exhausted = True
-    _close_phase(phases, EXPLORE, evaluator.used)
-    return _finalize("hr", problem, evaluator, phases, exhausted,
+    for generation in generations(archive, evaluator, rng):
+        # the GA stops at the first leaf that fires the ROI query and,
+        # unless that leaf completed the generation, breeds it again after
+        # the exploit phase; an ROI found once the budget is gone is
+        # neither exploited nor blocked
+        roi = next(filter(None, (archive.roi_trigger(leaf, lv, k)
+                                 for leaf in generation)), None)
+        if roi is None or evaluator.remaining == 0:
+            continue
+        _close_phase(phases, EXPLORE, evaluator.used)
+        state = seed_cma_from_roi(roi, lam, problem.domain)
+        reason = cma_run(state, evaluator, rng).value
+        archive.block(roi.cell)
+        _close_phase(phases, EXPLOIT, evaluator.used, roi, reason)
+    return _finalize("hr", problem, evaluator, phases,
                      archive.dump() if dump_tree else None)
 
 
-def _finalize(algo, problem, evaluator, phases, exhausted, tree_dump=None) -> RunRecord:
+def _finalize(algo, problem, evaluator, phases, tree_dump=None) -> RunRecord:
+    """Every driver's one tail: close the trailing explore phase and write the
+    record. Runs end on a spent budget or a full archive; budget left marks the latter."""
+    _close_phase(phases, EXPLORE, evaluator.used)
     coords = evaluator.best_coords if evaluator.best_coords is not None else []
     return RunRecord(
         algo=algo,
@@ -138,7 +137,7 @@ def _finalize(algo, problem, evaluator, phases, exhausted, tree_dump=None) -> Ru
         final_coords=list(np.asarray(coords, dtype=float)),
         final_fitness=evaluator.best,
         final_eval_index=evaluator.best_at,
-        search_space_exhausted=exhausted,
+        search_space_exhausted=evaluator.remaining > 0,
         non_finite_evals=evaluator.non_finite,
         tree_dump=tree_dump,
     )
@@ -158,27 +157,21 @@ def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
         state = cma_init(domain.uniform_point(rng), sigma0, lam, domain)
         reason = cma_run(state, evaluator, rng).value
         _close_phase(phases, EXPLOIT, evaluator.used, stop=reason)
-    return _finalize("cmaes", problem, evaluator, phases, False)
+    return _finalize("cmaes", problem, evaluator, phases)
 
 
 def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
               dump_tree: bool = False) -> RunRecord:
-    """Pure non-revisiting GA; with ``lru``, LRU-pruned after every generation."""
+    """Pure non-revisiting GA; with ``lru``, LRU-pruned before every generation."""
     evaluator = BudgetedEvaluator(problem, budget)
     archive = BspArchive(problem.domain)
-    phases: list[Phase] = []
-    exhausted = False
-    try:
-        for generation in generations(archive, evaluator, rng):
-            for _ in generation:
-                pass
-            if lru and evaluator.remaining:  # nothing is inserted after the last evaluation
-                maybe_prune(archive)
-    except SearchSpaceExhaustedError:
-        exhausted = True
-    _close_phase(phases, EXPLORE, evaluator.used)
+    for generation in generations(archive, evaluator, rng):
+        if lru:
+            maybe_prune(archive)
+        for _ in generation:
+            pass
     name = "cnrga_lru" if lru else "cnrga"
-    return _finalize(name, problem, evaluator, phases, exhausted,
+    return _finalize(name, problem, evaluator, [],
                      archive.dump() if dump_tree else None)
 
 

@@ -341,6 +341,7 @@ def test_stop_decision_equals_eigvalsh_decision(dim, condition, defect, flat, si
     state.best_history.extend([1.0] * window if flat else range(window))
     ref = copy.deepcopy(state)
     expected = outcome(ref_generation_stop, ref)
+    assert expected is None or isinstance(expected, StopReason)
     assert outcome(cma_check_stop, state) == expected
     if expected is None:
         assert np.array_equal(state.eig_basis, ref.eig_basis)

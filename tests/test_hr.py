@@ -80,9 +80,16 @@ def test_empty_seeds_rejected():
         seed_cma_from_roi(roi, 6, Region(np.zeros(2), np.ones(2)))
 
 
-def test_non_finite_covariance_ends_phase_as_numerical_error():
-    problem = make_problem(3, sphere_f, lo=-5.0, hi=5.0)
-    state = cma_init(np.zeros(3), 1.0, 6, problem.domain)
+@pytest.mark.parametrize("cov,dim", [("identity", 3), ("dense", 3), ("dense", 10),
+                                     ("dense", 30)])
+def test_non_finite_covariance_ends_phase_as_numerical_error(cov, dim):
+    # a NaN pair in the identity leaves eigvalsh NaN eigenvalues; in a dense
+    # SPD matrix it makes eigvalsh raise LinAlgError instead
+    problem = make_problem(dim, sphere_f, lo=-5.0, hi=5.0)
+    state = cma_init(np.zeros(dim), 1.0, 6, problem.domain)
+    if cov == "dense":
+        a = np.random.default_rng(dim).standard_normal((dim, dim))
+        state.cov = a @ a.T + dim * np.eye(dim)
     state.cov[0, 1] = state.cov[1, 0] = np.nan
     evaluator = BudgetedEvaluator(problem, 100)
     reason = cma_run(state, evaluator, np.random.default_rng(0))

@@ -3,10 +3,11 @@
 Hypothesis draws a box of 1-5 dimensions (wide, narrow, or so far from 0
 that only a few floats lie between its bounds), a budget from 1 to 300
 and an objective that returns NaN or +-inf on part or all of the box, or
-raises its own exception after n calls. Every algorithm must then spend
-exactly its budget, set ``search_space_exhausted``, or let the
-objective's exception propagate, and the phases must tile the
-evaluations it used. The deadline bounds each example's time. The
+raises its own exception after n calls. Every algorithm must then let
+the objective's exception propagate, or return a record that agrees with
+itself: ``search_space_exhausted`` exactly when budget is left, the
+final fields equal to the last entry of the best trace, and phases that
+tile the evaluations it used. The deadline bounds each example's time. The
 examples come from a fixed seed, so an edit to the test body does not
 swap the whole example set.
 """
@@ -68,8 +69,10 @@ def test_every_run_ends_in_a_defined_outcome(algo, hostile, budget, run_seed):
     except ObjectiveFailure:
         assert raise_after is not None and calls[0] == raise_after + 1
         return
-    assert rec.evals_used == budget or rec.search_space_exhausted
     assert rec.evals_used <= budget
+    assert rec.search_space_exhausted == (rec.evals_used < budget)
+    last = rec.best_trace[-1] if rec.best_trace else (0, float("inf"))
+    assert (rec.final_eval_index, rec.final_fitness) == tuple(last)
     cursor = 1
     for phase in rec.phases:
         assert phase.start_eval == cursor <= phase.end_eval

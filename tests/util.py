@@ -276,11 +276,17 @@ def ref_cma_sample(state, rng):
 
 def ref_cma_check_stop(state):
     """The stop check as first written: ``eigvalsh`` decides COV_CONDITION
-    on every call."""
-    eigvals = np.linalg.eigvalsh(state.cov)
-    lowest = eigvals.min()
-    if lowest <= 0 or eigvals.max() / lowest > COV_CONDITION_LIMIT:
-        return StopReason.COV_CONDITION
+    on every call. Where the first version raised, this one goes on to the
+    other reasons: a ``LinAlgError`` from ``eigvalsh``, or the RuntimeWarning
+    of inf / inf in numpy floats when every eigenvalue is +inf."""
+    try:
+        eigvals = np.linalg.eigvalsh(state.cov)
+    except np.linalg.LinAlgError:
+        eigvals = None
+    if eigvals is not None:
+        lowest = float(eigvals.min())
+        if lowest <= 0 or float(eigvals.max()) / lowest > COV_CONDITION_LIMIT:
+            return StopReason.COV_CONDITION
     window = state.best_history.maxlen
     if len(state.best_history) == window:
         hi, lo = max(state.best_history), min(state.best_history)
