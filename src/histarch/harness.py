@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -233,34 +234,48 @@ def _output_dir(config: ExperimentConfig) -> Path:
     return out
 
 
+def _write(path: Path, text: str):
+    """Every file the harness writes, with LF line ends and replaced whole:
+    the text goes to ``<name>.tmp`` beside ``path``, which is then renamed
+    over it, so a process killed mid-write leaves the old file or the new
+    one, never a truncated one. The temporary file does not outlive a
+    failure."""
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        try:
+            tmp.write_text(text, newline="\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_tables(out: Path, table: StatsTable):
+    """``results.csv`` and ``ranks.csv`` of ``table`` under ``out``."""
+    _write(out / "results.csv", results_csv(table))
+    _write(out / "ranks.csv", ranks_csv(table))
+
+
 def _persist_run(config: ExperimentConfig, out: Path, stem: str, rec: RunRecord):
     """One run's record, convergence trace and tree dump, as the config asks."""
-    try:
-        if config.trace:
-            record = dataclasses.asdict(rec)
-            del record["tree_dump"]
-            record["final_fitness"] = _json_float(rec.final_fitness)
-            (out / "runs" / f"{stem}.json").write_text(_dumps(record), newline="\n")
-        if config.gnuplot:
-            lines = [f"{e} {_fmt(v)}" for e, v in rec.best_trace]
-            (out / "traces" / f"{stem}.dat").write_text("\n".join(lines) + "\n",
-                                                        newline="\n")
-        if config.dump_tree and rec.tree_dump is not None:
-            (out / "trees" / f"{stem}.txt").write_text(rec.tree_dump, newline="\n")
-    except OSError as exc:
-        raise OSError(f"failed writing results under {out}: {exc}") from exc
+    if config.trace:
+        record = dataclasses.asdict(rec)
+        del record["tree_dump"]
+        record["final_fitness"] = _json_float(rec.final_fitness)
+        _write(out / "runs" / f"{stem}.json", _dumps(record))
+    if config.gnuplot:
+        lines = [f"{e} {_fmt(v)}" for e, v in rec.best_trace]
+        _write(out / "traces" / f"{stem}.dat", "\n".join(lines) + "\n")
+    if config.dump_tree and rec.tree_dump is not None:
+        _write(out / "trees" / f"{stem}.txt", rec.tree_dump)
 
 
 def persist_result(result: ExperimentResult, suite):
     """The tables and the summary of a finished sweep."""
     out = Path(result.config.out_dir)
-    try:
-        (out / "results.csv").write_text(results_csv(result.table), newline="\n")
-        (out / "ranks.csv").write_text(ranks_csv(result.table), newline="\n")
-        payload = summary_payload(result, suite)
-        (out / "summary.json").write_text(_dumps(payload, sort_keys=True), newline="\n")
-    except OSError as exc:
-        raise OSError(f"failed writing results under {out}: {exc}") from exc
+    _write_tables(out, result.table)
+    _write(out / "summary.json", _dumps(summary_payload(result, suite), sort_keys=True))
 
 
 def _field(mapping, key: str, kind: type, where: str):
@@ -282,15 +297,17 @@ def _items(mapping, key: str, kind: type, where: str) -> list:
 
 
 def _finals(stored, key: str, where) -> list:
-    """``stored[key]`` as a list of floats, if each item is a JSON float or
-    ``INF``, else a ParameterError naming ``key``. The harness writes every
-    final as a float, so neither JSON ``true`` nor ``1`` is a final. A file
-    written before ``INF`` existed holds +inf as the bare token
-    ``Infinity``, which ``json.loads`` reads as a float."""
+    """``stored[key]`` as a list of floats, if each item is what
+    ``_json_float`` writes, a finite JSON float or ``INF``, else a
+    ParameterError naming ``key``. So neither JSON ``true`` nor ``1`` is a
+    final, and neither are the bare tokens ``NaN`` and ``-Infinity``, which
+    ``json.loads`` reads as floats. A file written before ``INF`` existed
+    holds +inf as the bare token ``Infinity``, read as +inf."""
     values = _field(stored, key, list, where)
-    if not all(type(v) is float or v == INF for v in values):
+    if not all(v == INF or (type(v) is float and (math.isfinite(v) or v == math.inf))
+               for v in values):
         raise ParameterError(f"{where}: key {key!r} has an item that is not a JSON float "
-                             f"or {INF!r}")
+                             f"(finite, or {INF!r})")
     return [math.inf if v == INF else v for v in values]
 
 
@@ -325,9 +342,5 @@ def recompute_stats(in_dir) -> StatsTable:
                              "which key 'algorithms' does not list")
     table = build_stats_table(finals, problems, algorithms, reference, alpha,
                               _failed_counts(failures))
-    try:
-        (in_dir / "results.csv").write_text(results_csv(table), newline="\n")
-        (in_dir / "ranks.csv").write_text(ranks_csv(table), newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot rewrite tables under {in_dir}: {exc}") from exc
+    _write_tables(in_dir, table)
     return table

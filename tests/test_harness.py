@@ -271,11 +271,46 @@ WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05}, "problems": ["sp
     (dict(WELL_FORMED, problems=[]), "key 'problems' is an empty list"),
     (dict(WELL_FORMED, finals={"sphere::hr": [1.0, "-Infinity"]}),
      "key 'sphere::hr' has an item that is not a JSON float"),
+    # bare NaN and -Infinity tokens, which json.loads reads as floats
+    (dict(WELL_FORMED, config={"algorithms": ["hr", "cmaes"], "alpha": 0.05},
+          finals={"sphere::hr": [1.0, math.nan], "sphere::cmaes": [2.0, 3.0]}),
+     "key 'sphere::hr' has an item that is not a JSON float"),
+    (dict(WELL_FORMED, config={"algorithms": ["hr", "cmaes"], "alpha": 0.05},
+          finals={"sphere::hr": [1.0, -math.inf], "sphere::cmaes": [2.0, 3.0]}),
+     "key 'sphere::hr' has an item that is not a JSON float"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
     (tmp_path / "summary.json").write_text(json.dumps(summary))
     assert main(["stats", "--in", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_cli_run_into_unwritable_out_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    assert main(cli_run_args(out)) == 3
+    assert str(out) in capsys.readouterr().err
+
+
+def test_cli_stats_unwritable_table_is_io_error(tmp_path, capsys):
+    (tmp_path / "summary.json").write_text(json.dumps(WELL_FORMED))
+    (tmp_path / "results.csv").mkdir()
+    assert main(["stats", "--in", str(tmp_path)]) == 3
+    assert str(tmp_path / "results.csv") in capsys.readouterr().err
+
+
+def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch, capsys):
+    (tmp_path / "summary.json").write_text(json.dumps(WELL_FORMED))
+    (tmp_path / "results.csv").write_bytes(b"old table\n")
+
+    def refuse(src, dst):
+        raise OSError("injected rename failure")
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["stats", "--in", str(tmp_path)]) == 3
+    assert "injected rename failure" in capsys.readouterr().err
+    assert (tmp_path / "results.csv").read_bytes() == b"old table\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cli_config_file_mirrors_flags(tmp_path):
