@@ -16,6 +16,8 @@ import json
 import math
 import os
 import sys
+import types
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from .stats import StatsTable, build_stats_table
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    algorithms: list
+    algorithms: list[str]
     dim: int
     budget: int
     runs: int = 30
@@ -41,7 +43,7 @@ class ExperimentConfig:
     gnuplot: bool = False
     dump_tree: bool = False
     workers: int = 1
-    problems: list | None = None  # subset of suite names; None = all
+    problems: list[str] | None = None  # subset of suite names; None = all
 
     def __post_init__(self):
         if not self.algorithms:
@@ -92,9 +94,12 @@ def _execute_cell(config: ExperimentConfig, cell: tuple):
         return ("failed", f"{type(exc).__name__}: {exc}")
 
 
-def _failed_counts(failures) -> Counter:
-    """(problem, algo) -> number of failed runs, from (problem, algo, run, message) rows."""
-    return Counter((prob, algo) for prob, algo, _, _ in failures)
+def _table(config: ExperimentConfig, problems, finals: dict, failures) -> StatsTable:
+    """The statistics of a sweep, each cell flagged with its failure rows,
+    which are (problem, algo, run index, message)."""
+    failed = Counter((prob, algo) for prob, algo, _, _ in failures)
+    return build_stats_table(finals, problems, config.algorithms, config.reference,
+                             config.alpha, failed)
 
 
 def _outcomes(config: ExperimentConfig, cells):
@@ -147,8 +152,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             _persist_run(config, out, f"{prob}__{algo}__run{run_idx}", record)
             record.tree_dump = None
 
-    table = build_stats_table(finals, problem_names, config.algorithms,
-                              config.reference, config.alpha, _failed_counts(failures))
+    table = _table(config, problem_names, finals, failures)
     result = ExperimentResult(config, table, finals, records, failures)
     if out is not None:
         persist_result(result, suite)
@@ -278,22 +282,29 @@ def persist_result(result: ExperimentResult, suite):
     _write(out / "summary.json", _dumps(summary_payload(result, suite), sort_keys=True))
 
 
-def _field(mapping, key: str, kind: type, where: str):
-    """``mapping[key]`` if it is a ``kind``, else a ParameterError naming ``key``."""
+def _is_json(value, hint) -> bool:
+    """Whether ``value``, as ``json.loads`` returns it, is exactly of type
+    ``hint``: JSON ``true`` is no int, ``1`` no float, and a ``list[str]``
+    holds strings only."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return any(_is_json(value, member) for member in typing.get_args(hint))
+    if origin is list:
+        return type(value) is list and all(_is_json(v, *typing.get_args(hint)) for v in value)
+    return type(value) is hint
+
+
+def _field(mapping, key: str, hint, where):
+    """``mapping[key]`` if it is of type ``hint``, else a ParameterError naming ``key``."""
     value = mapping.get(key) if isinstance(mapping, dict) else None
-    if not isinstance(value, kind):
-        raise ParameterError(f"{where}: key {key!r} is missing or not a JSON {kind.__name__}")
-    return value
-
-
-def _items(mapping, key: str, kind: type, where: str) -> list:
-    """``mapping[key]`` if it is a list of items of exactly ``kind``, else a
-    ParameterError naming ``key``."""
-    values = _field(mapping, key, list, where)
-    if not all(type(v) is kind for v in values):
+    if _is_json(value, hint):
+        return value
+    if typing.get_origin(hint) is list and type(value) is list:
+        (item,) = typing.get_args(hint)
         raise ParameterError(f"{where}: key {key!r} has an item that is not a JSON "
-                             f"{kind.__name__}")
-    return values
+                             f"{item.__name__}")
+    raise ParameterError(f"{where}: key {key!r} is missing or not a JSON "
+                         f"{getattr(hint, '__name__', hint)}")
 
 
 def _finals(stored, key: str, where) -> list:
@@ -311,36 +322,66 @@ def _finals(stored, key: str, where) -> list:
     return [math.inf if v == INF else v for v in values]
 
 
+def _config(stored: dict, where) -> ExperimentConfig:
+    """The ExperimentConfig whose ``dataclasses.asdict`` is ``stored``. Each
+    key must be a field of the type the field is annotated with, and a field
+    without a default must be there; ``__post_init__`` then checks the
+    values as it does for ``histarch run``."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    for key in stored:
+        if key not in hints:
+            raise ParameterError(f"{where}: key {key!r} is not an ExperimentConfig field")
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name in stored or field.default is dataclasses.MISSING:
+            _field(stored, field.name, hints[field.name], where)
+    try:
+        return ExperimentConfig(**stored)
+    except ParameterError as exc:
+        raise ParameterError(f"{where}: key 'config': {exc}") from exc
+
+
 def recompute_stats(in_dir) -> StatsTable:
-    """Rebuild the tables from a stored summary.json and rewrite the CSVs."""
+    """Rebuild the tables from a stored summary.json and rewrite the CSVs.
+    The summary is checked against the config it stores: every cell's
+    finals and failure rows add up to ``runs``, each failure row names a
+    cell of the table, and no problem is named twice."""
     in_dir = Path(in_dir)
     summary_path = in_dir / "summary.json"
     try:
-        payload = json.loads(summary_path.read_text())
+        payload = json.loads(summary_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise OSError(f"cannot read {summary_path}: {exc}") from exc
-    cfg = _field(payload, "config", dict, summary_path)
-    problems = _items(payload, "problems", str, summary_path)
-    algorithms = _items(cfg, "algorithms", str, summary_path)
-    for key, names in (("problems", problems), ("algorithms", algorithms)):
-        if not names:
-            raise ParameterError(f"{summary_path}: key {key!r} is an empty list")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"{summary_path}: not a UTF-8 JSON file: {exc}") from exc
+    config = _config(_field(payload, "config", dict, summary_path), summary_path)
+    problems = _field(payload, "problems", list[str], summary_path)
+    if not problems:
+        raise ParameterError(f"{summary_path}: key 'problems' is an empty list")
+    repeated = [name for name, n in Counter(problems).items() if n > 1]
+    if repeated:
+        raise ParameterError(f"{summary_path}: key 'problems' names {repeated[0]!r} "
+                             "more than once")
     stored = _field(payload, "finals", dict, summary_path)
     finals = {cell: _finals(stored, "::".join(cell), summary_path)
-              for cell in itertools.product(problems, algorithms)}
+              for cell in itertools.product(problems, config.algorithms)}
     failures = _field(payload, "failures", list, summary_path)
     if not all(isinstance(row, list) and len(row) == 4
                and all(type(name) is str for name in row[:2]) for row in failures):
         raise ParameterError(f"{summary_path}: key 'failures' has a row that is not "
                              "a four-item list of problem, algorithm, run and message")
-    alpha = _field(cfg, "alpha", float, summary_path)
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"{summary_path}: key 'alpha' must lie in (0, 1)")
+    for prob, algo, _, _ in failures:
+        if (prob, algo) not in finals:
+            raise ParameterError(f"{summary_path}: key 'failures' names cell "
+                                 f"'{prob}::{algo}', which is not in the table")
     reference = _field(payload, "reference", str, summary_path)
-    if reference not in algorithms:
+    if reference != config.reference:
         raise ParameterError(f"{summary_path}: key 'reference' names {reference!r}, "
-                             "which key 'algorithms' does not list")
-    table = build_stats_table(finals, problems, algorithms, reference, alpha,
-                              _failed_counts(failures))
+                             f"not the config's reference {config.reference!r}")
+    table = _table(config, problems, finals, failures)
+    for (prob, algo), cell in table.cells.items():
+        if cell.n_runs + cell.n_failed != config.runs:
+            raise ParameterError(
+                f"{summary_path}: key '{prob}::{algo}' has {cell.n_runs} finals and "
+                f"{cell.n_failed} failure rows, but key 'runs' is {config.runs}")
     _write_tables(in_dir, table)
     return table

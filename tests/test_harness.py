@@ -127,6 +127,10 @@ def test_failed_run_excluded_with_flag(tmp_path, monkeypatch, capsys):
     assert "sphere,cnrga" in text
     row = next(l for l in text.split("\n") if l.startswith("sphere,cnrga"))
     assert row.endswith(",2,1")
+    # two finals and one failure row add up to the 3 runs the summary stores
+    tables = [(out / name).read_bytes() for name in ("results.csv", "ranks.csv")]
+    recompute_stats(out)
+    assert [(out / name).read_bytes() for name in ("results.csv", "ranks.csv")] == tables
 
 
 def sweep_never_finite(out, monkeypatch, **kw):
@@ -243,8 +247,14 @@ def test_cli_stats_missing_dir_is_io_error(tmp_path):
 
 
 # a summary.json that ``histarch stats`` reads back
-WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05}, "problems": ["sphere"],
-               "finals": {"sphere::hr": [1.0, 2.0]}, "reference": "hr", "failures": []}
+WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05, "dim": 2, "budget": 300,
+                          "runs": 2},
+               "problems": ["sphere"], "finals": {"sphere::hr": [1.0, 2.0]}, "reference": "hr",
+               "failures": []}
+
+
+def well_formed_config(**fields):
+    return dict(WELL_FORMED["config"], **fields)
 
 
 @pytest.mark.parametrize("summary, named", [
@@ -252,8 +262,7 @@ WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05}, "problems": ["sp
     ([1, 2], "key 'config' is missing"),
     ({"config": {"algorithms": "hr"}, "problems": []},
      "key 'algorithms' is missing or not a JSON list"),
-    ({"config": {"algorithms": ["hr"]}, "problems": ["sphere"], "finals": {}},
-     "key 'sphere::hr' is missing"),
+    (dict(WELL_FORMED, finals={}), "key 'sphere::hr' is missing"),
     (dict(WELL_FORMED, failures=[1]), "key 'failures' has a row"),
     (dict(WELL_FORMED, failures=[["sphere", "hr"]]), "key 'failures' has a row"),
     (dict(WELL_FORMED, failures=[[["sphere"], "hr", 0, "crash"]]), "key 'failures' has a row"),
@@ -263,24 +272,50 @@ WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05}, "problems": ["sp
     (dict(WELL_FORMED, finals={"sphere::hr": [10 ** 400]}),
      "key 'sphere::hr' has an item that is not a JSON float"),
     (dict(WELL_FORMED, problems=[1]), "key 'problems' has an item that is not a JSON str"),
-    (dict(WELL_FORMED, config={"algorithms": ["hr"], "alpha": 1.5}), "key 'alpha' must lie"),
+    (dict(WELL_FORMED, config=well_formed_config(alpha=1.5)),
+     "key 'config': alpha must lie in (0, 1)"),
     (dict(WELL_FORMED, reference="zzz"), "key 'reference' names 'zzz'"),
     (dict(WELL_FORMED, reference=None), "key 'reference' is missing"),
-    (dict(WELL_FORMED, config={"algorithms": [], "alpha": 0.05}),
-     "key 'algorithms' is an empty list"),
+    (dict(WELL_FORMED, config=well_formed_config(algorithms=[])),
+     "key 'config': at least one algorithm is required"),
     (dict(WELL_FORMED, problems=[]), "key 'problems' is an empty list"),
     (dict(WELL_FORMED, finals={"sphere::hr": [1.0, "-Infinity"]}),
      "key 'sphere::hr' has an item that is not a JSON float"),
     # bare NaN and -Infinity tokens, which json.loads reads as floats
-    (dict(WELL_FORMED, config={"algorithms": ["hr", "cmaes"], "alpha": 0.05},
+    (dict(WELL_FORMED, config=well_formed_config(algorithms=["hr", "cmaes"]),
           finals={"sphere::hr": [1.0, math.nan], "sphere::cmaes": [2.0, 3.0]}),
      "key 'sphere::hr' has an item that is not a JSON float"),
-    (dict(WELL_FORMED, config={"algorithms": ["hr", "cmaes"], "alpha": 0.05},
+    (dict(WELL_FORMED, config=well_formed_config(algorithms=["hr", "cmaes"]),
           finals={"sphere::hr": [1.0, -math.inf], "sphere::cmaes": [2.0, 3.0]}),
      "key 'sphere::hr' has an item that is not a JSON float"),
+    # a cell's finals and failure rows add up to the config's runs
+    (dict(WELL_FORMED, finals={"sphere::hr": []}),
+     "key 'sphere::hr' has 0 finals and 0 failure rows, but key 'runs' is 2"),
+    (dict(WELL_FORMED, finals={"sphere::hr": [1.0]}),
+     "key 'sphere::hr' has 1 finals and 0 failure rows, but key 'runs' is 2"),
+    (dict(WELL_FORMED, config=well_formed_config(runs=1)),
+     "key 'config': need at least 2 independent runs"),
+    (dict(WELL_FORMED, failures=[["ghost", "hr", 0, "x"]]),
+     "key 'failures' names cell 'ghost::hr', which is not in the table"),
+    (dict(WELL_FORMED, problems=["sphere", "sphere"]),
+     "key 'problems' names 'sphere' more than once"),
+    pytest.param(json.dumps(WELL_FORMED)[:11].encode(), "summary.json: not a UTF-8 JSON file",
+                 id="truncated"),
+    pytest.param(b"\xff" + json.dumps(WELL_FORMED).encode(),
+                 "summary.json: not a UTF-8 JSON file", id="not_utf8"),
+    # the config is an ExperimentConfig, field by field
+    (dict(WELL_FORMED, config=well_formed_config(budjet=300)),
+     "key 'budjet' is not an ExperimentConfig field"),
+    (dict(WELL_FORMED, config=well_formed_config(runs=True)),
+     "key 'runs' is missing or not a JSON int"),
+    (dict(WELL_FORMED, config=well_formed_config(problems=["sphere", 1])),
+     "key 'problems' is missing or not a JSON list[str] | None"),
+    (dict(WELL_FORMED, config={"algorithms": ["hr"], "budget": 300, "runs": 2}),
+     "key 'dim' is missing or not a JSON int"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
-    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    raw = summary if isinstance(summary, bytes) else json.dumps(summary).encode()
+    (tmp_path / "summary.json").write_bytes(raw)
     assert main(["stats", "--in", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
 
