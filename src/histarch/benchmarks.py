@@ -158,43 +158,35 @@ def make_suite(dim: int, seed: int) -> list[Problem]:
     if dim not in SUPPORTED_DIMS:
         raise ParameterError(f"unsupported dimension {dim}; pick one of {SUPPORTED_DIMS}")
     rng = np.random.default_rng(seed)
-    box = Region(np.full(dim, -100.0), np.full(dim, 100.0))
-    schwefel_box = Region(np.full(dim, -500.0), np.full(dim, 500.0))
-    problems = []
-
-    problems.append(Problem("sphere", dim, box, sphere, 0.0, "unimodal", np.zeros(dim)))
-
     rot_elli = random_rotation(dim, rng)
+    shift = rng.uniform(-80.0, 80.0, dim)
+    rot_rast = random_rotation(dim, rng)
 
     def rotated_ellipsoid(x, w=ellipsoid_weights(dim, 1e6), R=rot_elli):
         z = R @ x
         return float(np.dot(w, z * z))
 
-    problems.append(Problem("rot_ellipsoid", dim, box, rotated_ellipsoid, 0.0, "unimodal",
-                            np.zeros(dim)))
-
-    ros_opt = np.ones(dim)
-    problems.append(Problem("rosenbrock", dim, box, rosenbrock, 0.0, "multimodal", ros_opt))
-
-    problems.append(Problem("rastrigin", dim, box, rastrigin, 0.0, "multimodal", np.zeros(dim)))
-
-    shift = rng.uniform(-80.0, 80.0, dim)
-    rot_rast = random_rotation(dim, rng)
-
     def shifted_rotated_rastrigin(x, s=shift, R=rot_rast):
         return rastrigin(R @ (x - s))
 
-    problems.append(Problem("sr_rastrigin", dim, box, shifted_rotated_rastrigin,
-                            0.0, "multimodal", shift.copy()))
-
-    problems.append(Problem("ackley", dim, box, ackley, 0.0, "multimodal", np.zeros(dim)))
-    problems.append(Problem("griewank", dim, box, griewank, 0.0, "multimodal", np.zeros(dim)))
-    problems.append(Problem("schwefel", dim, schwefel_box, schwefel, 0.0, "multimodal",
-                            np.full(dim, SCHWEFEL_X_STAR)))
-
-    problems.append(_make_hybrid(dim, box))
-    problems.append(_make_composition(dim, rng, box))
-    return problems
+    box = Region(np.full(dim, -100.0), np.full(dim, 100.0))
+    # (name, f, category, x_opt) of the problems on ``box`` with optimum 0
+    table = [
+        ("sphere", sphere, "unimodal", np.zeros(dim)),
+        ("rot_ellipsoid", rotated_ellipsoid, "unimodal", np.zeros(dim)),
+        ("rosenbrock", rosenbrock, "multimodal", np.ones(dim)),
+        ("rastrigin", rastrigin, "multimodal", np.zeros(dim)),
+        ("sr_rastrigin", shifted_rotated_rastrigin, "multimodal", shift.copy()),
+        ("ackley", ackley, "multimodal", np.zeros(dim)),
+        ("griewank", griewank, "multimodal", np.zeros(dim)),
+    ]
+    return [
+        *(Problem(name, dim, box, f, 0.0, category, x_opt) for name, f, category, x_opt in table),
+        Problem("schwefel", dim, Region(np.full(dim, -500.0), np.full(dim, 500.0)), schwefel,
+                0.0, "multimodal", np.full(dim, SCHWEFEL_X_STAR)),
+        _make_hybrid(dim, box),
+        _make_composition(dim, rng, box),
+    ]
 
 
 def _make_hybrid(dim: int, box: Region) -> Problem:

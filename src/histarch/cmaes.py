@@ -61,31 +61,70 @@ def stagnation_window(dim: int, lam: int) -> int:
 
 @dataclass
 class CmaState:
+    """A fresh strategy state from (mean, sigma, lam, domain): identity
+    covariance, zero paths and the tutorial's constants for its D and lambda."""
+
     mean: np.ndarray
     sigma: float
-    cov: np.ndarray
-    path_sigma: np.ndarray
-    path_c: np.ndarray
-    generation: int
     lam: int
-    mu: int
-    weights: np.ndarray
-    mu_eff: float
-    c_sigma: float
-    d_sigma: float
-    c_c: float
-    c_1: float
-    c_mu: float
-    chi_n: float
     domain: Region
-    sigma0: float
+    cov: np.ndarray = field(init=False)
+    path_sigma: np.ndarray = field(init=False)
+    path_c: np.ndarray = field(init=False)
+    generation: int = field(init=False, default=0)
+    mu: int = field(init=False)
+    weights: np.ndarray = field(init=False)
+    mu_eff: float = field(init=False)
+    c_sigma: float = field(init=False)
+    d_sigma: float = field(init=False)
+    c_c: float = field(init=False)
+    c_1: float = field(init=False)
+    c_mu: float = field(init=False)
+    chi_n: float = field(init=False)
+    sigma0: float = field(init=False)
     # eigendecomposition of cov made by the latest cma_check_stop that
     # could make one (the identity's before the first): cma_sample draws
     # from it and cma_update whitens the mean shift with it
-    eig_basis: np.ndarray
-    eig_scale: np.ndarray  # sqrt of eigenvalues
-    best_history: deque = field(default_factory=deque)
-    last_fit_range: float = float("inf")
+    eig_basis: np.ndarray = field(init=False)
+    eig_scale: np.ndarray = field(init=False)  # sqrt of eigenvalues
+    best_history: deque = field(init=False)
+    last_fit_range: float = field(init=False, default=math.inf)
+
+    def __post_init__(self):
+        if self.mean.shape != (self.domain.dim,):
+            raise ParameterError(f"initial mean must have shape ({self.domain.dim},), "
+                                 f"got {self.mean.shape}")
+        # written as a range so that NaN fails it too
+        if not 0.0 < self.sigma < math.inf:
+            raise ParameterError("sigma0 must be finite and positive")
+        if self.lam < 2:
+            raise ParameterError("population size must be >= 2")
+        if not self.domain.contains(self.mean):
+            raise ParameterError("initial mean must lie inside the domain")
+
+        dim = self.dim
+        self.sigma0 = self.sigma
+        self.cov = np.eye(dim)
+        self.path_sigma = np.zeros(dim)
+        self.path_c = np.zeros(dim)
+        self.eig_basis = np.eye(dim)
+        self.eig_scale = np.ones(dim)
+        self.best_history = deque(maxlen=stagnation_window(dim, self.lam))
+
+        self.mu = self.lam // 2
+        raw = np.log(self.mu + 0.5) - np.log(np.arange(1, self.mu + 1))
+        self.weights = raw / raw.sum()
+        mu_eff = 1.0 / np.sum(self.weights ** 2)
+        self.mu_eff = float(mu_eff)
+
+        self.c_sigma = (mu_eff + 2.0) / (dim + mu_eff + 5.0)
+        self.d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dim + 1.0)) - 1.0) \
+            + self.c_sigma
+        self.c_c = (4.0 + mu_eff / dim) / (dim + 4.0 + 2.0 * mu_eff / dim)
+        self.c_1 = 2.0 / ((dim + 1.3) ** 2 + mu_eff)
+        self.c_mu = min(1.0 - self.c_1,
+                        2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dim + 2.0) ** 2 + mu_eff))
+        self.chi_n = math.sqrt(dim) * (1.0 - 1.0 / (4.0 * dim) + 1.0 / (21.0 * dim ** 2))
 
     @property
     def dim(self) -> int:
@@ -93,55 +132,8 @@ class CmaState:
 
 
 def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region) -> CmaState:
-    """Fresh strategy state: identity covariance, zero paths."""
-    mean0 = np.asarray(mean0, dtype=float)
-    dim = mean0.size
-    if mean0.shape != (domain.dim,):
-        raise ParameterError(f"initial mean must have shape ({domain.dim},), got {mean0.shape}")
-    # written as a range so that NaN fails it too
-    if not 0.0 < sigma0 < math.inf:
-        raise ParameterError("sigma0 must be finite and positive")
-    if lam < 2:
-        raise ParameterError("population size must be >= 2")
-    if not domain.contains(mean0):
-        raise ParameterError("initial mean must lie inside the domain")
-
-    mu = lam // 2
-    raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
-    weights = raw / raw.sum()
-    mu_eff = 1.0 / np.sum(weights ** 2)
-
-    c_sigma = (mu_eff + 2.0) / (dim + mu_eff + 5.0)
-    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dim + 1.0)) - 1.0) + c_sigma
-    c_c = (4.0 + mu_eff / dim) / (dim + 4.0 + 2.0 * mu_eff / dim)
-    c_1 = 2.0 / ((dim + 1.3) ** 2 + mu_eff)
-    c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dim + 2.0) ** 2 + mu_eff))
-    chi_n = math.sqrt(dim) * (1.0 - 1.0 / (4.0 * dim) + 1.0 / (21.0 * dim ** 2))
-
-    window = stagnation_window(dim, lam)
-    return CmaState(
-        mean=mean0.copy(),
-        sigma=float(sigma0),
-        cov=np.eye(dim),
-        path_sigma=np.zeros(dim),
-        path_c=np.zeros(dim),
-        generation=0,
-        lam=int(lam),
-        mu=mu,
-        weights=weights,
-        mu_eff=float(mu_eff),
-        c_sigma=c_sigma,
-        d_sigma=d_sigma,
-        c_c=c_c,
-        c_1=c_1,
-        c_mu=c_mu,
-        chi_n=chi_n,
-        domain=domain,
-        sigma0=float(sigma0),
-        eig_basis=np.eye(dim),
-        eig_scale=np.ones(dim),
-        best_history=deque(maxlen=window),
-    )
+    """A fresh ``CmaState`` from an array-like mean and numeric sigma0 and lambda."""
+    return CmaState(np.array(mean0, dtype=float), float(sigma0), int(lam), domain)
 
 
 def _decompose(state: CmaState) -> list[float] | None:

@@ -23,10 +23,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import make_suite, suite_manifest
+from .benchmarks import Problem, make_suite, suite_manifest
 from .errors import ParameterError
 from .hr import ALGORITHMS, RunRecord, run_algorithm
 from .stats import StatsTable, build_stats_table
+
+# one suite per (dim, seed) and process, shared by every cell a process runs
+_suite = functools.cache(make_suite)
+
+
+def _check_names(kind: str, names: list[str], known):
+    """Each of ``names`` is in ``known``, and none is there twice."""
+    for name in names:
+        if name not in known:
+            raise ParameterError(f"unknown {kind} {name!r}")
+    if len(set(names)) != len(names):
+        raise ParameterError(f"duplicate {kind}s")
 
 
 @dataclasses.dataclass
@@ -50,11 +62,7 @@ class ExperimentConfig:
             raise ParameterError("at least one algorithm is required")
         if self.problems is not None and not self.problems:
             raise ParameterError("at least one problem is required")
-        for algo in self.algorithms:
-            if algo not in ALGORITHMS:
-                raise ParameterError(f"unknown algorithm id {algo!r}")
-        if len(set(self.algorithms)) != len(self.algorithms):
-            raise ParameterError("duplicate algorithm ids")
+        _check_names("algorithm id", self.algorithms, ALGORITHMS)
         if self.runs < 2:
             raise ParameterError("need at least 2 independent runs")
         if not 0.0 < self.alpha < 1.0:
@@ -63,6 +71,14 @@ class ExperimentConfig:
             raise ParameterError("budget must be >= 2")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
+        # make_suite rejects an unsupported dim
+        names = [p.name for p in _suite(self.dim, self.suite_seed)]
+        _check_names("problem name", self.problems or [], names)
+
+    def selected_problems(self) -> list[Problem]:
+        """The problems the sweep runs: those ``problems`` names, in suite order."""
+        suite = _suite(self.dim, self.suite_seed)
+        return suite if self.problems is None else [p for p in suite if p.name in self.problems]
 
     @property
     def reference(self) -> str:
@@ -76,10 +92,6 @@ class ExperimentResult:
     finals: dict  # (problem, algo) -> list of final errors
     records: dict  # (problem, algo) -> list of RunRecord or None (failed)
     failures: list  # (problem, algo, run_index, message)
-
-
-# one suite per (dim, seed) and process, shared by every cell a process runs
-_suite = functools.cache(make_suite)
 
 
 def _execute_cell(config: ExperimentConfig, cell: tuple):
@@ -120,13 +132,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     each run's files are written as its outcome arrives, and its tree dump
     is then dropped from the record, so a sweep holds one dump at a time;
     the tables and the summary are written at the end."""
-    suite = _suite(config.dim, config.suite_seed)
-    if config.problems is not None:
-        known = {p.name for p in suite}
-        unknown = [n for n in config.problems if n not in known]
-        if unknown:
-            raise ParameterError(f"unknown problem names {unknown}")
-        suite = [p for p in suite if p.name in config.problems]
+    suite = config.selected_problems()
     problem_names = [p.name for p in suite]
     f_opt = {p.name: p.f_opt for p in suite}
     out = None if config.out_dir is None else _output_dir(config)
@@ -342,9 +348,10 @@ def _config(stored: dict, where) -> ExperimentConfig:
 
 def recompute_stats(in_dir) -> StatsTable:
     """Rebuild the tables from a stored summary.json and rewrite the CSVs.
-    The summary is checked against the config it stores: every cell's
-    finals and failure rows add up to ``runs``, each failure row names a
-    cell of the table, and no problem is named twice."""
+    The summary is checked against the config it stores: ``problems`` is
+    the config's selection in suite order, each failure row is one run of
+    the sweep, named once, and every cell's finals and failure rows add up
+    to ``runs``."""
     in_dir = Path(in_dir)
     summary_path = in_dir / "summary.json"
     try:
@@ -355,24 +362,27 @@ def recompute_stats(in_dir) -> StatsTable:
         raise ParameterError(f"{summary_path}: not a UTF-8 JSON file: {exc}") from exc
     config = _config(_field(payload, "config", dict, summary_path), summary_path)
     problems = _field(payload, "problems", list[str], summary_path)
-    if not problems:
-        raise ParameterError(f"{summary_path}: key 'problems' is an empty list")
-    repeated = [name for name, n in Counter(problems).items() if n > 1]
-    if repeated:
-        raise ParameterError(f"{summary_path}: key 'problems' names {repeated[0]!r} "
-                             "more than once")
+    selected = [p.name for p in config.selected_problems()]
+    if problems != selected:
+        raise ParameterError(f"{summary_path}: key 'problems' names {problems}, not "
+                             f"{selected}, the config's problems in suite order")
     stored = _field(payload, "finals", dict, summary_path)
     finals = {cell: _finals(stored, "::".join(cell), summary_path)
               for cell in itertools.product(problems, config.algorithms)}
     failures = _field(payload, "failures", list, summary_path)
     if not all(isinstance(row, list) and len(row) == 4
-               and all(type(name) is str for name in row[:2]) for row in failures):
+               and [type(item) for item in row[:3]] == [str, str, int] for row in failures):
         raise ParameterError(f"{summary_path}: key 'failures' has a row that is not "
                              "a four-item list of problem, algorithm, run and message")
-    for prob, algo, _, _ in failures:
+    failed_runs = set()
+    for prob, algo, run, _ in failures:
         if (prob, algo) not in finals:
             raise ParameterError(f"{summary_path}: key 'failures' names cell "
                                  f"'{prob}::{algo}', which is not in the table")
+        if not 0 <= run < config.runs or (prob, algo, run) in failed_runs:
+            raise ParameterError(f"{summary_path}: key 'failures' names run {run} of "
+                                 f"'{prob}::{algo}' twice or outside range({config.runs})")
+        failed_runs.add((prob, algo, run))
     reference = _field(payload, "reference", str, summary_path)
     if reference != config.reference:
         raise ParameterError(f"{summary_path}: key 'reference' names {reference!r}, "

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from histarch import (ParameterError, Region, StopReason, cma_check_stop,
+from histarch import (CmaState, ParameterError, Region, StopReason, cma_check_stop,
                       cma_init, cma_run, cma_sample, cma_update, default_lambda,
                       make_suite, stagnation_window)
 from histarch import cmaes
@@ -46,11 +46,15 @@ def test_init_identity_and_weights():
 def test_init_rejects_bad_sigma(sigma0):
     with pytest.raises(ParameterError):
         cma_init(np.zeros(3), sigma0, 8, wide_domain(3))
+    with pytest.raises(ParameterError):
+        CmaState(np.zeros(3), sigma0, 8, wide_domain(3))
 
 
 def test_init_rejects_mean_of_wrong_dimension():
     with pytest.raises(ParameterError):
         cma_init(np.zeros(1), 1.0, 10, wide_domain(10))
+    with pytest.raises(ParameterError):
+        CmaState(np.zeros(1), 1.0, 10, wide_domain(10))
 
 
 def test_stagnation_window_formula_grid():

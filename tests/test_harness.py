@@ -55,6 +55,12 @@ def test_config_validation():
         run_experiment(small_config(problems=["nope"]))
     with pytest.raises(ParameterError, match="at least one problem"):
         small_config(problems=[])
+    with pytest.raises(ParameterError, match="unknown problem name 'nope'"):
+        small_config(problems=["sphere", "nope"])
+    with pytest.raises(ParameterError, match="duplicate problem names"):
+        small_config(problems=["sphere", "sphere"])
+    with pytest.raises(ParameterError, match="unsupported dimension 5"):
+        small_config(dim=5)
 
 
 def test_results_reproducible_and_worker_independent(tmp_path):
@@ -72,12 +78,15 @@ def test_results_reproducible_and_worker_independent(tmp_path):
 
 def test_outputs_written_and_recompute_round_trips(tmp_path):
     out = tmp_path / "exp"
+    # out of suite order: run and stats must both derive the table's order
     run_experiment(small_config(str(out), trace=True, gnuplot=True, dump_tree=True,
-                                algorithms=["cmaes", "cnrga_lru"]))
+                                algorithms=["cmaes", "cnrga_lru"],
+                                problems=["rastrigin", "sphere"]))
     results_before = (out / "results.csv").read_bytes()
     ranks_before = (out / "ranks.csv").read_bytes()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["budget"] == 300
+    assert summary["problems"] == ["sphere", "rastrigin"]
     assert set(summary["finals"]) == {
         f"{p}::{a}" for p in ("sphere", "rastrigin") for a in ("cmaes", "cnrga_lru")}
     run_files = sorted((out / "runs").glob("*.json"))
@@ -248,7 +257,7 @@ def test_cli_stats_missing_dir_is_io_error(tmp_path):
 
 # a summary.json that ``histarch stats`` reads back
 WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05, "dim": 2, "budget": 300,
-                          "runs": 2},
+                          "runs": 2, "problems": ["sphere"]},
                "problems": ["sphere"], "finals": {"sphere::hr": [1.0, 2.0]}, "reference": "hr",
                "failures": []}
 
@@ -278,7 +287,7 @@ def well_formed_config(**fields):
     (dict(WELL_FORMED, reference=None), "key 'reference' is missing"),
     (dict(WELL_FORMED, config=well_formed_config(algorithms=[])),
      "key 'config': at least one algorithm is required"),
-    (dict(WELL_FORMED, problems=[]), "key 'problems' is an empty list"),
+    (dict(WELL_FORMED, problems=[]), "key 'problems' names [], not ['sphere']"),
     (dict(WELL_FORMED, finals={"sphere::hr": [1.0, "-Infinity"]}),
      "key 'sphere::hr' has an item that is not a JSON float"),
     # bare NaN and -Infinity tokens, which json.loads reads as floats
@@ -298,7 +307,7 @@ def well_formed_config(**fields):
     (dict(WELL_FORMED, failures=[["ghost", "hr", 0, "x"]]),
      "key 'failures' names cell 'ghost::hr', which is not in the table"),
     (dict(WELL_FORMED, problems=["sphere", "sphere"]),
-     "key 'problems' names 'sphere' more than once"),
+     "key 'problems' names ['sphere', 'sphere'], not ['sphere']"),
     pytest.param(json.dumps(WELL_FORMED)[:11].encode(), "summary.json: not a UTF-8 JSON file",
                  id="truncated"),
     pytest.param(b"\xff" + json.dumps(WELL_FORMED).encode(),
@@ -312,6 +321,20 @@ def well_formed_config(**fields):
      "key 'problems' is missing or not a JSON list[str] | None"),
     (dict(WELL_FORMED, config={"algorithms": ["hr"], "budget": 300, "runs": 2}),
      "key 'dim' is missing or not a JSON int"),
+    # the table's problems are those the config selects, and each failure
+    # row is one run of the sweep
+    (dict(WELL_FORMED, problems=["rastrigin"], finals={"rastrigin::hr": [1.0, 2.0]}),
+     "key 'problems' names ['rastrigin'], not ['sphere']"),
+    (dict(WELL_FORMED, config=well_formed_config(problems=None), problems=["nosuch"],
+          finals={"nosuch::hr": [1.0, 2.0]}),
+     "key 'problems' names ['nosuch'], not ['sphere', 'rot_ellipsoid'"),
+    (dict(WELL_FORMED, config=well_formed_config(dim=5)),
+     "summary.json: key 'config': unsupported dimension 5"),
+    (dict(WELL_FORMED, finals={"sphere::hr": [1.0]}, failures=[["sphere", "hr", 7, "x"]]),
+     "key 'failures' names run 7 of 'sphere::hr'"),
+    (dict(WELL_FORMED, finals={"sphere::hr": []},
+          failures=[["sphere", "hr", 0, "x"], ["sphere", "hr", 0, "y"]]),
+     "key 'failures' names run 0 of 'sphere::hr' twice"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
     raw = summary if isinstance(summary, bytes) else json.dumps(summary).encode()
