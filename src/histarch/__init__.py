@@ -8,7 +8,7 @@ benchmark suite, and a statistics harness with rank tables and
 Kruskal-Wallis significance marks.
 """
 
-from .benchmarks import BudgetedEvaluator, Problem, make_suite, suite_manifest
+from .benchmarks import BudgetedEvaluator, Problem, make_suite
 from .bsp import (Blocked, BspArchive, BspNode, NewLeaf, Region, Revisit,
                   RoiSuggestion, SearchPoint, Subtree)
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_run,

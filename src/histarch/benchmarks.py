@@ -229,17 +229,3 @@ def _make_composition(dim: int, rng: np.random.Generator, box: Region) -> Proble
 
     return Problem("composition", dim, box, f, 0.0, "composition", shifts[0].copy())
 
-
-def suite_manifest(problems: list[Problem]) -> list[dict]:
-    """JSON-ready description of a suite (for the harness and docs)."""
-    return [
-        {
-            "name": p.name,
-            "dim": p.dim,
-            "lower": p.domain.lower.tolist(),
-            "upper": p.domain.upper.tolist(),
-            "f_opt": p.f_opt,
-            "category": p.category,
-        }
-        for p in problems
-    ]

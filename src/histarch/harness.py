@@ -5,6 +5,11 @@ generator, seeded by run index so results are identical no matter how
 many workers execute the cells. A crashed run is excluded from the
 statistics with a loud warning and a flag in the output table; a cell in
 which every run crashed shows as ``runs 0`` with NaN statistics.
+
+A sweep's ``summary.json`` holds its config, each cell's finals and the
+failure rows, and nothing the config derives. ``read_config`` is the one
+reader from a JSON object to a checked ExperimentConfig, for that config
+and for ``histarch run --config`` files alike.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import Problem, make_suite, suite_manifest
+from .benchmarks import Problem, make_suite
 from .errors import ParameterError
 from .hr import ALGORITHMS, RunRecord, run_algorithm
 from .stats import StatsTable, build_stats_table
@@ -161,7 +166,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     table = _table(config, problem_names, finals, failures)
     result = ExperimentResult(config, table, finals, records, failures)
     if out is not None:
-        persist_result(result, suite)
+        persist_result(result)
     return result
 
 
@@ -217,16 +222,14 @@ def ranks_csv(table: StatsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_payload(result: ExperimentResult, suite) -> dict:
-    cfg = dataclasses.asdict(result.config)
+def summary_payload(result: ExperimentResult) -> dict:
+    """What the config cannot derive: each cell's finals and the failure
+    rows. The problems, their order and the reference come from the config."""
     return {
-        "config": cfg,
-        "suite": suite_manifest(suite),
-        "problems": list(result.table.problems),
-        "finals": {f"{p}::{a}": [_json_float(x) for x in result.finals[(p, a)]]
-                   for p in result.table.problems for a in result.table.algorithms},
+        "config": dataclasses.asdict(result.config),
+        "finals": {"::".join(cell): [_json_float(x) for x in values]
+                   for cell, values in result.finals.items()},
         "failures": [list(f) for f in result.failures],
-        "reference": result.table.reference,
     }
 
 
@@ -281,11 +284,11 @@ def _persist_run(config: ExperimentConfig, out: Path, stem: str, rec: RunRecord)
         _write(out / "trees" / f"{stem}.txt", rec.tree_dump)
 
 
-def persist_result(result: ExperimentResult, suite):
+def persist_result(result: ExperimentResult):
     """The tables and the summary of a finished sweep."""
     out = Path(result.config.out_dir)
     _write_tables(out, result.table)
-    _write(out / "summary.json", _dumps(summary_payload(result, suite), sort_keys=True))
+    _write(out / "summary.json", _dumps(summary_payload(result), sort_keys=True))
 
 
 def _is_json(value, hint) -> bool:
@@ -328,11 +331,23 @@ def _finals(stored, key: str, where) -> list:
     return [math.inf if v == INF else v for v in values]
 
 
-def _config(stored: dict, where) -> ExperimentConfig:
-    """The ExperimentConfig whose ``dataclasses.asdict`` is ``stored``. Each
-    key must be a field of the type the field is annotated with, and a field
-    without a default must be there; ``__post_init__`` then checks the
-    values as it does for ``histarch run``."""
+def read_json(path: Path):
+    """The JSON value in the UTF-8 file ``path``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"{path}: not a UTF-8 JSON file: {exc}") from exc
+
+
+def read_config(stored: dict, where) -> ExperimentConfig:
+    """The ExperimentConfig whose ``dataclasses.asdict`` is ``stored``, the
+    one reader of a config from JSON: ``histarch run --config`` and
+    ``histarch stats`` both come here. Each key must be a field of the
+    type the field is annotated with, and a field without a default must
+    be there; ``__post_init__`` then checks the values. Every error is
+    reported under ``where``."""
     hints = typing.get_type_hints(ExperimentConfig)
     for key in stored:
         if key not in hints:
@@ -343,35 +358,33 @@ def _config(stored: dict, where) -> ExperimentConfig:
     try:
         return ExperimentConfig(**stored)
     except ParameterError as exc:
-        raise ParameterError(f"{where}: key 'config': {exc}") from exc
+        raise ParameterError(f"{where}: {exc}") from exc
 
 
 def recompute_stats(in_dir) -> StatsTable:
     """Rebuild the tables from a stored summary.json and rewrite the CSVs.
-    The summary is checked against the config it stores: ``problems`` is
-    the config's selection in suite order, each failure row is one run of
-    the sweep, named once, and every cell's finals and failure rows add up
-    to ``runs``."""
+    The config the summary stores fixes the problems, their order and the
+    reference; ``finals`` must hold exactly its cells, each failure row
+    must be one run of the sweep, named once, and every cell's finals and
+    failure rows must add up to ``runs``. Other top-level keys, such as the
+    ``suite``, ``problems`` and ``reference`` that older files hold, are
+    ignored."""
     in_dir = Path(in_dir)
     summary_path = in_dir / "summary.json"
-    try:
-        payload = json.loads(summary_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise OSError(f"cannot read {summary_path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"{summary_path}: not a UTF-8 JSON file: {exc}") from exc
-    config = _config(_field(payload, "config", dict, summary_path), summary_path)
-    problems = _field(payload, "problems", list[str], summary_path)
-    selected = [p.name for p in config.selected_problems()]
-    if problems != selected:
-        raise ParameterError(f"{summary_path}: key 'problems' names {problems}, not "
-                             f"{selected}, the config's problems in suite order")
+    payload = read_json(summary_path)
+    config = read_config(_field(payload, "config", dict, summary_path),
+                         f"{summary_path}: key 'config'")
+    problems = [p.name for p in config.selected_problems()]
+    cells = list(itertools.product(problems, config.algorithms))
     stored = _field(payload, "finals", dict, summary_path)
-    finals = {cell: _finals(stored, "::".join(cell), summary_path)
-              for cell in itertools.product(problems, config.algorithms)}
+    extra = sorted(stored.keys() - {"::".join(cell) for cell in cells})
+    if extra:
+        raise ParameterError(f"{summary_path}: key {extra[0]!r} is not a cell of the "
+                             "config's problems and algorithms")
+    finals = {cell: _finals(stored, "::".join(cell), summary_path) for cell in cells}
     failures = _field(payload, "failures", list, summary_path)
-    if not all(isinstance(row, list) and len(row) == 4
-               and [type(item) for item in row[:3]] == [str, str, int] for row in failures):
+    if not all(isinstance(row, list) and [type(item) for item in row] == [str, str, int, str]
+               for row in failures):
         raise ParameterError(f"{summary_path}: key 'failures' has a row that is not "
                              "a four-item list of problem, algorithm, run and message")
     failed_runs = set()
@@ -383,10 +396,6 @@ def recompute_stats(in_dir) -> StatsTable:
             raise ParameterError(f"{summary_path}: key 'failures' names run {run} of "
                                  f"'{prob}::{algo}' twice or outside range({config.runs})")
         failed_runs.add((prob, algo, run))
-    reference = _field(payload, "reference", str, summary_path)
-    if reference != config.reference:
-        raise ParameterError(f"{summary_path}: key 'reference' names {reference!r}, "
-                             f"not the config's reference {config.reference!r}")
     table = _table(config, problems, finals, failures)
     for (prob, algo), cell in table.cells.items():
         if cell.n_runs + cell.n_failed != config.runs:

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from histarch import (BudgetExhaustedError, DomainError, InputError, ParameterError,
                       Region, make_suite)
 from histarch.benchmarks import (BudgetedEvaluator, Problem, ellipsoid_weights,
-                                 random_rotation, rastrigin, sphere, suite_manifest)
+                                 random_rotation, rastrigin, sphere)
 from util import reference_suite
 
 SUITE_NAMES = ["sphere", "rot_ellipsoid", "rosenbrock", "rastrigin", "sr_rastrigin",
@@ -181,13 +179,3 @@ def test_wrong_shape_rejected_before_counting(coords):
         ev(coords)
     assert ev.used == 0
 
-
-def test_manifest_is_json_ready():
-    problems = suite10()
-    manifest = suite_manifest(problems)
-    text = json.dumps(manifest)
-    loaded = json.loads(text)
-    assert [m["name"] for m in loaded] == SUITE_NAMES
-    assert all(m["dim"] == 10 for m in loaded)
-    schwefel = next(m for m in loaded if m["name"] == "schwefel")
-    assert schwefel["lower"][0] == -500.0 and schwefel["upper"][0] == 500.0

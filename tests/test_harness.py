@@ -85,8 +85,11 @@ def test_outputs_written_and_recompute_round_trips(tmp_path):
     results_before = (out / "results.csv").read_bytes()
     ranks_before = (out / "ranks.csv").read_bytes()
     summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == ["config", "failures", "finals"]
     assert summary["config"]["budget"] == 300
-    assert summary["problems"] == ["sphere", "rastrigin"]
+    assert summary["config"]["problems"] == ["rastrigin", "sphere"]
+    assert [row.split(",")[0] for row in ranks_before.decode().split("\n")[1:3]] == \
+        ["sphere", "rastrigin"]
     assert set(summary["finals"]) == {
         f"{p}::{a}" for p in ("sphere", "rastrigin") for a in ("cmaes", "cnrga_lru")}
     run_files = sorted((out / "runs").glob("*.json"))
@@ -105,6 +108,24 @@ def test_outputs_written_and_recompute_round_trips(tmp_path):
     recompute_stats(out)
     assert (out / "results.csv").read_bytes() == results_before
     assert (out / "ranks.csv").read_bytes() == ranks_before
+
+
+def test_recompute_ignores_the_keys_older_summaries_hold(tmp_path):
+    out = tmp_path / "exp"
+    config = small_config(str(out))
+    run_experiment(config)
+    tables = [(out / name).read_bytes() for name in ("results.csv", "ranks.csv")]
+    # the suite manifest, problem list and reference that older files also stored
+    summary = json.loads((out / "summary.json").read_text())
+    problems = config.selected_problems()
+    summary["suite"] = [{"name": p.name, "dim": p.dim, "lower": p.domain.lower.tolist(),
+                         "upper": p.domain.upper.tolist(), "f_opt": p.f_opt,
+                         "category": p.category} for p in problems]
+    summary["problems"] = [p.name for p in problems]
+    summary["reference"] = config.reference
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    recompute_stats(out)
+    assert [(out / name).read_bytes() for name in ("results.csv", "ranks.csv")] == tables
 
 
 def test_csv_headers_match_table_columns(tmp_path):
@@ -258,8 +279,7 @@ def test_cli_stats_missing_dir_is_io_error(tmp_path):
 # a summary.json that ``histarch stats`` reads back
 WELL_FORMED = {"config": {"algorithms": ["hr"], "alpha": 0.05, "dim": 2, "budget": 300,
                           "runs": 2, "problems": ["sphere"]},
-               "problems": ["sphere"], "finals": {"sphere::hr": [1.0, 2.0]}, "reference": "hr",
-               "failures": []}
+               "finals": {"sphere::hr": [1.0, 2.0]}, "failures": []}
 
 
 def well_formed_config(**fields):
@@ -267,9 +287,9 @@ def well_formed_config(**fields):
 
 
 @pytest.mark.parametrize("summary, named", [
-    ({"problems": []}, "key 'config' is missing"),
+    ({"finals": {}}, "key 'config' is missing"),
     ([1, 2], "key 'config' is missing"),
-    ({"config": {"algorithms": "hr"}, "problems": []},
+    ({"config": {"algorithms": "hr"}},
      "key 'algorithms' is missing or not a JSON list"),
     (dict(WELL_FORMED, finals={}), "key 'sphere::hr' is missing"),
     (dict(WELL_FORMED, failures=[1]), "key 'failures' has a row"),
@@ -280,14 +300,18 @@ def well_formed_config(**fields):
      "key 'sphere::hr' has an item that is not a JSON float"),
     (dict(WELL_FORMED, finals={"sphere::hr": [10 ** 400]}),
      "key 'sphere::hr' has an item that is not a JSON float"),
-    (dict(WELL_FORMED, problems=[1]), "key 'problems' has an item that is not a JSON str"),
+    (dict(WELL_FORMED, finals=[[1.0, 2.0]]), "key 'finals' is missing or not a JSON dict"),
     (dict(WELL_FORMED, config=well_formed_config(alpha=1.5)),
      "key 'config': alpha must lie in (0, 1)"),
-    (dict(WELL_FORMED, reference="zzz"), "key 'reference' names 'zzz'"),
-    (dict(WELL_FORMED, reference=None), "key 'reference' is missing"),
+    # the finals of exactly the config's cells, beside the failure rows
+    (dict(WELL_FORMED, finals={"sphere::hr": [1.0, 2.0], "sphere::cmaes": [1.0, 2.0]}),
+     "key 'sphere::cmaes' is not a cell of the config's problems and algorithms"),
+    ({"config": WELL_FORMED["config"], "finals": WELL_FORMED["finals"]},
+     "key 'failures' is missing or not a JSON list"),
     (dict(WELL_FORMED, config=well_formed_config(algorithms=[])),
      "key 'config': at least one algorithm is required"),
-    (dict(WELL_FORMED, problems=[]), "key 'problems' names [], not ['sphere']"),
+    (dict(WELL_FORMED, finals={"sphere::hr": [1.0, 2.0], "sphere": [1.0, 2.0]}),
+     "key 'sphere' is not a cell of the config's problems and algorithms"),
     (dict(WELL_FORMED, finals={"sphere::hr": [1.0, "-Infinity"]}),
      "key 'sphere::hr' has an item that is not a JSON float"),
     # bare NaN and -Infinity tokens, which json.loads reads as floats
@@ -306,8 +330,8 @@ def well_formed_config(**fields):
      "key 'config': need at least 2 independent runs"),
     (dict(WELL_FORMED, failures=[["ghost", "hr", 0, "x"]]),
      "key 'failures' names cell 'ghost::hr', which is not in the table"),
-    (dict(WELL_FORMED, problems=["sphere", "sphere"]),
-     "key 'problems' names ['sphere', 'sphere'], not ['sphere']"),
+    (dict(WELL_FORMED, finals={"sphere::hr": [1.0, 2.0], "rastrigin::hr": [1.0, 2.0]}),
+     "key 'rastrigin::hr' is not a cell of the config's problems and algorithms"),
     pytest.param(json.dumps(WELL_FORMED)[:11].encode(), "summary.json: not a UTF-8 JSON file",
                  id="truncated"),
     pytest.param(b"\xff" + json.dumps(WELL_FORMED).encode(),
@@ -323,11 +347,11 @@ def well_formed_config(**fields):
      "key 'dim' is missing or not a JSON int"),
     # the table's problems are those the config selects, and each failure
     # row is one run of the sweep
-    (dict(WELL_FORMED, problems=["rastrigin"], finals={"rastrigin::hr": [1.0, 2.0]}),
-     "key 'problems' names ['rastrigin'], not ['sphere']"),
-    (dict(WELL_FORMED, config=well_formed_config(problems=None), problems=["nosuch"],
+    (dict(WELL_FORMED, finals={"rastrigin::hr": [1.0, 2.0]}),
+     "key 'rastrigin::hr' is not a cell of the config's problems and algorithms"),
+    (dict(WELL_FORMED, config=well_formed_config(problems=None),
           finals={"nosuch::hr": [1.0, 2.0]}),
-     "key 'problems' names ['nosuch'], not ['sphere', 'rot_ellipsoid'"),
+     "key 'nosuch::hr' is not a cell of the config's problems and algorithms"),
     (dict(WELL_FORMED, config=well_formed_config(dim=5)),
      "summary.json: key 'config': unsupported dimension 5"),
     (dict(WELL_FORMED, finals={"sphere::hr": [1.0]}, failures=[["sphere", "hr", 7, "x"]]),
@@ -335,6 +359,8 @@ def well_formed_config(**fields):
     (dict(WELL_FORMED, finals={"sphere::hr": []},
           failures=[["sphere", "hr", 0, "x"], ["sphere", "hr", 0, "y"]]),
      "key 'failures' names run 0 of 'sphere::hr' twice"),
+    (dict(WELL_FORMED, finals={"sphere::hr": [1.0]}, failures=[["sphere", "hr", 1, {"a": 1}]]),
+     "key 'failures' has a row that is not a four-item list"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
     raw = summary if isinstance(summary, bytes) else json.dumps(summary).encode()
@@ -374,9 +400,9 @@ def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch,
 def test_cli_config_file_mirrors_flags(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
-        "suite": "2d", "algos": "cmaes,cnrga", "budget": 300, "runs": 2,
-        "seed": 7, "suite_seed": 11, "problems": "sphere,rastrigin",
-        "out": str(tmp_path / "from_config")}))
+        "dim": 2, "algorithms": ["cmaes", "cnrga"], "budget": 300, "runs": 2,
+        "base_seed": 7, "suite_seed": 11, "problems": ["sphere", "rastrigin"],
+        "out_dir": str(tmp_path / "from_config")}))
     assert main(["run", "--config", str(cfg_file)]) == 0
     flag_out = tmp_path / "from_flags"
     assert main(cli_run_args(flag_out)) == 0
@@ -387,98 +413,81 @@ def test_cli_config_file_mirrors_flags(tmp_path):
 def test_cli_flag_overrides_config_file(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
-        "suite": "2d", "algos": "cmaes", "budget": 300, "runs": 2,
-        "suite_seed": 11, "problems": "sphere", "out": str(tmp_path / "o1")}))
+        "dim": 2, "algorithms": ["cmaes"], "budget": 300, "runs": 2,
+        "suite_seed": 11, "problems": ["sphere"], "out_dir": str(tmp_path / "o1")}))
     assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o2"),
                  "--runs", "3"]) == 0
     summary = json.loads((tmp_path / "o2" / "summary.json").read_text())
     assert summary["config"]["runs"] == 3
+    assert not (tmp_path / "o1").exists()
     # a zero-valued flag still wins over the file
     cfg_file.write_text(json.dumps({
-        "suite": "2d", "algos": "cmaes", "budget": 300, "runs": 2,
-        "seed": 7, "problems": "sphere"}))
+        "dim": 2, "algorithms": ["cmaes"], "budget": 300, "runs": 2,
+        "base_seed": 7, "problems": ["sphere"]}))
     assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o3"),
                  "--seed", "0"]) == 0
     summary = json.loads((tmp_path / "o3" / "summary.json").read_text())
     assert summary["config"]["base_seed"] == 0
 
 
-def test_cli_unknown_config_key_rejected(tmp_path):
+def test_cli_summary_config_reruns_the_sweep(tmp_path):
+    first = tmp_path / "first"
+    assert main(cli_run_args(first, ["--trace"])) == 0
+    stored = json.loads((first / "summary.json").read_text())["config"]
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"budjet": 300}))
-    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
-
-
-def test_cli_workers_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("HISTARCH_WORKERS", "2")
-    out = tmp_path / "envw"
-    assert main(cli_run_args(out)) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["workers"] == 2
+    cfg_file.write_text(json.dumps(stored))
+    again = tmp_path / "again"
+    assert main(["run", "--config", str(cfg_file), "--out", str(again)]) == 0
+    for name in ("results.csv", "ranks.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    rerun = json.loads((again / "summary.json").read_text())["config"]
+    assert rerun == dict(stored, out_dir=str(again))
 
 
 def write_config(tmp_path, **overrides):
-    """A valid two-run 2-D config file with ``overrides`` applied."""
+    """A valid two-run 2-D config file with ``overrides`` applied, writing
+    to ``tmp_path / "x"``."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
-        "suite": "2d", "algos": "cmaes", "budget": 300, "runs": 2,
-        "problems": "sphere", **overrides}))
+        "dim": 2, "algorithms": ["cmaes"], "budget": 300, "runs": 2,
+        "problems": ["sphere"], "out_dir": str(tmp_path / "x"), **overrides}))
     return cfg_file
 
 
+def test_cli_unknown_config_key_rejected(tmp_path, capsys):
+    cfg_file = write_config(tmp_path, budjet=300)
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert f"{cfg_file}: key 'budjet' is not an ExperimentConfig field" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("overrides, message", [
-    ({"runs": "x"}, "config key 'runs': invalid int value: 'x'"),
-    ({"suite_seed": "x"}, "config key 'suite_seed': invalid int value: 'x'"),
-    ({"config": "other.json"}, "unknown config keys: ['config']"),
-    ({"command": "stats"}, "unknown config keys: ['command']"),
-    ({"suite": "5d"}, "unknown suite '5d'"),
+    ({"runs": "x"}, "key 'runs' is missing or not a JSON int"),
+    ({"suite_seed": "x"}, "key 'suite_seed' is missing or not a JSON int"),
+    ({"config": "other.json"}, "key 'config' is not an ExperimentConfig field"),
+    ({"command": "stats"}, "key 'command' is not an ExperimentConfig field"),
+    ({"dim": 5}, "unsupported dimension 5"),
 ], ids=["unparsable_string", "unparsable_suite_seed", "config_key", "command_key",
         "unknown_suite"])
 def test_cli_config_file_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg_file = write_config(tmp_path, **overrides)
-    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
+    assert main(["run", "--config", str(cfg_file)]) == 2
     err = capsys.readouterr().err
-    assert message in err and "argument --" not in err
+    assert f"{cfg_file}: {message}" in err and "argument --" not in err
     assert not (tmp_path / "x").exists()
-
-
-def test_cli_unparsable_workers_env_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HISTARCH_WORKERS", "abc")
-    assert main(cli_run_args(tmp_path / "x")) == 2
-    err = capsys.readouterr().err
-    assert "HISTARCH_WORKERS: invalid int value: 'abc'" in err and "--workers" not in err
-    assert not (tmp_path / "x").exists()
-
-
-def test_cli_flag_wins_over_unparsable_workers_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HISTARCH_WORKERS", "abc")
-    out = tmp_path / "flag"
-    assert main(cli_run_args(out, ["--workers", "1"])) == 0
-    assert json.loads((out / "summary.json").read_text())["config"]["workers"] == 1
 
 
 @pytest.mark.parametrize("key, value", [
     ("trace", "false"), ("gnuplot", 1), ("dump_tree", None),
-    ("budget", 300.7), ("budget", True), ("runs", 2.0), ("seed", "7.5"),
-    ("alpha", True), ("alpha", [0.05]), ("algos", ["cmaes"]), ("out", 3),
+    ("budget", 300.7), ("budget", True), ("runs", 2.0), ("base_seed", "7.5"),
+    ("alpha", True), ("alpha", [0.05]), ("algorithms", "cmaes"), ("out_dir", 3),
 ])
 def test_cli_wrongly_typed_config_value_exits_2(tmp_path, capsys, key, value):
     cfg_file = write_config(tmp_path, **{key: value})
-    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 2
-    assert key in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
-
-
-def test_cli_config_strings_parse_like_flags(tmp_path):
-    cfg_file = write_config(tmp_path, budget="300", runs="2", seed="7", suite_seed="11",
-                            alpha="0.05", workers="1", algos="cmaes,cnrga",
-                            problems="sphere,rastrigin", trace=True,
-                            out=str(tmp_path / "from_config"))
-    assert main(["run", "--config", str(cfg_file)]) == 0
-    assert list((tmp_path / "from_config" / "runs").glob("*.json"))
-    assert main(cli_run_args(tmp_path / "from_flags")) == 0
-    assert (tmp_path / "from_config" / "results.csv").read_bytes() == \
-        (tmp_path / "from_flags" / "results.csv").read_bytes()
 
 
 def test_algorithm_that_always_fails_keeps_the_sweep(tmp_path, monkeypatch, capsys):
