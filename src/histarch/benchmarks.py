@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bsp import Region
+from .bsp import Region, _in_box, _shape_error
 from .errors import BudgetExhaustedError, DomainError, ParameterError
 
 # location and value of the maximum of x*sin(sqrt(x)), which the Schwefel
@@ -52,7 +52,8 @@ class BudgetedEvaluator:
     ``trace`` holds (eval_index, value) at every strict improvement;
     ``best``, ``best_coords`` (a copy) and ``best_at`` describe the latest.
     A non-finite objective value (NaN or +-inf) is returned as +inf, so it
-    ranks worst everywhere, and is counted in ``non_finite``.
+    ranks worst everywhere, and is counted in ``non_finite``. The domain is
+    read once, when the evaluator is built; ``problem.f`` on every call.
     """
 
     def __init__(self, problem: Problem, budget: int):
@@ -66,6 +67,9 @@ class BudgetedEvaluator:
         self.best_coords = None
         self.best_at = 0
         self.non_finite = 0
+        # a Region never changes, so its shape and float bounds are read here
+        self._shape = problem.domain.lower.shape
+        self._lower, self._upper = problem.domain.bounds
 
     @property
     def remaining(self) -> int:
@@ -76,9 +80,12 @@ class BudgetedEvaluator:
             raise BudgetExhaustedError(
                 f"budget of {self.budget} evaluations exhausted on {self.problem.name}")
         coords = np.asarray(coords, dtype=float)
-        # contains raises InputError on a wrong shape, so neither a bad shape
-        # nor a point outside the box (NaN included) spends budget
-        if not self.problem.domain.contains(coords):
+        # Region.contains's shape and box tests on this one conversion:
+        # neither a wrong shape nor a point outside the box (NaN included)
+        # spends budget
+        if coords.shape != self._shape:
+            raise _shape_error(len(self._lower), coords.shape)
+        if not _in_box(self._lower, self._upper, coords.tolist()):
             raise DomainError(f"evaluation outside the domain of {self.problem.name}")
         self.used += 1
         value = float(self.problem.f(coords))
@@ -113,14 +120,14 @@ def ellipsoid_weights(dim: int, axis_ratio: float) -> np.ndarray:
 
 
 def rastrigin(x):
-    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum())
+    return float(10.0 * x.size + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
 
 
 def ackley(x):
     n = x.size
     return float(
         -20.0 * np.exp(-0.2 * np.sqrt(np.dot(x, x) / n))
-        - np.exp(np.cos(2.0 * np.pi * x).sum() / n)
+        - np.exp(np.add.reduce(np.cos(2.0 * np.pi * x)) / n)
         + 20.0 + np.e
     )
 
@@ -134,15 +141,16 @@ def _griewank_divisors(n: int) -> np.ndarray:
 
 
 def griewank(x):
-    return float(np.dot(x, x) / 4000.0 - np.cos(x / _griewank_divisors(x.size)).prod() + 1.0)
+    product = np.multiply.reduce(np.cos(x / _griewank_divisors(x.size)))
+    return float(np.dot(x, x) / 4000.0 - product + 1.0)
 
 
 def schwefel(x):
-    return float(SCHWEFEL_OFFSET * x.size - (x * np.sin(np.sqrt(np.abs(x)))).sum())
+    return float(SCHWEFEL_OFFSET * x.size - np.add.reduce(x * np.sin(np.sqrt(np.abs(x)))))
 
 
 def rosenbrock(x):
-    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
+    return float(np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

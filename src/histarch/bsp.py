@@ -66,6 +66,11 @@ def _in_box(lower, upper, x) -> bool:
     return True
 
 
+def _shape_error(dim: int, shape: tuple) -> InputError:
+    """The error for coordinates of ``shape`` where a vector of ``dim`` values belongs."""
+    return InputError(f"expected {dim} coordinates, got shape {shape}")
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     """Immutable axis-aligned box with positive, finite extent per dimension.
@@ -113,7 +118,7 @@ class Region:
         """
         coords = np.asarray(coords, dtype=float)
         if coords.shape != self.lower.shape:
-            raise InputError(f"expected {self.dim} coordinates, got shape {coords.shape}")
+            raise _shape_error(self.dim, coords.shape)
         return _in_box(*self.bounds, coords.tolist())
 
     def uniform_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -266,8 +271,7 @@ class BspArchive:
             raise StructuralError("subtree is stale or from another archive")
         coords = np.asarray(coords, dtype=float)
         if coords.shape != self.domain.lower.shape:
-            raise InputError(f"expected {self.domain.dim} coordinates, "
-                             f"got shape {coords.shape}")
+            raise _shape_error(self.domain.dim, coords.shape)
         x = coords.tolist()
         if within is not None and _in_box(within.lower, within.box_upper, x):
             node, depth, cell = within.node, within.depth, (within.lower, within.upper)

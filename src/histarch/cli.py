@@ -5,7 +5,9 @@ tables plus a JSON summary; `histarch stats` recomputes the tables from a
 stored summary. A `run` flag stores its value under the name of the
 ExperimentConfig field it sets, and --config takes a JSON object of those
 fields, the one `summary.json` stores under `config`; explicit flags win
-over the file, and `harness.read_config` checks the merged settings.
+over the file, and `harness.read_config` checks the merged settings. An
+out_dir taken from the file that already holds a summary.json is refused,
+so rerunning a sweep's own config never replaces it; --out may.
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
 
@@ -92,6 +94,9 @@ def main(argv=None) -> int:
             if settings.get(field) is None:
                 raise ParameterError(f"{flag} is required")
         config = read_config(settings, path or "command line")
+        if "out_dir" not in args and (Path(config.out_dir) / "summary.json").exists():
+            raise ParameterError(f"{path}: out_dir {config.out_dir} already holds a summary.json; "
+                                 "pass --out to write elsewhere or to replace it")
         result = run_experiment(config)
         n_cells = len(result.table.problems) * len(result.table.algorithms)
         print(f"wrote {config.out_dir}: {n_cells} cells x {config.runs} runs, "

@@ -141,7 +141,7 @@ def _decompose(state: CmaState) -> list[float] | None:
     and square-rooted eigenvalues replace the state's; None, with the
     state's left as they were, when the matrix has a non-finite entry,
     ``eigh`` fails or an eigenvalue is not finite and positive."""
-    if not np.isfinite(state.cov).all():
+    if not np.logical_and.reduce(np.isfinite(state.cov), axis=None):
         return None
     try:
         eigvals, basis = np.linalg.eigh(state.cov)
@@ -176,7 +176,7 @@ def cma_sample(state: CmaState, rng: np.random.Generator) -> np.ndarray:
     for _ in range(99):
         # written as "inside" so that NaN rows count as outside
         inside = (candidates >= lower) & (candidates <= upper)
-        if inside.all():
+        if np.logical_and.reduce(inside, axis=None):
             return candidates
         outside = np.flatnonzero(~inside.all(axis=1))
         candidates[outside] = draw(outside.size)
@@ -271,7 +271,8 @@ def cma_check_stop(state: CmaState) -> StopReason | None:
     # so a flat landscape is reported as stagnation, not premature tol_fun
     if state.generation >= window and state.last_fit_range <= TOL_FUN:
         return StopReason.TOL_FUN
-    if state.sigma * math.sqrt(state.cov.diagonal().max()) < TOL_X_FACTOR * state.sigma0:
+    widest = np.maximum.reduce(state.cov.diagonal())  # NaN if the diagonal holds one
+    if state.sigma * math.sqrt(widest) < TOL_X_FACTOR * state.sigma0:
         return StopReason.TOL_X
     if values is None:
         return StopReason.NUMERICAL_ERROR

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(SPEC)
@@ -80,8 +82,19 @@ def test_wide_base_spread_is_resolved_when_every_change_run_is_better(tmp_path, 
 
 
 def test_report_keeps_only_complete_pairs(tmp_path, capsys):
-    # a comparison cut in its last pair, after the change's run
+    # a comparison cut in its last pair, after the change's run: nine pairs
+    # are too few to read a gain
     log = tmp_path / "ab.jsonl"
     write_log(log, PAIRS, cut_last=True)
     assert ab.main(["--report", str(log)]) == 0
-    assert table(capsys.readouterr().out)["evals_per_s"] == ("9/9", "gain")
+    assert table(capsys.readouterr().out)["evals_per_s"] == ("9/9", "unresolved")
+
+
+@pytest.mark.parametrize("pairs, lost, expected", [
+    (10, 0, "gain"), (10, 1, "gain"), (9, 0, "unresolved"), (3, 0, "unresolved"),
+    (10, 2, "within bound")])
+def test_gain_needs_ten_pairs_and_nine_tenths_won(pairs, lost, expected):
+    # evals_per_s: the change reads 10% higher except in its first ``lost`` pairs
+    base = [1000.0 + i for i in range(pairs)]
+    change = [b - 1.0 if i < lost else b + 100.0 for i, b in enumerate(base)]
+    assert ab.verdict(base, change, pairs - lost, True, 0.25) == expected

@@ -444,6 +444,21 @@ def test_cli_summary_config_reruns_the_sweep(tmp_path):
     assert rerun == dict(stored, out_dir=str(again))
 
 
+def test_cli_config_never_replaces_the_sweep_it_names(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert main(cli_run_args(first)) == 0
+    before = {p.name: p.read_bytes() for p in first.iterdir() if p.is_file()}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(json.loads((first / "summary.json").read_text())["config"]))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert f"out_dir {first} already holds a summary.json" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in first.iterdir() if p.is_file()} == before
+    # an explicit --out may still name it
+    assert main(["run", "--config", str(cfg_file), "--out", str(first)]) == 0
+    assert (first / "results.csv").read_bytes() == before["results.csv"]
+
+
 def write_config(tmp_path, **overrides):
     """A valid two-run 2-D config file with ``overrides`` applied, writing
     to ``tmp_path / "x"``."""

@@ -4,7 +4,7 @@
 Run from anywhere inside a checkout:
 
     python3 tools/ab.py --base HEAD~1 --workload cnrga_10d --seed 0 --pairs 10
-    python3 tools/ab.py --base main --workload all --seed 1 --pairs 5
+    python3 tools/ab.py --base main --workload all --seed 1 --pairs 10
     python3 tools/ab.py --report /tmp/ab-cnrga_10d-1a2b3c.jsonl
 
 The change side is this checkout's working tree, uncommitted edits
@@ -26,11 +26,13 @@ the change won (ties count for neither side) and a verdict:
 
 - ``regression``: the change's median is worse than the base's by more
   than the metric's ``bound`` (a fraction of the base median);
-- ``gain``: the change won at least nine tenths of the pairs and the
-  medians differ by more than the base's q1-q3 spread;
-- ``unresolved``: the base's q1-q3 spread is wider than the bound, so the
-  runs cannot tell a change within the bound from noise, unless every run
-  of the change reads better than every run of the base;
+- ``gain``: at least ten pairs ran, the change won at least nine tenths
+  of them and the medians differ by more than the base's q1-q3 spread;
+- ``unresolved``: the runs would read ``gain`` but fewer than ten pairs
+  ran, too few for the nine-tenths rule to tell a gain from luck; or the
+  base's q1-q3 spread is wider than the bound, so the runs cannot tell a
+  change within the bound from noise, unless every run of the change
+  reads better than every run of the base;
 - ``within bound``: none of these.
 
 It then prints the failed runs and whether every run printed the same
@@ -51,6 +53,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the fewest pairs from which the nine-tenths rule may read a gain
+MIN_GAIN_PAIRS = 10
 FINGERPRINT = re.compile(r"^fingerprint (\S+) seed \d+: ([0-9a-f]+)$", re.MULTILINE)
 
 
@@ -115,7 +119,7 @@ def verdict(base: list[float], change: list[float], won: int, higher: bool,
     if -gained > bound * abs(base_median):
         return "regression"
     if 10 * won >= 9 * len(change) and gained > q3 - q1:
-        return "gain"
+        return "gain" if len(change) >= MIN_GAIN_PAIRS else "unresolved"
     always_better = min(change) > max(base) if higher else max(change) < min(base)
     if q3 - q1 > bound * abs(base_median) and not always_better:
         return "unresolved"
