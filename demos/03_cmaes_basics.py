@@ -19,7 +19,7 @@ print(f"recommended population size for D={dim}: {lam}")
 
 
 def evaluator(f, budget):
-    return BudgetedEvaluator(Problem("demo", dim, domain, f, None, "unimodal"), budget)
+    return BudgetedEvaluator(Problem("demo", domain, f, None, "unimodal"), budget)
 
 
 print("\n== sphere, m0=(3,...,3), sigma0=0.5 ==")

@@ -37,12 +37,15 @@ SUPPORTED_DIMS = (2, 10, 30)
 @dataclass
 class Problem:
     name: str
-    dim: int
     domain: Region
     f: Callable[[np.ndarray], float]
     f_opt: float | None
     category: str  # unimodal | multimodal | hybrid | composition
     x_opt: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.domain.dim
 
 
 class BudgetedEvaluator:
@@ -189,21 +192,22 @@ def make_suite(dim: int, seed: int) -> list[Problem]:
         ("griewank", griewank, "multimodal", np.zeros(dim)),
     ]
     return [
-        *(Problem(name, dim, box, f, 0.0, category, x_opt) for name, f, category, x_opt in table),
-        Problem("schwefel", dim, Region(np.full(dim, -500.0), np.full(dim, 500.0)), schwefel,
+        *(Problem(name, box, f, 0.0, category, x_opt) for name, f, category, x_opt in table),
+        Problem("schwefel", Region(np.full(dim, -500.0), np.full(dim, 500.0)), schwefel,
                 0.0, "multimodal", np.full(dim, SCHWEFEL_X_STAR)),
-        _make_hybrid(dim, box),
-        _make_composition(dim, rng, box),
+        _make_hybrid(box),
+        _make_composition(rng, box),
     ]
 
 
-def _make_hybrid(dim: int, box: Region) -> Problem:
+def _make_hybrid(box: Region) -> Problem:
     """Coordinate-partitioned mix: Rastrigin / ellipsoid / Schwefel groups.
 
     The Schwefel group lives on the same [-100, 100] box as the others;
     its coordinates are scaled by 5 so the basin structure matches the
     native [-500, 500] definition.
     """
+    dim = box.dim
     # np.array_split's three contiguous groups: the first dim % 3 groups
     # take one coordinate more, so every supported dim fills the first two
     n1, n2, n3 = (len(g) for g in np.array_split(np.arange(dim), 3))
@@ -218,22 +222,22 @@ def _make_hybrid(dim: int, box: Region) -> Problem:
 
     x_opt = np.zeros(dim)
     x_opt[schw] = SCHWEFEL_X_STAR / 5.0
-    return Problem("hybrid", dim, box, f, 0.0, "hybrid", x_opt)
+    return Problem("hybrid", box, f, 0.0, "hybrid", x_opt)
 
 
-def _make_composition(dim: int, rng: np.random.Generator, box: Region) -> Problem:
+def _make_composition(rng: np.random.Generator, box: Region) -> Problem:
     """Min over three shifted basins (sphere, Rastrigin, Griewank) plus biases.
 
     The bias of the first basin is 0, so the global optimum is that
     basin's shift point with value 0; the other basins bottom out at
     their positive biases.
     """
-    shifts = [rng.uniform(-80.0, 80.0, dim) for _ in range(3)]
+    shifts = [rng.uniform(-80.0, 80.0, box.dim) for _ in range(3)]
     biases = (0.0, 100.0, 200.0)
     parts = (sphere, rastrigin, griewank)
 
     def f(x, shifts=shifts, biases=biases, parts=parts):
         return min(g(x - s) + b for g, s, b in zip(parts, shifts, biases))
 
-    return Problem("composition", dim, box, f, 0.0, "composition", shifts[0].copy())
+    return Problem("composition", box, f, 0.0, "composition", shifts[0].copy())
 

@@ -150,8 +150,8 @@ class BspNode:
         "last_touch",
     )
 
-    def __init__(self, parent, point=None):
-        self.point = point
+    def __init__(self, parent):
+        self.point = None
         self.split_dim = -1
         self.split_value = 0.0
         self.below = None

@@ -65,16 +65,12 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
             point = outcome.node.point
             point.fitness = evaluator(point.coords)
             return outcome
-        if isinstance(outcome, Blocked):
-            revisit_streak = 0
-            coords, within = archive.domain.uniform_point(rng), None
-            continue
-        revisit_streak += 1
-        if revisit_streak > MAX_REVISIT_RETRIES:
-            coords, within = archive.domain.uniform_point(rng), None
-        else:
+        revisit_streak = 0 if isinstance(outcome, Blocked) else revisit_streak + 1
+        if 0 < revisit_streak <= MAX_REVISIT_RETRIES:
             within = outcome.cell
             coords = within.uniform_point(rng)
+        else:
+            coords, within = archive.domain.uniform_point(rng), None
     raise SearchSpaceExhaustedError(
         f"{MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS} consecutive redraws stored no point")
 

@@ -76,6 +76,11 @@ class ExperimentConfig:
             raise ParameterError("budget must be >= 2")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
+        # numpy's generators take no negative seed
+        if self.base_seed < 0:
+            raise ParameterError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.suite_seed < 0:
+            raise ParameterError(f"suite_seed must be >= 0, got {self.suite_seed}")
         # make_suite rejects an unsupported dim
         names = [p.name for p in _suite(self.dim, self.suite_seed)]
         _check_names("problem name", self.problems or [], names)
@@ -128,7 +133,9 @@ def _outcomes(config: ExperimentConfig, cells):
     # imported here: the process pool and multiprocessing cost a fresh
     # interpreter about 20 ms that a single-worker sweep never needs
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # the pool starts all its workers at the first submit, so a worker
+    # beyond the cell count would only cost a process
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(cells))) as pool:
         yield from pool.map(execute, cells, chunksize=1)
 
 

@@ -71,14 +71,15 @@ class RunRecord:
 def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:
     """CMA-ES start state for a region of interest.
 
-    The mean is the arithmetic mean of the collected solutions; the
-    initial step size is SIGMA_FACTOR times the longest side of the ROI's
-    cell. Sampling stays bounded by the full problem domain: the cell
-    guides the restart, it does not constrain the exploitation.
+    The mean is the arithmetic mean of the collected solutions, clipped
+    into the domain: the mean of points on a face can round one float past
+    it. The initial step size is SIGMA_FACTOR times the longest side of
+    the ROI's cell. Sampling stays bounded by the full problem domain: the
+    cell guides the restart, it does not constrain the exploitation.
     """
     if not roi.seeds:
         raise ParameterError("a region of interest must carry at least one seed")
-    mean0 = np.mean([p.coords for p in roi.seeds], axis=0)
+    mean0 = np.clip(np.mean([p.coords for p in roi.seeds], axis=0), domain.lower, domain.upper)
     cell = roi.cell
     sigma0 = SIGMA_FACTOR * max(hi - lo for lo, hi in zip(cell.lower, cell.upper))
     return cma_init(mean0, sigma0, lam, domain)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ def test_suite_contents_and_unsupported_dim():
     assert [p.name for p in problems] == SUITE_NAMES
     with pytest.raises(ParameterError):
         make_suite(5, seed=1)
+
+
+@pytest.mark.parametrize("dim", [2, 10, 30])
+def test_problem_dimension_is_its_domains(dim):
+    # D is read from the domain, never set beside it
+    assert [f.name for f in dataclasses.fields(Problem)] == \
+        ["name", "domain", "f", "f_opt", "category", "x_opt"]
+    for p in make_suite(dim, seed=123):
+        assert p.dim == p.domain.dim == dim
+        assert p.x_opt.shape == (dim,)
 
 
 def test_sphere_zero_at_origin():
@@ -150,7 +162,7 @@ def test_evaluator_keeps_best_so_far_trace():
 
 def test_non_finite_values_rank_as_inf_and_are_counted():
     values = iter([float("nan"), float("-inf"), 3.0, float("inf")])
-    p = Problem("p", 1, Region(np.full(1, -1.0), np.ones(1)), lambda x: next(values),
+    p = Problem("p", Region(np.full(1, -1.0), np.ones(1)), lambda x: next(values),
                 None, "unimodal")
     ev = BudgetedEvaluator(p, budget=4)
     assert [ev(np.zeros(1)) for _ in range(4)] == [float("inf"), float("inf"), 3.0,

@@ -319,7 +319,7 @@ def test_cell_draw_on_a_split_face_walks_from_the_root():
     # 3.25 + 1.75 * (1 - 2**-53) to exactly 5.0, which a root walk sends
     # above the split, into (8, 6)'s cell.
     domain = Region(np.zeros(2), np.full(2, 10.0))
-    problem = Problem("sphere", 2, domain, sphere, 0.0, "unimodal", np.zeros(2))
+    problem = Problem("sphere", domain, sphere, 0.0, "unimodal", np.zeros(2))
     archives, points = [], []
     for archive in (BspArchive(domain), RootWalkArchive(domain)):
         ev = BudgetedEvaluator(problem, 10)
@@ -358,7 +358,7 @@ def test_domain_tests_agree(coords):
     # the closed box by numpy's elementwise comparisons, false for NaN
     assert inside == bool(np.all((box.lower <= x) & (x <= box.upper)))
     assert inside == _in_box(*box.bounds, list(coords))
-    ev = BudgetedEvaluator(Problem("sphere", 3, box, sphere, 0.0, "unimodal"), 1)
+    ev = BudgetedEvaluator(Problem("sphere", box, sphere, 0.0, "unimodal"), 1)
     archive = BspArchive(box)
     if inside:
         assert ev(x) == sphere(x) and ev.used == 1

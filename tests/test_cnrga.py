@@ -13,7 +13,7 @@ from util import (LoggingProblem, RootWalkArchive, ScriptedRng, record_digest,
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
-    return Problem(name, dim, Region(np.full(dim, lo), np.full(dim, hi)), f, 0.0,
+    return Problem(name, Region(np.full(dim, lo), np.full(dim, hi)), f, 0.0,
                    "unimodal", np.zeros(dim))
 
 
@@ -179,8 +179,7 @@ def run_generations(problem, budget, seed):
 
 
 def rastr_problem(dim):
-    return Problem("rastrigin", dim,
-                   Region(np.full(dim, -5.12), np.full(dim, 5.12)),
+    return Problem("rastrigin", Region(np.full(dim, -5.12), np.full(dim, 5.12)),
                    rastrigin, 0.0, "multimodal", np.zeros(dim))
 
 

@@ -76,6 +76,35 @@ def test_results_reproducible_and_worker_independent(tmp_path):
     assert (out_a / "ranks.csv").read_bytes() == (out_c / "ranks.csv").read_bytes()
 
 
+def test_pool_never_gets_more_workers_than_cells(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        """Records ``max_workers`` and maps in this process: no process starts."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    one_cell = dict(algorithms=["cmaes"], problems=["sphere"])
+    run_experiment(small_config(str(tmp_path / "many"), workers=64, **one_cell))
+    run_experiment(small_config(str(tmp_path / "one"), workers=1, **one_cell))
+    assert asked == [2]  # one problem, one algorithm, two runs
+    for name in ("results.csv", "ranks.csv"):
+        assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_outputs_written_and_recompute_round_trips(tmp_path):
     out = tmp_path / "exp"
     # out of suite order: run and stats must both derive the table's order
@@ -167,7 +196,7 @@ def sweep_never_finite(out, monkeypatch, **kw):
     """Every algorithm on one problem whose every value is NaN, so every run
     ends with an infinite final error."""
     domain = Region(np.full(2, -5.0), np.full(2, 5.0))
-    nan_problem = Problem("nan", 2, domain, lambda x: math.nan, 0.0, "unimodal")
+    nan_problem = Problem("nan", domain, lambda x: math.nan, 0.0, "unimodal")
     monkeypatch.setattr(harness, "_suite", lambda dim, seed: [nan_problem])
     return run_experiment(small_config(str(out), algorithms=list(ALGORITHMS),
                                        problems=None, **kw))
@@ -259,6 +288,20 @@ def test_cli_bad_algo_is_config_error(tmp_path):
     code = main(["run", "--suite", "2d", "--algos", "simplex", "--budget", "100",
                  "--runs", "2", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value, key", [("--seed", "-1", "base_seed"),
+                                              ("--suite-seed", "-3", "suite_seed")],
+                         ids=["seed", "suite_seed"])
+def test_cli_negative_seed_is_config_error(tmp_path, capsys, flag, value, key):
+    # numpy's generators refuse a negative seed: unchecked, --seed -1 fails
+    # run 0 of every cell, and --suite-seed -3 the suite build
+    out = tmp_path / "x"
+    code = main(["run", "--suite", "2d", "--algos", "cmaes,cnrga", "--budget", "100",
+                 "--runs", "2", "--problems", "sphere", flag, value, "--out", str(out)])
+    assert code == 2
+    assert f"command line: {key} must be >= 0, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_budget_inside_initial_population_runs_hr(tmp_path, capsys):
@@ -361,6 +404,8 @@ def well_formed_config(**fields):
      "key 'failures' names run 0 of 'sphere::hr' twice"),
     (dict(WELL_FORMED, finals={"sphere::hr": [1.0]}, failures=[["sphere", "hr", 1, {"a": 1}]]),
      "key 'failures' has a row that is not a four-item list"),
+    (dict(WELL_FORMED, config=well_formed_config(base_seed=-1)),
+     "summary.json: key 'config': base_seed must be >= 0"),
 ])
 def test_cli_stats_malformed_summary_is_config_error(tmp_path, capsys, summary, named):
     raw = summary if isinstance(summary, bytes) else json.dumps(summary).encode()
@@ -483,8 +528,9 @@ def test_cli_unknown_config_key_rejected(tmp_path, capsys):
     ({"config": "other.json"}, "key 'config' is not an ExperimentConfig field"),
     ({"command": "stats"}, "key 'command' is not an ExperimentConfig field"),
     ({"dim": 5}, "unsupported dimension 5"),
+    ({"base_seed": -1}, "base_seed must be >= 0"),
 ], ids=["unparsable_string", "unparsable_suite_seed", "config_key", "command_key",
-        "unknown_suite"])
+        "unknown_suite", "negative_base_seed"])
 def test_cli_config_file_errors_exit_2(tmp_path, capsys, overrides, message):
     cfg_file = write_config(tmp_path, **overrides)
     assert main(["run", "--config", str(cfg_file)]) == 2

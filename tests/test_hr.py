@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_problem(dim, f, lo=-100.0, hi=100.0, name="p", f_opt=0.0):
-    return Problem(name, dim, Region(np.full(dim, lo), np.full(dim, hi)), f,
+    return Problem(name, Region(np.full(dim, lo), np.full(dim, hi)), f,
                    f_opt, "unimodal", None)
 
 
@@ -78,6 +78,18 @@ def test_empty_seeds_rejected():
     roi = roi_of([], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ParameterError):
         seed_cma_from_roi(roi, 6, Region(np.zeros(2), np.ones(2)))
+
+
+def test_seed_mean_rounded_past_the_domain_is_clipped_into_it():
+    # three seeds on the face x = 0.1 average to 0.10000000000000002
+    roi = roi_of([[0.1]] * 3, [0.0], [0.1])
+    assert np.mean([p.coords for p in roi.seeds], axis=0)[0] > 0.1
+    problem = make_problem(1, sphere_f, lo=0.0, hi=0.1)
+    state = seed_cma_from_roi(roi, 6, problem.domain)
+    assert state.mean.tolist() == [0.1]
+    evaluator = BudgetedEvaluator(problem, 60)
+    assert isinstance(cma_run(state, evaluator, np.random.default_rng(0)), StopReason)
+    assert evaluator.used > 0
 
 
 @pytest.mark.parametrize("cov,dim", [("identity", 3), ("dense", 3), ("dense", 10),
@@ -282,7 +294,7 @@ import numpy as np
 from histarch import Problem, Region, run_algorithm
 
 def box(dim, width):
-    return Problem("tiny", dim, Region(np.full(dim, 1e15), np.full(dim, 1e15 + width)),
+    return Problem("tiny", Region(np.full(dim, 1e15), np.full(dim, 1e15 + width)),
                    lambda x: float(((x - 1e15) ** 2).sum()), 0.0, "unimodal", None)
 
 out = []

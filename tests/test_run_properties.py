@@ -53,7 +53,7 @@ def hostile_problems(draw):
             return bad
         return float(((x - lower) ** 2).sum())
 
-    problem = Problem("hostile", dim, domain, f, None, "unimodal")
+    problem = Problem("hostile", domain, f, None, "unimodal")
     return problem, raise_after, calls
 
 

@@ -37,14 +37,12 @@ class LoggingProblem:
             v = inner(x)
             log.append((np.array(x, dtype=float), float(v)))
             return v
-        return Problem(self.problem.name, self.problem.dim, self.problem.domain,
-                       f, self.problem.f_opt, self.problem.category,
-                       self.problem.x_opt)
+        return dataclasses.replace(self.problem, f=f)
 
 
 def budgeted(f, domain, budget):
     """``f`` on ``domain`` behind the evaluator ``cma_run`` takes."""
-    return BudgetedEvaluator(Problem("f", domain.dim, domain, f, None, "unimodal"), budget)
+    return BudgetedEvaluator(Problem("f", domain, f, None, "unimodal"), budget)
 
 
 def walk_region(archive, node):
