@@ -7,7 +7,7 @@ trigger reports on, and blocking.
 
 import numpy as np
 
-from histarch import BspArchive, NewLeaf, Region, Revisit
+from histarch import BspArchive, NewLeaf, Region, Revisit, uniform_point
 
 domain = Region(np.array([0.0, 0.0]), np.array([10.0, 10.0]))
 archive = BspArchive(domain)
@@ -25,7 +25,8 @@ assert isinstance(outcome, Revisit)
 cell = outcome.cell
 print(f"mutation cell: {cell.lower} .. {cell.upper}")
 rng = np.random.default_rng(0)
-mutant = cell.uniform_point(rng)
+# the one uniform draw takes any box's float bounds, a cell's or the domain's
+mutant = uniform_point(cell.lower, cell.upper, rng)
 print(f"mutant drawn inside it: {mutant} -> {type(archive.insert(mutant)).__name__}")
 
 print()

@@ -10,13 +10,12 @@ Kruskal-Wallis significance marks.
 
 from .benchmarks import BudgetedEvaluator, Problem, make_suite
 from .bsp import (Blocked, BspArchive, BspNode, NewLeaf, Region, Revisit,
-                  RoiSuggestion, SearchPoint, Subtree)
+                  RoiSuggestion, SearchPoint, Subtree, uniform_point)
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_run,
                     cma_sample, cma_update, default_lambda, stagnation_window)
 from .cnrga import evaluate_via_archive, generations, maybe_prune
 from .errors import (BudgetExhaustedError, DomainError, HistarchError,
-                     InputError, ParameterError, SearchSpaceExhaustedError,
-                     StructuralError)
+                     InputError, ParameterError, StructuralError)
 from .harness import ExperimentConfig, ExperimentResult, recompute_stats, run_experiment
 from .hr import (Phase, RunRecord, derive_depth_params, hr_run, run_algorithm,
                  run_cmaes_restart, run_cnrga, seed_cma_from_roi)

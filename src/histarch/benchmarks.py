@@ -39,7 +39,7 @@ class Problem:
     name: str
     domain: Region
     f: Callable[[np.ndarray], float]
-    f_opt: float | None
+    f_opt: float
     category: str  # unimodal | multimodal | hybrid | composition
     x_opt: np.ndarray | None = None
 

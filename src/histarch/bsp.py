@@ -29,6 +29,8 @@ and the same stamps either way; ``block`` closes a ``Subtree``'s cell.
 Inserts only split leaves, so they keep a ``Subtree`` valid; ``block`` and
 ``prune_lru`` change the tree above leaves and make every ``Subtree``
 taken before them stale, and ``insert`` and ``block`` reject a stale one.
+``uniform_point`` is the one uniform draw from a box, the domain's
+(``Region.bounds``) and a ``Subtree``'s cell alike.
 
 Each child links back to its parent, so a tree is one reference cycle.
 An archive breaks every parent link of its current tree when it is
@@ -71,26 +73,33 @@ def _shape_error(dim: int, shape: tuple) -> InputError:
     return InputError(f"expected {dim} coordinates, got shape {shape}")
 
 
+def uniform_point(lower, upper, rng: np.random.Generator) -> list:
+    """A uniform draw from the box [lower, upper], given and returned as
+    Python floats: the values and generator state of ``rng.uniform(lower,
+    upper)`` at a fraction of its cost. It can round onto an upper face,
+    and so fall outside a ``Subtree``'s box."""
+    return [lo + (hi - lo) * u for lo, hi, u in
+            zip(lower, upper, rng.random(len(lower)).tolist())]
+
+
 @dataclass(frozen=True, eq=False)
 class Region:
     """Immutable axis-aligned box with positive, finite extent per dimension.
 
-    ``lower``, ``upper`` and ``span = upper - lower`` are read-only arrays
-    that no caller shares; ``bounds`` is ``(lower, upper)`` as tuples of
-    Python floats. Regions compare and hash by identity; compare
-    ``bounds`` for equal boxes.
+    ``lower`` and ``upper`` are read-only arrays that no caller shares;
+    ``bounds`` is ``(lower, upper)`` as tuples of Python floats. Regions
+    compare and hash by identity; compare ``bounds`` for equal boxes.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    span: np.ndarray = field(init=False, repr=False)
     bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.array(self.lower, dtype=float)
         hi = np.array(self.upper, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise InputError("region bounds must be 1-D vectors of equal length")
+        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+            raise InputError("region bounds must be non-empty 1-D vectors of equal length")
         los, his = tuple(lo.tolist()), tuple(hi.tolist())
         for l, h in zip(los, his):
             # a Python float difference overflows to inf without a warning
@@ -98,13 +107,10 @@ class Region:
                 if not all(map(math.isfinite, los + his)):
                     raise InputError("region bounds must be finite")
                 raise ParameterError("region must have positive, finite extent in every dimension")
-        span = hi - lo
         lo.setflags(write=False)
         hi.setflags(write=False)
-        span.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "span", span)
         object.__setattr__(self, "bounds", (los, his))
 
     @property
@@ -120,11 +126,6 @@ class Region:
         if coords.shape != self.lower.shape:
             raise _shape_error(self.dim, coords.shape)
         return _in_box(*self.bounds, coords.tolist())
-
-    def uniform_point(self, rng: np.random.Generator) -> np.ndarray:
-        # the values and generator state of rng.uniform(lower, upper), at a
-        # fifth of its cost
-        return self.lower + self.span * rng.random(self.lower.size)
 
 
 class BspNode:
@@ -200,16 +201,6 @@ class Subtree:
     upper: tuple
     box_upper: tuple
     epoch: object
-
-    def uniform_point(self, rng: np.random.Generator) -> list:
-        """A uniform draw from the node's cell, as a list of Python floats.
-
-        Equal bit for bit, and in the generator state it leaves, to
-        ``Region(lower, upper).uniform_point(rng)``. It can round onto an
-        upper face and so fall outside the box.
-        """
-        return [lo + (hi - lo) * u for lo, hi, u in
-                zip(self.lower, self.upper, rng.random(len(self.lower)).tolist())]
 
 
 @dataclass(slots=True)

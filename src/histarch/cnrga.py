@@ -11,9 +11,10 @@ revisit's redraw with the revisited leaf's (``Revisit.cell``); the
 archive starts each walk there or, for a point outside that subtree's
 box, at the root. Domain redraws and the initial uniform population walk
 from the root.
-``generations`` is the GA's only loop and ends by itself, on a spent
-budget or a full archive: the cNrGA baselines drain every generation, and
-the hybrid leaves one at the first leaf that fires the ROI query.
+``generations`` is the GA's only loop and ends by itself where
+``evaluate_via_archive`` returns None, on a spent budget or a full
+archive: the cNrGA baselines drain every generation, and the hybrid
+leaves one at the first leaf that fires the ROI query.
 ``maybe_prune`` halves the archive once it holds LRU_CAPACITY points;
 only the cNrGA-LRU baseline's driver calls it, before each generation. The
 hybrid's explorer and both cNrGA baselines run the same GA: POP_SIZE and
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsp import BspArchive, Blocked, NewLeaf, SearchPoint, Subtree
-from .errors import BudgetExhaustedError, SearchSpaceExhaustedError
+from .bsp import BspArchive, Blocked, NewLeaf, SearchPoint, Subtree, uniform_point
 
 MAX_REVISIT_RETRIES = 100
 # MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws in a row that store
@@ -41,23 +41,22 @@ LRU_FRACTION = 0.5
 
 
 def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
-                         within: Subtree | None = None) -> NewLeaf:
+                         within: Subtree | None = None) -> NewLeaf | None:
     """Insert, dodge revisits and blocked cells, evaluate exactly once.
 
     The first insert is given ``within`` (see ``BspArchive.insert``). A
     revisit is replaced by a uniform draw from the revisited leaf's cell,
     inserted with that cell (``Revisit.cell``); after MAX_REVISIT_RETRIES
-    consecutive revisits, by a uniform domain draw. A blocked outcome is
-    replaced by a uniform domain draw, which goes back through the
-    archive. A streak of MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws
-    that store nothing means the archive cannot take another point
-    (blocked cells cover the domain, or every free cell is too small to
-    split in floating point), and raises SearchSpaceExhaustedError.
-    ``evaluator`` must be callable and expose ``remaining``. Returns the
-    NewLeaf; the evaluated point is ``leaf.node.point``.
+    consecutive revisits, by a uniform domain draw, as is a blocked
+    outcome. Returns the NewLeaf, whose ``node.point`` was evaluated, or
+    None, having evaluated and stored nothing, when no evaluation is left
+    or when MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws in a row
+    stored nothing: blocked cells cover the domain, or every free cell is
+    too small to split in floating point. ``evaluator`` must be callable
+    and expose ``remaining``.
     """
     if evaluator.remaining <= 0:
-        raise BudgetExhaustedError("no evaluations left")
+        return None
     revisit_streak = 0
     for _ in range(MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS + 1):
         outcome = archive.insert(coords, within)
@@ -68,11 +67,10 @@ def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
         revisit_streak = 0 if isinstance(outcome, Blocked) else revisit_streak + 1
         if 0 < revisit_streak <= MAX_REVISIT_RETRIES:
             within = outcome.cell
-            coords = within.uniform_point(rng)
+            coords = uniform_point(within.lower, within.upper, rng)
         else:
-            coords, within = archive.domain.uniform_point(rng), None
-    raise SearchSpaceExhaustedError(
-        f"{MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS} consecutive redraws stored no point")
+            coords, within = uniform_point(*archive.domain.bounds, rng), None
+    return None
 
 
 def tournament_pick(individuals, rng) -> SearchPoint:
@@ -111,27 +109,24 @@ def generations(archive: BspArchive, evaluator, rng):
     once a generation has all its members: one the caller leaves before
     that is bred again from the same parents (the initial one is drawn
     again), and the points it evaluated stay in the archive.
-    The GA ends where a drawn candidate finds no budget left, or where
-    ``evaluate_via_archive`` finds the archive full: no generation follows.
+    The GA ends where ``evaluate_via_archive`` returns None for a drawn
+    candidate, on a spent budget or a full archive: no generation follows.
     Children are routed from the subtree of their parents' bounding box,
     taken when the generation is first iterated, so after whatever the
     caller did to the archive between generations.
     """
-    full = False  # the archive can take no more points
+    ended = False  # a candidate found no budget left or the archive full
 
     def evaluated(candidates, population, parents):
-        nonlocal full
+        nonlocal ended
         within = None
         if parents:
             genes = np.array([p.coords for p in parents])
             within = archive.subtree(genes.min(axis=0), genes.max(axis=0))
         for coords in candidates:
-            if not evaluator.remaining:
-                return
-            try:
-                leaf = evaluate_via_archive(coords, archive, evaluator, rng, within)
-            except SearchSpaceExhaustedError:
-                full = True
+            leaf = evaluate_via_archive(coords, archive, evaluator, rng, within)
+            if leaf is None:
+                ended = True
                 return
             population.append(leaf.node.point)
             yield leaf
@@ -141,13 +136,15 @@ def generations(archive: BspArchive, evaluator, rng):
             yield from crossover_pair(parents, rng)[:left]
 
     parents = []
-    while evaluator.remaining and not full:
+    # the budget test ends the GA after a generation that completed on the
+    # last evaluation and so saw no None: the LRU driver would prune at another
+    while evaluator.remaining and not ended:
         if parents:
             population = [min(parents, key=lambda p: p.fitness)]
             candidates = children_of(parents)
         else:
             population = []
-            candidates = (archive.domain.uniform_point(rng) for _ in range(POP_SIZE))
+            candidates = (uniform_point(*archive.domain.bounds, rng) for _ in range(POP_SIZE))
         yield evaluated(candidates, population, parents)
         if len(population) == POP_SIZE:
             parents = population

@@ -23,7 +23,3 @@ class StructuralError(HistarchError):
 
 class BudgetExhaustedError(HistarchError):
     """The evaluation budget is used up; a terminal signal, not a bug."""
-
-
-class SearchSpaceExhaustedError(HistarchError):
-    """Blocked regions cover the whole domain; the explorer cannot continue."""

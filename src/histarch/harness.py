@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import types
 import typing
@@ -161,10 +162,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                   file=sys.stderr)
             continue
         record: RunRecord = payload
-        err = record.final_fitness
-        if f_opt[prob] is not None:
-            err = err - f_opt[prob]
-        finals[(prob, algo)].append(float(err))
+        finals[(prob, algo)].append(float(record.final_fitness - f_opt[prob]))
         records[(prob, algo)].append(record)
         if out is not None:
             _persist_run(config, out, f"{prob}__{algo}__run{run_idx}", record)
@@ -240,15 +238,28 @@ def summary_payload(result: ExperimentResult) -> dict:
     }
 
 
+# each kind of per-run file: the config field that asks for it and its
+# path under out_dir, given the run's stem, which run_experiment makes
+# <problem>__<algorithm>__run<index>
+RUN_FILES = {"trace": "runs/{}.json", "gnuplot": "traces/{}.dat", "dump_tree": "trees/{}.txt"}
+_RUN_STEM = re.compile(r".+__.+__run[0-9]+")
+
+
 def _output_dir(config: ExperimentConfig) -> Path:
-    """``out_dir`` and the per-run directories the config asks for, created."""
+    """``out_dir`` and the per-run directories the config asks for, created,
+    once an earlier sweep's tables, summary and per-run files (as
+    ``RUN_FILES`` names them) are removed from it; other files stay."""
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for wanted, name in ((config.trace, "runs"), (config.gnuplot, "traces"),
-                             (config.dump_tree, "trees")):
-            if wanted:
-                (out / name).mkdir(exist_ok=True)
+        for name in ("summary.json", "results.csv", "ranks.csv"):
+            (out / name).unlink(missing_ok=True)
+        for field, path in RUN_FILES.items():
+            for earlier in out.glob(path.format("*")):
+                if _RUN_STEM.fullmatch(earlier.stem) and earlier.is_file():
+                    earlier.unlink()
+            if getattr(config, field):
+                (out / path).parent.mkdir(exist_ok=True)
     except OSError as exc:
         raise OSError(f"failed writing results under {out}: {exc}") from exc
     return out
@@ -283,12 +294,12 @@ def _persist_run(config: ExperimentConfig, out: Path, stem: str, rec: RunRecord)
         record = dataclasses.asdict(rec)
         del record["tree_dump"]
         record["final_fitness"] = _json_float(rec.final_fitness)
-        _write(out / "runs" / f"{stem}.json", _dumps(record))
+        _write(out / RUN_FILES["trace"].format(stem), _dumps(record))
     if config.gnuplot:
         lines = [f"{e} {_fmt(v)}" for e, v in rec.best_trace]
-        _write(out / "traces" / f"{stem}.dat", "\n".join(lines) + "\n")
+        _write(out / RUN_FILES["gnuplot"].format(stem), "\n".join(lines) + "\n")
     if config.dump_tree and rec.tree_dump is not None:
-        _write(out / "trees" / f"{stem}.txt", rec.tree_dump)
+        _write(out / RUN_FILES["dump_tree"].format(stem), rec.tree_dump)
 
 
 def persist_result(result: ExperimentResult):

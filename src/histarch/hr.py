@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import BudgetedEvaluator, Problem
-from .bsp import BspArchive, Region, RoiSuggestion
+from .bsp import BspArchive, Region, RoiSuggestion, uniform_point
 from .cmaes import CmaState, cma_init, cma_run, default_lambda
 from .cnrga import generations, maybe_prune
 from .errors import ParameterError
@@ -33,6 +33,11 @@ EXPLORE = "explore"
 EXPLOIT = "exploit"
 # initial CMA-ES step size as a fraction of the longest side of the start box
 SIGMA_FACTOR = 0.3
+
+
+def initial_sigma(lower, upper) -> float:
+    """SIGMA_FACTOR times the longest side of the box [lower, upper]."""
+    return SIGMA_FACTOR * max(hi - lo for lo, hi in zip(lower, upper))
 
 
 def derive_depth_params(budget: int, lam: int) -> tuple[int, int]:
@@ -73,16 +78,14 @@ def seed_cma_from_roi(roi: RoiSuggestion, lam: int, domain: Region) -> CmaState:
 
     The mean is the arithmetic mean of the collected solutions, clipped
     into the domain: the mean of points on a face can round one float past
-    it. The initial step size is SIGMA_FACTOR times the longest side of
-    the ROI's cell. Sampling stays bounded by the full problem domain: the
-    cell guides the restart, it does not constrain the exploitation.
+    it. The initial step size is the ROI cell's ``initial_sigma``.
+    Sampling stays bounded by the full problem domain: the cell guides the
+    restart, it does not constrain the exploitation.
     """
     if not roi.seeds:
         raise ParameterError("a region of interest must carry at least one seed")
     mean0 = np.clip(np.mean([p.coords for p in roi.seeds], axis=0), domain.lower, domain.upper)
-    cell = roi.cell
-    sigma0 = SIGMA_FACTOR * max(hi - lo for lo, hi in zip(cell.lower, cell.upper))
-    return cma_init(mean0, sigma0, lam, domain)
+    return cma_init(mean0, initial_sigma(roi.cell.lower, roi.cell.upper), lam, domain)
 
 
 def _close_phase(phases: list, kind: str, end: int,
@@ -147,15 +150,15 @@ def _finalize(algo, problem, evaluator, phases, tree_dump=None) -> RunRecord:
 # -- baselines ----------------------------------------------------------
 
 def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
-    """Plain restarting CMA-ES: fresh uniform mean and sigma0 = SIGMA_FACTOR
-    times the largest domain side on every non-budget stop, fixed population."""
+    """Plain restarting CMA-ES: fresh uniform mean and the domain's
+    ``initial_sigma`` on every non-budget stop, fixed population."""
     evaluator = BudgetedEvaluator(problem, budget)
     domain = problem.domain
     lam = default_lambda(problem.dim)
-    sigma0 = SIGMA_FACTOR * float(domain.span.max())
+    sigma0 = initial_sigma(*domain.bounds)
     phases: list[Phase] = []
     while evaluator.remaining > 0:
-        state = cma_init(domain.uniform_point(rng), sigma0, lam, domain)
+        state = cma_init(uniform_point(*domain.bounds, rng), sigma0, lam, domain)
         reason = cma_run(state, evaluator, rng).value
         _close_phase(phases, EXPLOIT, evaluator.used, stop=reason)
     return _finalize("cmaes", problem, evaluator, phases)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf,
-                      ParameterError, Region, Revisit, StructuralError, Subtree)
+                      ParameterError, Region, Revisit, StructuralError, Subtree, uniform_point)
 from util import (bsp_nodes_left_by, depth_of, interiors_disjoint, locate_brute,
                   max_leaf_depth, ref_split_dim, ref_uniform_point, same_rng_state,
-                  subtree_of, tiling_relative_error, walk_region)
+                  subtree_of, tiling_relative_error, uniform_array, walk_region)
 
 
 def box(lo, hi, dim=2):
@@ -18,7 +18,7 @@ def fresh(dim=2, lo=0.0, hi=10.0):
 
 def fill_random(archive, n, rng):
     for _ in range(n):
-        archive.insert(archive.domain.uniform_point(rng))
+        archive.insert(uniform_array(archive.domain, rng))
     return archive
 
 
@@ -53,8 +53,10 @@ def test_region_rejects_empty_non_finite_and_overflowing_sides():
         Region(np.full(2, -1e308), np.full(2, 1e308))
     with pytest.raises(ParameterError):
         Region(np.array([0.0, -1.7e308]), np.array([1.0, 1.7e308]))
+    with pytest.raises(InputError):  # a box with no dimension
+        Region([], [])
     widest = Region(np.full(2, -8e307), np.full(2, 8e307))  # 1.6e308 is finite
-    assert np.isfinite(widest.uniform_point(np.random.default_rng(0))).all()
+    assert np.isfinite(uniform_point(*widest.bounds, np.random.default_rng(0))).all()
 
 
 def test_region_owns_read_only_bounds():
@@ -63,7 +65,7 @@ def test_region_owns_read_only_bounds():
     lo[0] = 5.0
     assert np.array_equal(region.lower, [0.0, 0.0])
     assert region.contains(np.array([0.5, 0.5]))
-    for view in (region.lower, region.upper, region.span):
+    for view in (region.lower, region.upper):
         with pytest.raises(ValueError):
             view[0] = 1.0
     assert region.contains(np.array([0.5, 0.5]))
@@ -77,14 +79,17 @@ def test_regions_compare_and_hash_by_identity():
 
 
 def assert_same_uniform_draws(region, seed, n=200):
-    """``Region.uniform_point``, and ``Subtree.uniform_point`` from a cell
-    with the region's bounds, draw what numpy's bounded uniform draws."""
+    """``uniform_point``, from the region's bounds and from a cell with
+    the region's bounds, draws what numpy's bounded uniform draws, as a
+    list of Python floats."""
     cell = Subtree(None, 0, *region.bounds, region.bounds[1], None)
     fast, ref, via_cell = (np.random.default_rng(seed) for _ in range(3))
     for _ in range(n):
-        point = region.uniform_point(fast)
+        drawn = uniform_point(*region.bounds, fast)
+        assert type(drawn) is list and all(type(v) is float for v in drawn)
+        point = np.array(drawn)
         assert point.tobytes() == ref_uniform_point(region, ref).tobytes()
-        assert np.array(cell.uniform_point(via_cell)).tobytes() == point.tobytes()
+        assert np.array(uniform_point(cell.lower, cell.upper, via_cell)).tobytes() == point.tobytes()
         assert region.contains(point)
     assert same_rng_state(fast, ref) and same_rng_state(via_cell, ref)
 
@@ -255,7 +260,7 @@ def test_every_leaf_point_inside_its_region_random_tree():
 def test_split_value_strictly_between_creating_points():
     rng = np.random.default_rng(8)
     ar = fresh(dim=2)
-    pts = [ar.domain.uniform_point(rng) for _ in range(100)]
+    pts = [uniform_array(ar.domain, rng) for _ in range(100)]
     for p in pts:
         ar.insert(p)
     stack = [ar.root]
@@ -286,7 +291,7 @@ def test_deep_mutation_region_shrinks():
     deepest = max(ar.iter_leaves(), key=depth_of)
     cell = ar.insert(deepest.point.coords).cell
     lower, upper = cell.lower, cell.upper
-    assert np.log(np.subtract(upper, lower)).sum() < np.log(ar.domain.span).sum()
+    assert np.log(np.subtract(upper, lower)).sum() < np.log(ar.domain.upper - ar.domain.lower).sum()
 
 
 def test_mutation_region_resample_never_revisits():
@@ -297,7 +302,7 @@ def test_mutation_region_resample_never_revisits():
     out = ar.insert(np.array([2.0, 5.0]))
     revisits = 0
     for _ in range(1000):
-        sample = out.cell.uniform_point(rng)
+        sample = uniform_point(out.cell.lower, out.cell.upper, rng)
         if not isinstance(ar.insert(sample, out.cell), NewLeaf):
             revisits += 1
     assert revisits == 0
@@ -323,7 +328,7 @@ def test_point_location_matches_brute_force():
     rng = np.random.default_rng(13)
     ar = fill_random(fresh(dim=3), 250, rng)
     for _ in range(200):
-        x = ar.domain.uniform_point(rng)
+        x = uniform_array(ar.domain, rng)
         node = ar.root
         while node.below is not None:
             node = node.below if x[node.split_dim] < node.split_value else node.above
@@ -346,7 +351,7 @@ def test_max_depth_never_decreases_without_pruning():
     ar = fresh()
     prev = 0
     for _ in range(300):
-        ar.insert(ar.domain.uniform_point(rng))
+        ar.insert(uniform_array(ar.domain, rng))
         depth = max_leaf_depth(ar)
         assert depth >= prev
         prev = depth
@@ -357,7 +362,7 @@ def test_n_points_counts_new_leaf_outcomes():
     ar = fresh()
     new_leaves = 0
     for _ in range(100):
-        coords = np.round(ar.domain.uniform_point(rng))  # force some duplicates
+        coords = np.round(uniform_array(ar.domain, rng))  # force some duplicates
         if isinstance(ar.insert(coords), NewLeaf):
             new_leaves += 1
     assert ar.n_points == new_leaves
@@ -426,7 +431,7 @@ def test_roi_seeds_are_leaves_and_distinct():
     rng = np.random.default_rng(17)
     roi = None
     while roi is None:
-        outcome = ar.insert(ar.domain.uniform_point(rng) / 4.0)  # cluster to deepen fast
+        outcome = ar.insert(uniform_array(ar.domain, rng) / 4.0)  # cluster to deepen fast
         if isinstance(outcome, NewLeaf):
             roi = ar.roi_trigger(outcome, 2, 3)
     seeds = roi.seeds
@@ -443,7 +448,7 @@ def test_block_root_blocks_everything():
     ar = fill_random(fresh(), 10, rng)
     ar.block(subtree_of(ar, ar.root))
     for _ in range(20):
-        assert isinstance(ar.insert(ar.domain.uniform_point(rng)), Blocked)
+        assert isinstance(ar.insert(uniform_array(ar.domain, rng)), Blocked)
 
 
 def test_blocked_subroot_rejects_its_own_centroid():
@@ -462,7 +467,7 @@ def test_blocking_matches_box_membership_oracle():
     ar.block(subtree_of(ar, subroot))
     lo, hi = walk_region(ar, subroot)
     for _ in range(1000):
-        x = ar.domain.uniform_point(rng)
+        x = uniform_array(ar.domain, rng)
         inside = bool((x >= lo).all() and (x <= hi).all())
         outcome = ar.insert(x)
         if inside:
@@ -567,7 +572,7 @@ def test_prune_preserves_tiling_and_allows_more_inserts():
 
 def interiors_disjoint_fast(ar, rng, probes=300):
     for _ in range(probes):
-        x = ar.domain.uniform_point(rng)
+        x = uniform_array(ar.domain, rng)
         locate_brute(ar, x)  # asserts uniqueness internally
     return True
 
@@ -611,7 +616,7 @@ def test_dropped_archive_leaves_no_tree_for_the_cyclic_collector():
         assert ar.root is not old_root and ar.n_points == 101
         cell = subtree_of(ar, ar.root.below)
         ar.block(cell)
-        assert isinstance(ar.insert(cell.uniform_point(rng)), Blocked)
+        assert isinstance(ar.insert(uniform_point(cell.lower, cell.upper, rng)), Blocked)
     assert len(bsp_nodes_left_by(grow_prune_block_drop)) == 0
 
 

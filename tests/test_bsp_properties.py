@@ -42,7 +42,7 @@ from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf, Pro
 from histarch.benchmarks import BudgetedEvaluator, sphere
 from histarch.bsp import _in_box
 from util import (RootWalkArchive, ScriptedRng, depth_of, leaf_cells, locate_brute,
-                  subtree_of, tiling_relative_error, walk_region)
+                  subtree_of, tiling_relative_error, uniform_array, walk_region)
 
 LV, K = 2, 1
 
@@ -222,7 +222,7 @@ def check_invariants(ar, oracle, blocked_points, rng):
     if leaves:
         assert tiling_relative_error(ar, cells) <= 1e-9
         probes = [leaf.point.coords for leaf in leaves]
-        probes += [ar.domain.uniform_point(rng) for _ in range(10)]
+        probes += [uniform_array(ar.domain, rng) for _ in range(10)]
         for x in probes:
             assert locate_brute(ar, x, cells) is walk_to_leaf(ar, x)
     depths = [int(line.split(" ", 1)[0]) for line in dump.splitlines()]

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from histarch import (BspArchive, NewLeaf, Region, Revisit, SearchPoint,
-                      SearchSpaceExhaustedError, evaluate_via_archive, generations, maybe_prune,
-                      run_algorithm)
+                      evaluate_via_archive, generations, maybe_prune, run_algorithm)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
-from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
+from histarch.cnrga import (LRU_CAPACITY, MAX_BLOCKED_DRAWS, MAX_REVISIT_RETRIES, crossover_pair,
+                            tournament_pick)
 from histarch.hr import run_cnrga
 from util import (LoggingProblem, RootWalkArchive, ScriptedRng, record_digest,
                   ref_crossover_pair, ref_tournament_pick, same_rng_state, spy_on_parents,
-                  spy_on_prunes, subtree_of, tiling_relative_error, walk_region)
+                  spy_on_prunes, subtree_of, tiling_relative_error, uniform_array,
+                  walk_region)
 
 
 def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
@@ -58,6 +59,10 @@ def test_blocked_half_redirects_everything_right():
         assert point.coords[0] >= 5.0
 
 
+def _archive_state(ar, ev):
+    return ar.n_points, ar._clock, ar.dump(), ev.used
+
+
 def test_whole_domain_blocked_signals_exhaustion():
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 10)
@@ -65,8 +70,24 @@ def test_whole_domain_blocked_signals_exhaustion():
     rng = np.random.default_rng(3)
     evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
     ar.block(subtree_of(ar, ar.root))
-    with pytest.raises(SearchSpaceExhaustedError):
-        evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng)
+    n_points, clock, dump, used = _archive_state(ar, ev)
+    assert evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng) is None
+    # each of the 1 + MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS inserts ticks
+    # the LRU clock, as every walk stamps the node it ends at
+    assert _archive_state(ar, ev) == (n_points, clock + 1 + MAX_REVISIT_RETRIES
+                                      + MAX_BLOCKED_DRAWS, dump, used)
+
+
+def test_no_budget_left_ends_before_any_insert():
+    problem = box_problem()
+    ev = BudgetedEvaluator(problem, 2)
+    ar = BspArchive(problem.domain)
+    rng = np.random.default_rng(3)
+    evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
+    evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
+    before, state = rng.bit_generator.state, _archive_state(ar, ev)
+    assert evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng) is None
+    assert _archive_state(ar, ev) == state and rng.bit_generator.state == before
 
 
 def test_revisit_cascade_falls_back_to_domain_sample():
@@ -332,7 +353,7 @@ def grow_archive(problem, n, seed=11):
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
     while ar.n_points < n:
-        evaluate_via_archive(problem.domain.uniform_point(rng), ar, ev, rng)
+        evaluate_via_archive(uniform_array(problem.domain, rng), ar, ev, rng)
     return ar
 
 

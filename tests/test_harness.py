@@ -504,6 +504,34 @@ def test_cli_config_never_replaces_the_sweep_it_names(tmp_path, capsys):
     assert (first / "results.csv").read_bytes() == before["results.csv"]
 
 
+def test_sweep_replaces_an_earlier_sweep_in_its_out_dir(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    sweep = ["run", "--suite", "2d", "--algos", "cnrga", "--budget", "200",
+             "--problems", "sphere", "--out", str(out)]
+    assert main([*sweep, "--runs", "3", "--trace", "--gnuplot", "--dump-tree"]) == 0
+    # files a sweep does not name stay
+    kept = [out / "notes.txt", out / "runs" / "notes.json",
+            out / "traces" / "sphere__cnrga__runX.dat", out / "trees" / "sphere__cnrga.txt"]
+    for path in kept:
+        path.write_text("mine\n")
+    seen = []
+    run = harness.run_algorithm
+
+    def spy(*args, **kwargs):
+        seen.append(sorted(p.name for p in out.iterdir() if p.is_file()))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_algorithm", spy)
+    assert main([*sweep, "--runs", "2", "--trace"]) == 0
+    assert seen[0] == ["notes.txt"]
+    assert sorted(p.name for p in (out / "runs").iterdir()) == \
+        ["notes.json", "sphere__cnrga__run0.json", "sphere__cnrga__run1.json"]
+    assert [p.name for p in (out / "traces").iterdir()] == ["sphere__cnrga__runX.dat"]
+    assert [p.name for p in (out / "trees").iterdir()] == ["sphere__cnrga.txt"]
+    assert all(path.read_text() == "mine\n" for path in kept)
+    assert json.loads((out / "summary.json").read_text())["config"]["runs"] == 2
+
+
 def write_config(tmp_path, **overrides):
     """A valid two-run 2-D config file with ``overrides`` applied, writing
     to ``tmp_path / "x"``."""

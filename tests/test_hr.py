@@ -253,7 +253,7 @@ def test_small_seeded_runs_match_recorded_digests(algo):
 # -- baselines ----------------------------------------------------------------
 
 def test_restarting_cmaes_restarts_on_flat_objective():
-    problem = make_problem(10, lambda x: 1.0, f_opt=None)
+    problem = make_problem(10, lambda x: 1.0)
     rec = run_algorithm(problem, "cmaes", 10_000, np.random.default_rng(7))
     assert rec.evals_used == 10_000
     restarts = [ph for ph in rec.phases if ph.kind == "exploit"]

@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 
 from histarch.benchmarks import (SCHWEFEL_OFFSET, BudgetedEvaluator, Problem,
                                  ellipsoid_weights, random_rotation)
-from histarch.bsp import BspArchive, BspNode, Subtree
+from histarch.bsp import BspArchive, BspNode, Subtree, uniform_point
 from histarch.cmaes import (COV_CONDITION_LIMIT, STAGNATION_TOL, TOL_FUN,
                             TOL_X_FACTOR, StopReason)
 from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair, maybe_prune
@@ -107,7 +107,7 @@ def tiling_relative_error(archive, cells=None):
     if not len(lows):
         return 0.0
     total = logsumexp(np.log(highs - lows).sum(axis=1))
-    return abs(np.exp(total - np.log(archive.domain.span).sum()) - 1.0)
+    return abs(np.exp(total - np.log(archive.domain.upper - archive.domain.lower).sum()) - 1.0)
 
 
 def interiors_disjoint(archive):
@@ -368,6 +368,11 @@ def same_rng_state(rng_a, rng_b):
 
 def ref_uniform_point(region, rng):
     return rng.uniform(region.lower, region.upper)
+
+
+def uniform_array(region, rng):
+    """``uniform_point`` from ``region``'s bounds, as an array."""
+    return np.array(uniform_point(*region.bounds, rng))
 
 
 def ref_tournament_pick(individuals, rng):
