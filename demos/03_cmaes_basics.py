@@ -19,6 +19,9 @@ print(f"recommended population size for D={dim}: {lam}")
 
 
 def evaluator(f, budget):
+    # cma_run evaluates a generation as one (lambda, D) block; vectorize
+    # calls the scalar f once per row
+    f = np.vectorize(f, otypes=[float], signature="(n)->()")
     return BudgetedEvaluator(Problem("demo", domain, f, None, "unimodal"), budget)
 
 

@@ -121,6 +121,11 @@ class Region:
         """Whether ``coords`` lies in the closed box; a NaN coordinate never does.
 
         Raises InputError unless ``coords`` is a vector of ``dim`` values.
+        Kept for its two readers, which test one point once, so that each
+        need not convert and shape-check it by hand: ``CmaState``'s check of
+        its initial mean, and the benchmark's output check of a run's final
+        coordinates (``perfbench/run.py``, ``check_run``). The evaluator's
+        per-point and per-block tests run on bounds it reads once.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.shape != self.lower.shape:

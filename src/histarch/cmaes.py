@@ -132,7 +132,16 @@ class CmaState:
 
 
 def cma_init(mean0: np.ndarray, sigma0: float, lam: int, domain: Region) -> CmaState:
-    """A fresh ``CmaState`` from an array-like mean and numeric sigma0 and lambda."""
+    """A fresh ``CmaState`` from an array-like mean and numeric sigma0 and lambda.
+
+    ``CmaState`` takes a float array, a float and an int. This converts
+    what its callers hold, and copies the mean so that the state alone
+    owns it: a list of Python floats (``uniform_point`` in
+    ``hr.run_cmaes_restart``), a numpy mean (``hr.seed_cma_from_roi``),
+    and the lists, ints and JSON-typed values of the tests and demos. The
+    benchmark also counts CMA-ES starts by this name
+    (``cmaes.cma_init.calls``).
+    """
     return CmaState(np.array(mean0, dtype=float), float(sigma0), int(lam), domain)
 
 
@@ -282,19 +291,21 @@ def cma_check_stop(state: CmaState) -> StopReason | None:
 def cma_run(state: CmaState, evaluator, rng: np.random.Generator) -> StopReason:
     """Sample, evaluate and update until a stop fires; returns its reason.
 
-    ``evaluator`` must be callable and expose ``remaining``, and the run
-    is entered with budget left. Never raises on budget: the generation
-    that spends the last evaluation, whole or cut to its first
-    ``remaining`` rows, ends the run as BUDGET_EXHAUSTED before any update.
-    Each generation decomposes the covariance once, in ``cma_check_stop``;
-    ``cma_sample`` and ``cma_update`` read that decomposition.
+    ``evaluator`` must expose ``evaluate_batch`` and ``remaining``, as a
+    ``BudgetedEvaluator`` does, and the run is entered with budget left.
+    Each generation is one ``evaluate_batch`` call on the (lambda, D)
+    candidates. Never raises on budget: the generation that spends the
+    last evaluation, whole or cut to its first ``remaining`` rows, ends the
+    run as BUDGET_EXHAUSTED before any update. Each generation decomposes
+    the covariance once, in ``cma_check_stop``; ``cma_sample`` and
+    ``cma_update`` read that decomposition.
     """
     while True:
         stop = cma_check_stop(state)
         if stop is not None:
             return stop
         candidates = cma_sample(state, rng)
-        fits = np.array([evaluator(x) for x in candidates[:evaluator.remaining]])
+        fits = evaluator.evaluate_batch(candidates)
         if evaluator.remaining == 0:
             return StopReason.BUDGET_EXHAUSTED
         cma_update(state, candidates, fits)

@@ -7,6 +7,7 @@ from histarch import (BudgetExhaustedError, DomainError, InputError, ParameterEr
                       Region, make_suite)
 from histarch.benchmarks import (BudgetedEvaluator, Problem, ellipsoid_weights,
                                  random_rotation, rastrigin, sphere)
+from histarch.cmaes import default_lambda
 from util import reference_suite, uniform_array
 
 SUITE_NAMES = ["sphere", "rot_ellipsoid", "rosenbrock", "rastrigin", "sr_rastrigin",
@@ -191,3 +192,134 @@ def test_wrong_shape_rejected_before_counting(coords):
         ev(coords)
     assert ev.used == 0
 
+
+
+# -- batched objectives and evaluate_batch ------------------------------
+
+def hard_block(domain, n, rng):
+    """n rows of uniform draws from ``domain`` in which each coordinate may
+    instead sit on the lower or upper face or take a magnitude from 1e-320
+    (subnormal) to 1e300 (far outside the box), of either sign."""
+    lower, upper = domain.lower, domain.upper
+    block = rng.uniform(lower, upper, (n, domain.dim))
+    kinds = rng.integers(0, 5, block.shape)
+    magnitudes = rng.choice([-1.0, 1.0], block.shape) * 10.0 ** rng.uniform(-320, 300, block.shape)
+    block = np.where(kinds == 1, lower, block)
+    block = np.where(kinds == 2, upper, block)
+    return np.where(kinds == 3, magnitudes, block)
+
+
+def bits(value):
+    """The 64 bits of a float, so that equal means identical: -0.0 differs
+    from 0.0 and NaN equals itself."""
+    return int(np.float64(value).view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [2, 10, 30])
+def test_objectives_evaluate_a_block_row_by_row_bit_for_bit(dim):
+    # every block size a CMA-ES generation can hand over, from one row to
+    # two populations; huge magnitudes overflow to inf in some terms
+    problems = make_suite(dim, seed=9)
+    refs = reference_suite(dim, seed=9)
+    rng = np.random.default_rng(100 + dim)
+    for p in problems:
+        for n in range(1, 2 * default_lambda(dim) + 1):
+            block = hard_block(p.domain, n, rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = p.f(block)
+                assert values.shape == (n,), p.name
+                for i, row in enumerate(block):
+                    expected = bits(refs[p.name](row))
+                    assert bits(values[i]) == bits(p.f(row)) == expected, (p.name, n, i)
+
+
+def spy_evaluator(budget):
+    """An evaluator of the sphere on [-1, 1]^3 and the list of every block
+    its objective is handed, copied."""
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x))
+        return sphere(x)
+
+    domain = Region(np.full(3, -1.0), np.ones(3))
+    return BudgetedEvaluator(Problem("spy", domain, f, 0.0, "unimodal"), budget), seen
+
+
+def test_batch_accounts_each_row_as_one_call_would():
+    rng = np.random.default_rng(21)
+    blocks = [rng.uniform(-1.0, 1.0, (n, 3)) for n in (4, 1, 6)]
+    batched, seen = spy_evaluator(budget=20)
+    per_row, _ = spy_evaluator(budget=20)
+    for block in blocks:
+        values = batched.evaluate_batch(block)
+        assert values.tolist() == [per_row(row) for row in block]
+    assert [len(b) for b in seen] == [4, 1, 6]
+    for name in ("used", "trace", "best", "best_at", "non_finite"):
+        assert getattr(batched, name) == getattr(per_row, name), name
+    assert np.array_equal(batched.best_coords, per_row.best_coords)
+
+
+def test_batch_straddling_the_budget_evaluates_exactly_the_remaining_rows():
+    rng = np.random.default_rng(22)
+    ev, seen = spy_evaluator(budget=7)
+    ev.evaluate_batch(rng.uniform(-1.0, 1.0, (4, 3)))
+    block = rng.uniform(-1.0, 1.0, (5, 3))
+    values = ev.evaluate_batch(block)
+    assert ev.used == 7 and ev.remaining == 0
+    assert len(values) == 3
+    assert np.array_equal(seen[-1], block[:3])
+    # a spent budget evaluates nothing
+    assert ev.evaluate_batch(block).shape == (0,)
+    assert len(seen) == 2 and ev.used == 7
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -np.inf], ids=["nan", "outside", "minus_inf"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_batch_row_outside_the_box_raises_after_counting_the_rows_before_it(bad, at):
+    block = np.random.default_rng(23).uniform(-1.0, 1.0, (5, 3))
+    block[at, 1] = bad
+    if at < 4:
+        block[4, 2] = 2.0  # a later row outside is never reached
+    ev, seen = spy_evaluator(budget=10)
+    with pytest.raises(DomainError):
+        ev.evaluate_batch(block)
+    assert ev.used == at
+    if at:
+        assert len(seen) == 1 and np.array_equal(seen[0], block[:at])
+    else:
+        assert seen == []
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,), (2, 4, 3), ()],
+                         ids=["narrow", "wide", "one_point", "stacked", "scalar"])
+def test_batch_of_the_wrong_shape_rejected_before_the_objective_runs(shape):
+    ev, seen = spy_evaluator(budget=10)
+    with pytest.raises(InputError):
+        ev.evaluate_batch(np.zeros(shape))
+    assert ev.used == 0 and seen == []
+
+
+def test_batch_objective_that_returns_one_value_for_a_block_rejected():
+    # a scalar-only objective not wrapped for blocks spends no budget
+    domain = Region(np.full(3, -1.0), np.ones(3))
+    ev = BudgetedEvaluator(Problem("scalar", domain, lambda x: 1.0, 0.0, "unimodal"), 10)
+    with pytest.raises(InputError):
+        ev.evaluate_batch(np.zeros((4, 3)))
+    assert ev.used == 0 and ev.trace == []
+
+
+def test_objective_that_raises_spends_no_budget():
+    class Failure(Exception):
+        pass
+
+    def fail(x):
+        raise Failure
+
+    domain = Region(np.full(3, -1.0), np.ones(3))
+    ev = BudgetedEvaluator(Problem("failing", domain, fail, 0.0, "unimodal"), 10)
+    with pytest.raises(Failure):
+        ev(np.zeros(3))
+    with pytest.raises(Failure):
+        ev.evaluate_batch(np.zeros((4, 3)))
+    assert ev.used == 0 and ev.trace == []

@@ -10,7 +10,7 @@ from histarch import (CmaState, ParameterError, Region, StopReason, cma_check_st
                       cma_init, cma_run, cma_sample, cma_update, default_lambda,
                       make_suite, stagnation_window)
 from histarch import cmaes
-from histarch.benchmarks import ellipsoid_weights, random_rotation
+from histarch.benchmarks import BudgetedEvaluator, Problem, ellipsoid_weights, random_rotation
 from util import (budgeted, ref_cma_sample, ref_cma_update, ref_generation_stop,
                   reference_suite)
 
@@ -287,6 +287,28 @@ def test_run_ends_on_the_generation_that_spends_the_budget(budget):
     assert cma_check_stop(twin) is None
     cma_sample(twin, twin_rng)
     assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("budget", [25, 10_000])
+def test_run_hands_the_objective_one_block_per_generation(budget):
+    # each generation is one objective call on its candidates, cut to the
+    # budget's last rows, and a run that stops on its own evaluates whole
+    # generations only
+    blocks = []
+
+    def sphere_blocks(x):
+        blocks.append(x.shape)
+        return np.vecdot(x, x)
+
+    state = cma_init(np.full(4, 2.0), 1.0, 10, wide_domain(4))
+    evaluator = BudgetedEvaluator(Problem("f", state.domain, sphere_blocks, 0.0, "unimodal"),
+                                  budget)
+    stop = cma_run(state, evaluator, np.random.default_rng(15))
+    cut = stop is StopReason.BUDGET_EXHAUSTED
+    assert len(blocks) == state.generation + cut
+    assert sum(n for n, _ in blocks) == evaluator.used
+    assert blocks[:state.generation] == [(10, 4)] * state.generation
+    assert cut == (budget == 25)
 
 
 # -- one eigendecomposition per generation ------------------------------

@@ -13,6 +13,7 @@ from histarch import (ExperimentConfig, ParameterError, Problem, Region, recompu
                       run_experiment)
 from histarch.hr import ALGORITHMS
 from histarch.cli import main
+from util import rowwise
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -196,7 +197,7 @@ def sweep_never_finite(out, monkeypatch, **kw):
     """Every algorithm on one problem whose every value is NaN, so every run
     ends with an infinite final error."""
     domain = Region(np.full(2, -5.0), np.full(2, 5.0))
-    nan_problem = Problem("nan", domain, lambda x: math.nan, 0.0, "unimodal")
+    nan_problem = Problem("nan", domain, rowwise(lambda x: math.nan), 0.0, "unimodal")
     monkeypatch.setattr(harness, "_suite", lambda dim, seed: [nan_problem])
     return run_experiment(small_config(str(out), algorithms=list(ALGORITHMS),
                                        problems=None, **kw))

@@ -15,14 +15,14 @@ from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin
 from histarch.bsp import BspArchive, SearchPoint
 from histarch.cnrga import LRU_CAPACITY, POP_SIZE
 from histarch.hr import run_cnrga
-from util import (LoggingProblem, bsp_nodes_left_by, record_digest, spy_on_parents,
-                  spy_on_prunes)
+from util import (LoggingProblem, bsp_nodes_left_by, record_digest, rowwise,
+                  spy_on_parents, spy_on_prunes)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_problem(dim, f, lo=-100.0, hi=100.0, name="p", f_opt=0.0):
-    return Problem(name, Region(np.full(dim, lo), np.full(dim, hi)), f,
+    return Problem(name, Region(np.full(dim, lo), np.full(dim, hi)), rowwise(f),
                    f_opt, "unimodal", None)
 
 
@@ -295,7 +295,7 @@ from histarch import Problem, Region, run_algorithm
 
 def box(dim, width):
     return Problem("tiny", Region(np.full(dim, 1e15), np.full(dim, 1e15 + width)),
-                   lambda x: float(((x - 1e15) ** 2).sum()), 0.0, "unimodal", None)
+                   lambda x: ((x - 1e15) ** 2).sum(axis=-1), 0.0, "unimodal", None)
 
 out = []
 for algo, dim, width, budget in json.loads(sys.argv[1]):
@@ -362,10 +362,10 @@ def test_one_evaluator_call_per_evaluation(algo, monkeypatch):
     calls = 0
     original = BudgetedEvaluator.__call__
 
-    def counting(self, coords):
+    def counting(self, coords, **kwargs):
         nonlocal calls
         calls += 1
-        return original(self, coords)
+        return original(self, coords, **kwargs)
 
     monkeypatch.setattr(BudgetedEvaluator, "__call__", counting)
     problem = next(p for p in make_suite(2, seed=0) if p.name == "rastrigin")

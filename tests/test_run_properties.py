@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from histarch import Problem, Region, run_algorithm
 from histarch.hr import ALGORITHMS
+from util import rowwise
 
 
 class ObjectiveFailure(Exception):
@@ -53,7 +54,7 @@ def hostile_problems(draw):
             return bad
         return float(((x - lower) ** 2).sum())
 
-    problem = Problem("hostile", domain, f, None, "unimodal")
+    problem = Problem("hostile", domain, rowwise(f), None, "unimodal")
     return problem, raise_after, calls
 
 

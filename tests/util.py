@@ -26,7 +26,8 @@ from histarch.errors import InputError
 
 
 class LoggingProblem:
-    """Wraps a problem so every evaluation is recorded in call order."""
+    """Wraps a problem so every evaluation is recorded in call order, each
+    row of a block as one evaluation."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -35,14 +36,21 @@ class LoggingProblem:
     def build(self):
         def f(x, inner=self.problem.f, log=self.log):
             v = inner(x)
-            log.append((np.array(x, dtype=float), float(v)))
+            x = np.array(x, dtype=float)
+            log.extend(zip(x.reshape(-1, x.shape[-1]), np.reshape(v, -1).tolist()))
             return v
         return dataclasses.replace(self.problem, f=f)
 
 
+def rowwise(f):
+    """A scalar-only objective as one that maps (..., D) to (...): ``f``
+    is called once per row, in row order."""
+    return np.vectorize(f, otypes=[float], signature="(n)->()")
+
+
 def budgeted(f, domain, budget):
-    """``f`` on ``domain`` behind the evaluator ``cma_run`` takes."""
-    return BudgetedEvaluator(Problem("f", domain, f, None, "unimodal"), budget)
+    """The scalar-only ``f`` on ``domain`` behind the evaluator ``cma_run`` takes."""
+    return BudgetedEvaluator(Problem("f", domain, rowwise(f), None, "unimodal"), budget)
 
 
 def walk_region(archive, node):
