@@ -17,15 +17,14 @@ moves a subtree up, so ``prune_lru`` costs one sort plus O(1) per removed
 leaf.
 
 The archive hands out a tree position in one form, a ``Subtree``: a node
-at a known depth, its cell, and its box, the points whose walk from the
-root passes through the node. The box is the cell with every upper face
-that a split set moved one float down, as a walk sends a point on a split
-value above the split. ``subtree`` gives the deepest node through which
-every point of a closed query box routes, a ``Revisit`` carries the
+at a known depth and its cell. A walk sends a point on a split value above
+the split, so every point of the half-open cell [lower, upper) walks from
+the root through the node. ``subtree`` gives the deepest node through
+which every point of a closed query box routes, a ``Revisit`` carries the
 revisited leaf's and an ``RoiSuggestion`` the region of interest's.
 ``insert(x, within=...)`` starts at ``within``'s node when ``x`` lies in
-its box and at the root otherwise, with the same outcome, the same tree
-and the same stamps either way; ``block`` closes a ``Subtree``'s cell.
+its half-open cell and at the root otherwise, with the same outcome, tree
+and stamps either way; ``block`` closes a ``Subtree``'s cell.
 Inserts only split leaves, so they keep a ``Subtree`` valid; ``block`` and
 ``prune_lru`` change the tree above leaves and make every ``Subtree``
 taken before them stale, and ``insert`` and ``block`` reject a stale one.
@@ -68,6 +67,14 @@ def _in_box(lower, upper, x) -> bool:
     return True
 
 
+def _in_cell(lower, upper, x) -> bool:
+    """``_in_box`` for the half-open cell [lower, upper), as a walk tests each split."""
+    for lo, v, hi in zip(lower, x, upper):
+        if not lo <= v < hi:
+            return False
+    return True
+
+
 def _shape_error(dim: int, shape: tuple) -> InputError:
     """The error for coordinates of ``shape`` where a vector of ``dim`` values belongs."""
     return InputError(f"expected {dim} coordinates, got shape {shape}")
@@ -77,7 +84,7 @@ def uniform_point(lower, upper, rng: np.random.Generator) -> list:
     """A uniform draw from the box [lower, upper], given and returned as
     Python floats: the values and generator state of ``rng.uniform(lower,
     upper)`` at a fraction of its cost. It can round onto an upper face,
-    and so fall outside a ``Subtree``'s box."""
+    and so fall outside a ``Subtree``'s half-open cell."""
     return [lo + (hi - lo) * u for lo, hi, u in
             zip(lower, upper, rng.random(len(lower)).tolist())]
 
@@ -140,7 +147,7 @@ class BspNode:
     bounds and no depth: ``insert`` reports a new leaf's depth and a
     revisited leaf's cell, and a ``Subtree`` carries a node's depth and
     cell.
-    ``last_touch`` is the clock of the last insert that ended at the node.
+    ``last_touch`` is the clock of the last unblocked insert ending at it.
     ``parent`` is ``None`` at the root, on a node ``prune_lru`` removed,
     and on every node once its archive has been released.
     """
@@ -186,17 +193,16 @@ class Revisit:
 
 @dataclass(slots=True)
 class Blocked:
-    """The insert path crossed a blocked sub-region; nothing was stored."""
+    """The insert path crossed a blocked sub-region and changed nothing."""
 
 
 @dataclass(frozen=True, slots=True)
 class Subtree:
-    """Where a walk may start: ``node`` at ``depth``, its cell [lower, upper]
-    and its box [lower, box_upper], the points whose walk from the root
-    passes through ``node``. ``box_upper`` is ``upper`` with every face a
-    split set moved one float down; all three bounds are tuples of Python
-    floats. Made by ``BspArchive.subtree`` and ``BspArchive.roi_trigger``
-    or carried by a ``Revisit``, and valid for that archive until its next
+    """Where a walk may start: ``node`` at ``depth`` and its cell [lower,
+    upper], both bounds tuples of Python floats. Every point of the
+    half-open cell [lower, upper) walks from the root through ``node``.
+    Made by ``BspArchive.subtree`` and ``BspArchive.roi_trigger`` or
+    carried by a ``Revisit``, and valid for that archive until its next
     ``block`` or ``prune_lru``, which replace the archive's ``epoch``.
     """
 
@@ -204,7 +210,6 @@ class Subtree:
     depth: int
     lower: tuple
     upper: tuple
-    box_upper: tuple
     epoch: object
 
 
@@ -248,20 +253,20 @@ class BspArchive:
         """Route ``coords`` to its leaf cell and grow the tree.
 
         Returns NewLeaf, Revisit or Blocked. The walk starts at
-        ``within.node`` when ``coords`` lies in ``within``'s box, and at the
-        root otherwise; both give the same outcome, tree and stamps. A
-        Revisit's cell is clipped from the cell of the node the walk
-        started at, so only the levels this walk went down are climbed
-        again. The node where the walk ends (the blocked node, the
-        revisited leaf or both new leaves) is stamped with the current
-        clock. The LRU pruning policy reads the stamps of leaves only,
-        and a walk that reaches a leaf ends there.
+        ``within.node`` when ``coords`` lies in ``within``'s half-open
+        cell, and at the root otherwise; both give the same outcome, tree
+        and stamps. A Revisit's cell is clipped from the cell of the node
+        the walk started at, so only the levels this walk went down are
+        climbed again. Only a walk that ends at a leaf it revisits or
+        splits, or at the empty root it fills, ticks the clock and stamps
+        that node and any new leaf: a revisit is use, a blocked walk is
+        not. LRU pruning reads the stamps of leaves only.
 
         Raises InputError for a wrong shape or a non-finite coordinate,
         DomainError for a point outside the domain and StructuralError
         for a ``within`` taken from another archive or before this
-        archive's last block or prune. On any error nothing is stored and
-        the clock does not advance.
+        archive's last block or prune. On any error, as on Blocked,
+        nothing is stored or stamped and the clock does not advance.
         """
         if within is not None and within.epoch is not self._epoch:
             raise StructuralError("subtree is stale or from another archive")
@@ -269,7 +274,7 @@ class BspArchive:
         if coords.shape != self.domain.lower.shape:
             raise _shape_error(self.domain.dim, coords.shape)
         x = coords.tolist()
-        if within is not None and _in_box(within.lower, within.box_upper, x):
+        if within is not None and _in_cell(within.lower, within.upper, x):
             node, depth, cell = within.node, within.depth, (within.lower, within.upper)
         elif _in_box(*self.domain.bounds, x):
             node, depth, cell = self.root, 0, self.domain.bounds
@@ -279,16 +284,16 @@ class BspArchive:
             raise DomainError("coordinates outside the search domain")
         start = depth
 
-        self._clock += 1
-        clock = self._clock
         # the walk is the hot loop: plain attribute tests and Python
         # floats cost less per level than properties and numpy scalars
         while not node.blocked and node.below is not None:
             node = node.below if x[node.split_dim] < node.split_value else node.above
             depth += 1
-        node.last_touch = clock
         if node.blocked:
             return Blocked()
+        self._clock += 1
+        clock = self._clock
+        node.last_touch = clock
 
         # empty archive: the root takes the first point as a depth-0 leaf
         if self.n_points == 0:
@@ -336,11 +341,10 @@ class BspArchive:
         Walks once from the root. At a split on dimension d at value s it
         goes below when upper[d] < s and above when lower[d] >= s; it stops
         at a split the box straddles, at a leaf or at a blocked node. Every
-        point of the query box therefore routes through the returned node,
-        and so lies in its box. Raises InputError unless the bounds are
-        finite vectors of the domain's dimension, ParameterError when a
-        lower bound exceeds its upper bound and DomainError when the box
-        does not lie in the domain.
+        point of the query box therefore routes through the returned node.
+        Raises InputError unless the bounds are finite vectors of the
+        domain's dimension, ParameterError when a lower bound exceeds its
+        upper bound and DomainError when the box does not lie in the domain.
         """
         lo = np.asarray(lower, dtype=float)
         hi = np.asarray(upper, dtype=float)
@@ -370,8 +374,7 @@ class BspArchive:
         cell of its ancestor ``levels`` up, clipped by every split in
         between, deepest last. Bounds are copied from split values, never
         computed, so a cell shares its faces bit for bit with its
-        neighbours. An upper face below the domain's was set by a split,
-        so the box moves it one float down."""
+        neighbours."""
         lower, upper = map(list, bounds)
         path, ancestor = [], node
         for _ in range(levels):
@@ -383,10 +386,7 @@ class BspArchive:
                 upper[parent.split_dim] = parent.split_value
             else:
                 lower[parent.split_dim] = parent.split_value
-        nextafter, inf = math.nextafter, math.inf
-        box_upper = tuple([hi if hi == top else nextafter(hi, -inf)
-                           for hi, top in zip(upper, self.domain.bounds[1])])
-        return Subtree(node, depth, tuple(lower), tuple(upper), box_upper, self._epoch)
+        return Subtree(node, depth, tuple(lower), tuple(upper), self._epoch)
 
     def roi_trigger(self, leaf: NewLeaf, lv: int, k: int) -> RoiSuggestion | None:
         """Region-of-interest query for a leaf just returned by insert.

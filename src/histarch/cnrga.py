@@ -9,8 +9,8 @@ lies in the bounding box of its generation's parents, so each child is
 inserted with the parents' subtree (``BspArchive.subtree``), and a
 revisit's redraw with the revisited leaf's (``Revisit.cell``); the
 archive starts each walk there or, for a point outside that subtree's
-box, at the root. Domain redraws and the initial uniform population walk
-from the root.
+half-open cell, at the root. Domain redraws and the initial uniform
+population walk from the root.
 ``generations`` is the GA's only loop and ends by itself where
 ``evaluate_via_archive`` returns None, on a spent budget or a full
 archive: the cNrGA baselines drain every generation, and the hybrid

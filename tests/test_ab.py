@@ -98,3 +98,17 @@ def test_gain_needs_ten_pairs_and_nine_tenths_won(pairs, lost, expected):
     base = [1000.0 + i for i in range(pairs)]
     change = [b - 1.0 if i < lost else b + 100.0 for i, b in enumerate(base)]
     assert ab.verdict(base, change, pairs - lost, True, 0.25) == expected
+
+
+@pytest.mark.parametrize("base, change, expected", [
+    # two pairs: the median is 32% slower, but one change run is faster
+    # than one base run
+    ([0.190, 0.210], [0.200, 0.328], "unresolved"),
+    # two pairs: every change run is slower than every base run
+    ([0.190, 0.210], [0.250, 0.280], "regression"),
+    # ten pairs: the median alone decides, one faster change run or not
+    ([0.200 + 0.001 * i for i in range(10)], [0.190] + [0.300] * 9, "regression")])
+def test_regression_below_ten_pairs_needs_every_change_run_worse(base, change, expected):
+    # setup_s (lower, bound 0.25)
+    won = sum(c < b for b, c in zip(base, change))
+    assert ab.verdict(base, change, won, False, 0.25) == expected

@@ -3,9 +3,10 @@ import pytest
 
 from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf,
                       ParameterError, Region, Revisit, StructuralError, Subtree, uniform_point)
-from util import (bsp_nodes_left_by, depth_of, interiors_disjoint, locate_brute,
-                  max_leaf_depth, ref_split_dim, ref_uniform_point, same_rng_state,
-                  subtree_of, tiling_relative_error, uniform_array, walk_region)
+from util import (RootWalkArchive, bsp_nodes_left_by, depth_of, interiors_disjoint,
+                  locate_brute, max_leaf_depth, ref_split_dim, ref_uniform_point,
+                  same_rng_state, subtree_of, tiling_relative_error, uniform_array,
+                  walk_region)
 
 
 def box(lo, hi, dim=2):
@@ -82,7 +83,7 @@ def assert_same_uniform_draws(region, seed, n=200):
     """``uniform_point``, from the region's bounds and from a cell with
     the region's bounds, draws what numpy's bounded uniform draws, as a
     list of Python floats."""
-    cell = Subtree(None, 0, *region.bounds, region.bounds[1], None)
+    cell = Subtree(None, 0, *region.bounds, None)
     fast, ref, via_cell = (np.random.default_rng(seed) for _ in range(3))
     for _ in range(n):
         drawn = uniform_point(*region.bounds, fast)
@@ -228,10 +229,10 @@ def test_subtree_of_a_box_ending_on_a_split_is_above_that_split():
     ar.insert(np.array([2.0, 5.0]))
     ar.insert(np.array([8.0, 6.0]))
     within = ar.subtree([1.0, 1.0], [5.0, 2.0])
-    assert within.node is ar.root and within.box_upper == (10.0, 10.0)
+    assert within.node is ar.root and within.upper == (10.0, 10.0)
     assert ar.subtree([5.0, 1.0], [5.0, 2.0]).node is ar.root.above
     below = ar.subtree([1.0, 1.0], [np.nextafter(5.0, 0.0), 2.0])
-    assert below.node is ar.root.below and below.box_upper == (np.nextafter(5.0, 0.0), 10.0)
+    assert below.node is ar.root.below and below.upper == (5.0, 10.0)
 
 
 def test_split_leaf_hands_its_point_to_a_child():
@@ -273,16 +274,22 @@ def test_split_value_strictly_between_creating_points():
 
 
 def test_mutation_region_is_revisited_leaf_cell():
-    ar = fresh()
-    ar.insert(np.array([2.0, 5.0]))
-    ar.insert(np.array([8.0, 6.0]))
-    out = ar.insert(np.array([2.0, 5.0]))
-    cell = out.cell
-    assert cell.node is ar.root.below and cell.depth == 1
-    assert (cell.lower, cell.upper) == ((0.0, 0.0), (5.0, 10.0))
-    # the split at x0 = 5 sends x0 == 5 above, so the box ends one float
-    # below it; the domain's face x1 = 10 stays closed
-    assert cell.box_upper == (np.nextafter(5.0, 0.0), 10.0)
+    # each point, inserted with the revisited leaf's cell, ends as a walk
+    # from the root ends: it starts at the cell's node only inside the
+    # half-open cell, and the split x0 = 5 sends a point on it above
+    for coords in ([1.0, 3.0], [5.0, 3.0],
+                   [1.0, 10.0]):  # on the domain's top face, which the cell reaches
+        ar, twin = fresh(), RootWalkArchive(box(0.0, 10.0))
+        for archive in (twin, ar):  # ar last, so ``cell`` is its revisit's
+            archive.insert(np.array([2.0, 5.0]))
+            archive.insert(np.array([8.0, 6.0]))
+            cell = archive.insert(np.array([2.0, 5.0])).cell
+        assert cell.node is ar.root.below and cell.depth == 1
+        assert (cell.lower, cell.upper) == ((0.0, 0.0), (5.0, 10.0))
+        outcome, twin_outcome = ar.insert(np.array(coords), cell), twin.insert(np.array(coords))
+        assert type(outcome) is type(twin_outcome) is NewLeaf
+        assert outcome.depth == twin_outcome.depth
+        assert _tree_state(ar) == _tree_state(twin)
 
 
 def test_deep_mutation_region_shrinks():
@@ -409,7 +416,7 @@ def test_roi_trigger_fires_at_lv_plus_k():
     roi = first_roi(ar, leaves, 17, 4)
     assert roi is not None
     assert roi.cell.depth == depth_of(roi.cell.node) == 17
-    # the cell and box are the oracle's, bit for bit, under the current epoch
+    # the cell is the oracle's, bit for bit, under the current epoch
     assert roi.cell == subtree_of(ar, roi.cell.node)
     cell = Region(roi.cell.lower, roi.cell.upper)
     for seed in roi.seeds:
@@ -447,8 +454,11 @@ def test_block_root_blocks_everything():
     rng = np.random.default_rng(18)
     ar = fill_random(fresh(), 10, rng)
     ar.block(subtree_of(ar, ar.root))
+    # a blocked walk, like a refused call, ticks no clock and stamps nothing
+    before = _tree_state(ar)
     for _ in range(20):
         assert isinstance(ar.insert(uniform_array(ar.domain, rng)), Blocked)
+    assert _tree_state(ar) == before
 
 
 def test_blocked_subroot_rejects_its_own_centroid():
@@ -476,28 +486,29 @@ def test_blocking_matches_box_membership_oracle():
             assert not isinstance(outcome, Blocked)
 
 
-def _flags_dump_clock(ar):
-    flags = [n.blocked for n in _internal_nodes(ar)] + [n.blocked for n in ar.iter_leaves()]
-    return flags, ar.dump(), ar._clock
+def _tree_state(ar):
+    """Every node's block flag and stamp, the dump and the clock."""
+    nodes = list(_internal_nodes(ar)) + list(ar.iter_leaves())
+    return [(n.blocked, n.last_touch) for n in nodes], ar.dump(), ar._clock
 
 
 def test_block_refuses_a_foreign_or_stale_subtree():
     ar, twin = fresh(), fresh()
     for archive in (ar, twin):
         fill_random(archive, 40, np.random.default_rng(20))
-    before = _flags_dump_clock(ar)
+    before = _tree_state(ar)
     foreign = subtree_of(twin, twin.root.below)
     with pytest.raises(StructuralError):
         ar.block(foreign)
-    assert _flags_dump_clock(ar) == before and not ar.root.below.blocked
+    assert _tree_state(ar) == before and not ar.root.below.blocked
     for change in (lambda: ar.block(subtree_of(ar, ar.root.above)),
                    lambda: ar.prune_lru(0.25)):
         stale = subtree_of(ar, ar.root.below)
         change()
-        before = _flags_dump_clock(ar)
+        before = _tree_state(ar)
         with pytest.raises(StructuralError):
             ar.block(stale)
-        assert _flags_dump_clock(ar) == before
+        assert _tree_state(ar) == before
     assert not ar.root.below.blocked
 
 

@@ -5,21 +5,20 @@ compare them after every operation with the parent-link oracles in
 ``util``, including after pruning has moved subtrees up. A block must
 outlive every pruning step that leaves a point stored under it. Leaf
 recency stamps, and so the leaves a prune removes, must match an oracle
-that stamps every node on each insert's walk.
+that stamps every node on the walk of each insert that is not Blocked.
 
 Each round's points are inserted with the subtree of their bounding box,
 and a twin archive takes the same operations with every walk from the
 root: both must agree on every outcome, tree and stamp. The query box
-must lie in the subtree's box, and the subtree's node must be the deepest
-that holds it. A subtree taken before a prune or block must be refused
-afterwards by ``insert`` and by ``block``, with nothing changed; a point
-outside its box but in the domain is stored as a root walk stores it, and
-a point outside the domain is refused without storing anything. Every
-subtree's cell, the cell every Revisit carries and the cell of every ROI
-must equal the parent-link oracle's bit for bit, and its box must be that
-cell with each upper face a split set moved one float down. A block
-closes a uniformly chosen non-root node, through a Subtree the oracles
-build. After a revisit in a round, the round's points in the revisited
+must lie in the subtree's cell, below each upper face a split set, and
+the subtree's node must be the deepest that holds it. A subtree taken
+before a prune or block must be refused afterwards by ``insert`` and by
+``block``, with nothing changed; a point outside its half-open cell but
+in the domain is stored as a root walk stores it, and a point outside
+the domain is refused without storing anything. Every subtree's cell,
+the cell every Revisit carries and the cell of every ROI must equal the
+parent-link oracle's bit for bit. A block closes a uniformly chosen
+non-root node, through a Subtree the oracles build. After a revisit in a round, the round's points in the revisited
 leaf's closed cell, the cell's corners, points on each of its faces and
 points one float outside each face are inserted with that cell.
 
@@ -95,30 +94,29 @@ def root_walk(ar, x):
 
 
 def check_cell(ar, cell):
-    """A Subtree's cell and depth equal the parent-link oracle's, and its
-    box is that cell with each upper face a split set moved one float down."""
+    """A Subtree's cell and depth equal the parent-link oracle's."""
     lo, hi = walk_region(ar, cell.node)
     assert same_bits(cell.lower, lo) and same_bits(cell.upper, hi)
-    assert same_bits(cell.box_upper, [h if h == top else np.nextafter(h, -np.inf)
-                                      for h, top in zip(hi, ar.domain.upper)])
     assert cell.depth == depth_of(cell.node)
 
 
 def check_query_box(ar, within, lo, hi):
-    """``subtree(lo, hi)``'s box holds the query box, and its node is the
-    deepest whose cell holds it: a leaf, a blocked node or a split the
-    query box straddles."""
+    """``subtree(lo, hi)``'s cell holds the query box, which lies below
+    each upper face a split set, and its node is the deepest whose cell
+    holds it: a leaf, a blocked node or a split the query box straddles."""
     check_cell(ar, within)
-    assert (np.array(within.lower) <= lo).all() and (hi <= np.array(within.box_upper)).all()
+    assert (np.array(within.lower) <= lo).all()
+    assert all(h < u or h == u == top for h, u, top in zip(hi, within.upper, ar.domain.upper))
     node = within.node
     if node.below is not None and not node.blocked:
         assert lo[node.split_dim] < node.split_value <= hi[node.split_dim]
 
 
 class WalkStamps:
-    """LRU stamps as first written: each insert stamps every node on its
-    walk from the root, and a split stamps both new leaves. Prune reads
-    leaf stamps only, so on leaves they must equal the archive's.
+    """LRU stamps as first written: each insert that is not Blocked ticks
+    the clock and stamps every node on its walk from the root, and a split
+    stamps both new leaves; a Blocked one ticks and stamps nothing. Prune
+    reads leaf stamps only, so on leaves they must equal the archive's.
 
     Every insert is repeated on ``twin``, a second archive that always
     walks from the root, and must end the same way there."""
@@ -136,13 +134,16 @@ class WalkStamps:
         return self.stamps[id(node)][1]
 
     def insert(self, coords, within=None):
-        self.clock += 1
-        node = self.archive.root
-        self._stamp(node)
-        while not node.blocked and node.below is not None:
-            node = node.below if coords[node.split_dim] < node.split_value else node.above
-            self._stamp(node)
+        path = [self.archive.root]
+        while not path[-1].blocked and path[-1].below is not None:
+            node = path[-1]
+            path.append(node.below if coords[node.split_dim] < node.split_value else node.above)
         outcome = self.archive.insert(np.asarray(coords, dtype=float), within=within)
+        assert isinstance(outcome, Blocked) == path[-1].blocked
+        if not path[-1].blocked:
+            self.clock += 1
+            for node in path:
+                self._stamp(node)
         if isinstance(outcome, NewLeaf) and outcome.depth > 0:
             parent = outcome.node.parent
             for child in (parent.below, parent.above):
@@ -181,8 +182,8 @@ def insert_in_cell(oracle, cell, points):
     """Insert with a Revisit's ``cell`` every point of ``points`` in its
     closed cell, the cell's two corners, the revisited point moved onto
     each face, and one float past each face. A point on an upper face a
-    split set lies outside the box, and a root walk sends it past the
-    cell's node."""
+    split set lies outside the half-open cell, and a root walk sends it
+    past the cell's node."""
     ar = oracle.archive
     lo, hi = cell.lower, cell.upper
     stored = cell.node.point.coords.tolist()
@@ -228,7 +229,7 @@ def check_invariants(ar, oracle, blocked_points, rng):
     depths = [int(line.split(" ", 1)[0]) for line in dump.splitlines()]
     assert depths == [depth_of(node) for node in preorder(ar.root)]
     # a stored point is blocked exactly when it was under a blocked node at
-    # the time of the block; a Blocked insert only refreshes recency
+    # the time of the block; a Blocked insert changes nothing
     for leaf in leaves:
         outcome = oracle.insert(leaf.point.coords)
         if id(leaf.point) in blocked_points:

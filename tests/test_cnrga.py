@@ -4,8 +4,7 @@ import pytest
 from histarch import (BspArchive, NewLeaf, Region, Revisit, SearchPoint,
                       evaluate_via_archive, generations, maybe_prune, run_algorithm)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
-from histarch.cnrga import (LRU_CAPACITY, MAX_BLOCKED_DRAWS, MAX_REVISIT_RETRIES, crossover_pair,
-                            tournament_pick)
+from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
 from histarch.hr import run_cnrga
 from util import (LoggingProblem, RootWalkArchive, ScriptedRng, record_digest,
                   ref_crossover_pair, ref_tournament_pick, same_rng_state, spy_on_parents,
@@ -72,10 +71,9 @@ def test_whole_domain_blocked_signals_exhaustion():
     ar.block(subtree_of(ar, ar.root))
     n_points, clock, dump, used = _archive_state(ar, ev)
     assert evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng) is None
-    # each of the 1 + MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS inserts ticks
-    # the LRU clock, as every walk stamps the node it ends at
-    assert _archive_state(ar, ev) == (n_points, clock + 1 + MAX_REVISIT_RETRIES
-                                      + MAX_BLOCKED_DRAWS, dump, used)
+    # none of the 1 + MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS Blocked inserts
+    # ticks the LRU clock or stamps a node
+    assert _archive_state(ar, ev) == (n_points, clock, dump, used)
 
 
 def test_no_budget_left_ends_before_any_insert():
@@ -315,8 +313,9 @@ def test_children_from_parents_subtree_match_root_walks(algo, monkeypatch):
 
 @pytest.mark.parametrize("algo", ["cnrga", "hr"])
 def test_inserts_given_a_subtree_start_at_its_node(algo, monkeypatch):
-    # A point whose walk from the root passes through the subtree's node
-    # lies in the subtree's box, so insert starts at that node. The only
+    # A point takes the subtree start exactly when it lies in the half-open
+    # cell [lower, upper). A point whose root walk passes the node without
+    # that lies on a top face of the domain; this run has none. The only
     # points that walk from the root are revisit redraws that rounded onto
     # an upper face of the leaf's cell that a split set.
     starts = []  # (point's root walk passes the node, given the last Revisit's cell)
@@ -330,8 +329,8 @@ def test_inserts_given_a_subtree_start_at_its_node(algo, monkeypatch):
             while node is not within.node and node.below is not None:
                 node = node.below if x[node.split_dim] < node.split_value else node.above
             passes, redraw = node is within.node, within is last_cell[0]
-            in_box = all(lo <= v <= hi for lo, v, hi in zip(within.lower, x, within.box_upper))
-            assert in_box == passes
+            in_cell = all(lo <= v < hi for lo, v, hi in zip(within.lower, x, within.upper))
+            assert in_cell == passes
             if not passes:
                 assert redraw
                 assert any(v == hi < top for v, hi, top in

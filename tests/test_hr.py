@@ -44,7 +44,7 @@ def roi_of(seed_coords, lower, upper):
     lower, upper = tuple(map(float, lower)), tuple(map(float, upper))
     seeds = [SearchPoint(np.asarray(c, float), 0.0, i)
              for i, c in enumerate(seed_coords)]
-    return RoiSuggestion(Subtree(None, 0, lower, upper, upper, None), seeds)
+    return RoiSuggestion(Subtree(None, 0, lower, upper, None), seeds)
 
 
 def test_seed_mean_and_sigma_from_region():

@@ -75,12 +75,10 @@ def walk_region(archive, node):
 
 def subtree_of(archive, node):
     """``node``'s Subtree, built from the oracles: its ``walk_region`` cell,
-    its ``depth_of`` depth, the box with every upper face below the
-    domain's moved one float down, and the archive's current epoch."""
+    its ``depth_of`` depth and the archive's current epoch."""
     lo, hi = walk_region(archive, node)
-    box_upper = np.where(hi == archive.domain.upper, hi, np.nextafter(hi, -np.inf))
     return Subtree(node, depth_of(node), tuple(lo.tolist()), tuple(hi.tolist()),
-                   tuple(box_upper.tolist()), archive._epoch)
+                   archive._epoch)
 
 
 def leaf_cells(archive):

@@ -25,11 +25,13 @@ prints the median and the quartiles q1-q3 over the runs, how many pairs
 the change won (ties count for neither side) and a verdict:
 
 - ``regression``: the change's median is worse than the base's by more
-  than the metric's ``bound`` (a fraction of the base median);
+  than the metric's ``bound`` (a fraction of the base median), and at
+  least ten pairs ran or every run of the change reads worse than every
+  run of the base;
 - ``gain``: at least ten pairs ran, the change won at least nine tenths
   of them and the medians differ by more than the base's q1-q3 spread;
-- ``unresolved``: the runs would read ``gain`` but fewer than ten pairs
-  ran, too few for the nine-tenths rule to tell a gain from luck; or the
+- ``unresolved``: the runs would read ``regression`` or ``gain`` but
+  fewer than ten pairs ran, too few to tell either from luck; or the
   base's q1-q3 spread is wider than the bound, so the runs cannot tell a
   change within the bound from noise, unless every run of the change
   reads better than every run of the base;
@@ -53,8 +55,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the fewest pairs from which the nine-tenths rule may read a gain
-MIN_GAIN_PAIRS = 10
+# the fewest pairs from which the median alone may read a regression, and
+# the nine-tenths rule a gain
+MIN_PAIRS = 10
 FINGERPRINT = re.compile(r"^fingerprint (\S+) seed \d+: ([0-9a-f]+)$", re.MULTILINE)
 
 
@@ -116,10 +119,12 @@ def verdict(base: list[float], change: list[float], won: int, higher: bool,
     gained = statistics.median(change) - base_median
     if not higher:
         gained = -gained
+    enough = len(change) >= MIN_PAIRS
     if -gained > bound * abs(base_median):
-        return "regression"
+        always_worse = max(change) < min(base) if higher else min(change) > max(base)
+        return "regression" if enough or always_worse else "unresolved"
     if 10 * won >= 9 * len(change) and gained > q3 - q1:
-        return "gain" if len(change) >= MIN_GAIN_PAIRS else "unresolved"
+        return "gain" if enough else "unresolved"
     always_better = min(change) > max(base) if higher else max(change) < min(base)
     if q3 - q1 > bound * abs(base_median) and not always_better:
         return "unresolved"
