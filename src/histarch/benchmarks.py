@@ -72,7 +72,7 @@ class BudgetedEvaluator:
     Calling the evaluator evaluates one point; ``evaluate_batch`` evaluates
     a block of points in one ``problem.f`` call and then accounts each row
     through ``__call__``, so every evaluation passes ``__call__`` once, in
-    order.
+    order. Each evaluates all it is handed, or raises and changes nothing.
     """
 
     def __init__(self, problem: Problem, budget: int):
@@ -126,36 +126,34 @@ class BudgetedEvaluator:
         return value
 
     def evaluate_batch(self, block) -> np.ndarray:
-        """Evaluate the rows of an (n, D) block, at most ``remaining`` of
-        them, in one ``problem.f`` call; returns their values, as
-        ``__call__`` returns them, in row order.
+        """Evaluate every row of an (n, D) block in one ``problem.f`` call,
+        then account each, in order, through ``__call__``; returns their
+        values as ``__call__`` returns them.
 
-        The first ``remaining`` rows are box-tested with one array
-        comparison, and the rows before the first one outside the box (a
-        NaN row included) are evaluated together and then accounted one
-        by one, in order, through ``__call__``. A row outside the box then
-        raises DomainError, after the rows before it are counted;
-        ``problem.f`` never sees it. A block of the wrong shape raises
-        InputError before anything is evaluated; on a spent budget nothing
-        is. The objective must map the rows to n values.
-        """
+        A block is refused whole, before ``problem.f`` runs or anything is
+        counted: a wrong shape raises InputError, more rows than
+        ``remaining`` BudgetExhaustedError (``cma_run`` slices its last
+        generation to ``remaining``), and a row outside the box, NaN and
+        +-inf included, DomainError. The objective must map n rows to n
+        values."""
         block = np.ascontiguousarray(block, dtype=float)
         if block.shape[1:] != self._shape:
             raise _shape_error(len(self._lower), block.shape)
-        rows = block[:self.remaining]
+        n = len(block)
+        if n > self.remaining:
+            raise BudgetExhaustedError(f"{n} rows exceed the {self.remaining} evaluations "
+                                       f"left on {self.problem.name}")
         lower, upper = self._box
         # written as "inside" so that NaN rows count as outside
-        inside = np.logical_and.reduce((rows >= lower) & (rows <= upper), axis=1)
-        n = len(rows) if np.logical_and.reduce(inside) else int(inside.argmin())
-        values = np.asarray(self.problem.f(rows[:n]), dtype=float) if n else np.empty(0)
+        inside = np.logical_and.reduce((block >= lower) & (block <= upper), axis=1)
+        if not np.logical_and.reduce(inside):
+            raise DomainError(f"row {int(inside.argmin())} of the block lies outside the "
+                              f"domain of {self.problem.name}")
+        values = np.asarray(self.problem.f(block), dtype=float) if n else np.empty(0)
         if values.shape != (n,):
             raise InputError(f"the objective of {self.problem.name} mapped {n} rows "
                              f"to shape {values.shape}, not ({n},)")
-        fits = np.array([self(row, value=v) for row, v in zip(rows, values.tolist())])
-        if n < len(rows):
-            raise DomainError(f"row {n} of the block lies outside the domain of "
-                              f"{self.problem.name}")
-        return fits
+        return np.array([self(row, value=v) for row, v in zip(block, values.tolist())])
 
 
 # -- base functions ----------------------------------------------------

@@ -294,18 +294,18 @@ def cma_run(state: CmaState, evaluator, rng: np.random.Generator) -> StopReason:
     ``evaluator`` must expose ``evaluate_batch`` and ``remaining``, as a
     ``BudgetedEvaluator`` does, and the run is entered with budget left.
     Each generation is one ``evaluate_batch`` call on the (lambda, D)
-    candidates. Never raises on budget: the generation that spends the
-    last evaluation, whole or cut to its first ``remaining`` rows, ends the
-    run as BUDGET_EXHAUSTED before any update. Each generation decomposes
-    the covariance once, in ``cma_check_stop``; ``cma_sample`` and
-    ``cma_update`` read that decomposition.
+    candidates, cut here to their first ``remaining`` rows: the one budget
+    cut, so the run never raises on budget. The generation that spends the
+    last evaluation ends the run as BUDGET_EXHAUSTED before any update.
+    Each generation decomposes the covariance once, in ``cma_check_stop``;
+    ``cma_sample`` and ``cma_update`` read that decomposition.
     """
     while True:
         stop = cma_check_stop(state)
         if stop is not None:
             return stop
         candidates = cma_sample(state, rng)
-        fits = evaluator.evaluate_batch(candidates)
+        fits = evaluator.evaluate_batch(candidates[:evaluator.remaining])
         if evaluator.remaining == 0:
             return StopReason.BUDGET_EXHAUSTED
         cma_update(state, candidates, fits)

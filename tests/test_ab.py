@@ -1,4 +1,5 @@
-"""``tools/ab.py --report`` rebuilds the A/B table from a run log."""
+"""``tools/ab.py --report`` rebuilds the A/B table from a run log, and
+sets the verdicts of several logs of one workload side by side."""
 
 import importlib.util
 import json
@@ -35,8 +36,8 @@ def result(values, side):
             "fingerprints": {"hr_cmaes_10d": "f55b"}}
 
 
-def write_log(path, pairs, cut_last=False):
-    lines = [{"workload": "hr_cmaes_10d", "base": "0" * 40, "seed": 0, "seconds": 15,
+def write_log(path, pairs, cut_last=False, workload="hr_cmaes_10d"):
+    lines = [{"workload": workload, "base": "0" * 40, "seed": 0, "seconds": 15,
               "pairs": len(pairs)}]
     for i, values in enumerate(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -88,6 +89,35 @@ def test_report_keeps_only_complete_pairs(tmp_path, capsys):
     write_log(log, PAIRS, cut_last=True)
     assert ab.main(["--report", str(log)]) == 0
     assert table(capsys.readouterr().out)["evals_per_s"] == ("9/9", "unresolved")
+
+
+def test_report_of_several_logs_prints_each_table_then_each_metrics_verdicts(
+        tmp_path, capsys):
+    # a repeat cut in its last pair reads the first log's gain as
+    # unresolved, and the summary line of evals_per_s shows both verdicts
+    logs = [tmp_path / "first.jsonl", tmp_path / "repeat.jsonl"]
+    write_log(logs[0], PAIRS)
+    write_log(logs[1], PAIRS, cut_last=True)
+    assert ab.main(["--report", *map(str, logs)]) == 0
+    out = capsys.readouterr().out
+    tables, summary = out.split("verdicts of the 2 logs, in order:\n")
+    assert [line for line in tables.splitlines() if line.startswith("log ")] == \
+        [f"log {log}" for log in logs]
+    assert tables.count("fingerprints: match") == 2
+    rows = dict(line.split(None, 1) for line in summary.splitlines())
+    assert rows == {"evals_per_s": "gain, unresolved",
+                    "run_s_p50": "regression, regression",
+                    "peak_rss_mb": "unresolved, unresolved",
+                    "setup_s": "within bound, within bound"}
+
+
+def test_report_refuses_logs_of_different_workloads(tmp_path, capsys):
+    logs = [tmp_path / "hr.jsonl", tmp_path / "lru.jsonl"]
+    write_log(logs[0], PAIRS)
+    write_log(logs[1], PAIRS, workload="cnrga_lru_10d")
+    with pytest.raises(SystemExit, match="different workloads: cnrga_lru_10d, hr_cmaes_10d"):
+        ab.main(["--report", *map(str, logs)])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("pairs, lost, expected", [

@@ -249,46 +249,54 @@ def spy_evaluator(budget):
 def test_batch_accounts_each_row_as_one_call_would():
     rng = np.random.default_rng(21)
     blocks = [rng.uniform(-1.0, 1.0, (n, 3)) for n in (4, 1, 6)]
+    # the closed box: rows on the lower and upper faces are inside
+    blocks.append(np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 0.5, 1.0]]))
     batched, seen = spy_evaluator(budget=20)
     per_row, _ = spy_evaluator(budget=20)
     for block in blocks:
         values = batched.evaluate_batch(block)
         assert values.tolist() == [per_row(row) for row in block]
-    assert [len(b) for b in seen] == [4, 1, 6]
+    assert [len(b) for b in seen] == [4, 1, 6, 3]
     for name in ("used", "trace", "best", "best_at", "non_finite"):
         assert getattr(batched, name) == getattr(per_row, name), name
     assert np.array_equal(batched.best_coords, per_row.best_coords)
 
 
 def test_batch_straddling_the_budget_evaluates_exactly_the_remaining_rows():
+    # a block with more rows than the budget has left is refused whole; the
+    # caller cuts it to ``remaining``, as cma_run does
     rng = np.random.default_rng(22)
     ev, seen = spy_evaluator(budget=7)
     ev.evaluate_batch(rng.uniform(-1.0, 1.0, (4, 3)))
     block = rng.uniform(-1.0, 1.0, (5, 3))
-    values = ev.evaluate_batch(block)
+    state = (ev.used, list(ev.trace), ev.best, ev.best_at)
+    with pytest.raises(BudgetExhaustedError):
+        ev.evaluate_batch(block)
+    assert (ev.used, ev.trace, ev.best, ev.best_at) == state and len(seen) == 1
+    values = ev.evaluate_batch(block[:3])
     assert ev.used == 7 and ev.remaining == 0
     assert len(values) == 3
     assert np.array_equal(seen[-1], block[:3])
-    # a spent budget evaluates nothing
-    assert ev.evaluate_batch(block).shape == (0,)
+    # a spent budget refuses any non-empty block
+    for n in (1, 5):
+        with pytest.raises(BudgetExhaustedError):
+            ev.evaluate_batch(block[:n])
     assert len(seen) == 2 and ev.used == 7
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -np.inf], ids=["nan", "outside", "minus_inf"])
 @pytest.mark.parametrize("at", [0, 2, 4])
 def test_batch_row_outside_the_box_raises_after_counting_the_rows_before_it(bad, at):
+    # the block is refused whole: none of the rows before ``at`` is counted,
+    # and the message names the first row outside
     block = np.random.default_rng(23).uniform(-1.0, 1.0, (5, 3))
     block[at, 1] = bad
     if at < 4:
-        block[4, 2] = 2.0  # a later row outside is never reached
+        block[4, 2] = 2.0  # a later row outside is not the one named
     ev, seen = spy_evaluator(budget=10)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=f"^row {at} of the block lies outside"):
         ev.evaluate_batch(block)
-    assert ev.used == at
-    if at:
-        assert len(seen) == 1 and np.array_equal(seen[0], block[:at])
-    else:
-        assert seen == []
+    assert ev.used == 0 and seen == []
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,), (2, 4, 3), ()],

@@ -6,6 +6,7 @@ Run from anywhere inside a checkout:
     python3 tools/ab.py --base HEAD~1 --workload cnrga_10d --seed 0 --pairs 10
     python3 tools/ab.py --base main --workload all --seed 1 --pairs 10
     python3 tools/ab.py --report /tmp/ab-cnrga_10d-1a2b3c.jsonl
+    python3 tools/ab.py --report /tmp/ab-cnrga_10d-1a2b3c.jsonl /tmp/ab-cnrga_10d-4d5e6f.jsonl
 
 The change side is this checkout's working tree, uncommitted edits
 included. The base side is ``git archive`` of ``--base`` unpacked into a
@@ -18,7 +19,11 @@ so drift in the host's speed falls on both sides alike. Each run's result
 is appended to a JSON-lines log in the system's temporary directory as
 soon as it arrives, and the log's path is printed first; ``--report LOG``
 prints the table again from such a log, of a finished or an interrupted
-comparison (complete pairs only), without running anything.
+comparison (complete pairs only), without running anything. Given several
+logs of one workload, say repeats of one comparison, ``--report`` prints
+each log's table in turn and then one line per end-to-end metric with the
+verdict each log read, so a verdict that one repeat reads and another
+does not shows at a glance; logs of different workloads are an error.
 
 For each side and each end-to-end metric of ``BENCHMARK.json`` the script
 prints the median and the quartiles q1-q3 over the runs, how many pairs
@@ -131,8 +136,10 @@ def verdict(base: list[float], change: list[float], won: int, higher: bool,
     return "within bound"
 
 
-def report(runs: dict, end_to_end: list[dict], workload: str) -> None:
+def report(runs: dict, end_to_end: list[dict], workload: str) -> dict[str, str]:
+    """Print the table of one comparison; returns each metric's verdict."""
     pairs = len(runs["change"])
+    verdicts = {}
     print(f"\n{'metric':<34} {'better':<7} {'base median [q1-q3]':<32} "
           f"{'change median [q1-q3]':<32} {'change won':<11} verdict")
     for spec in end_to_end:
@@ -146,9 +153,9 @@ def report(runs: dict, end_to_end: list[dict], workload: str) -> None:
             higher = spec["better"] == "higher"
             won = sum((c > b) if higher else (c < b)
                       for b, c in zip(sides["base"], sides["change"]))
+            verdicts[key] = verdict(sides["base"], sides["change"], won, higher, spec["bound"])
             print(f"{key:<34} {spec['better']:<7} {cells[0]:<32} {cells[1]:<32} "
-                  f"{f'{won}/{pairs}':<11} "
-                  f"{verdict(sides['base'], sides['change'], won, higher, spec['bound'])}")
+                  f"{f'{won}/{pairs}':<11} {verdicts[key]}")
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
@@ -161,6 +168,7 @@ def report(runs: dict, end_to_end: list[dict], workload: str) -> None:
     print(f"fingerprints: {agreement}")
     for name, digest in sorted(json.loads(min(prints)).items()):
         print(f"  {name}: {digest}")
+    return verdicts
 
 
 def read_log(path: Path) -> tuple[str, dict]:
@@ -184,13 +192,26 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", help="perfbench workload, or all")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--pairs", type=int)
-    parser.add_argument("--report", metavar="LOG", type=Path,
-                        help="print the table from a log of an earlier run and exit")
+    parser.add_argument("--report", metavar="LOG", type=Path, nargs="+",
+                        help="print the table from each log of an earlier run of one "
+                             "workload, then each metric's verdicts, and exit")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.report is not None:
-        workload, runs = read_log(args.report)
-        report(runs, benchmark["end_to_end"], workload)
+        logs = [read_log(path) for path in args.report]
+        workloads = {workload for workload, _ in logs}
+        if len(workloads) > 1:
+            raise SystemExit(f"error: the logs hold different workloads: "
+                             f"{', '.join(sorted(workloads))}")
+        verdicts = []
+        for path, (workload, runs) in zip(args.report, logs):
+            if len(logs) > 1:
+                print(f"\nlog {path}")
+            verdicts.append(report(runs, benchmark["end_to_end"], workload))
+        if len(logs) > 1:
+            print(f"\nverdicts of the {len(logs)} logs, in order:")
+            for key in verdicts[0]:
+                print(f"{key:<34} {', '.join(v[key] for v in verdicts)}")
         return 0
     for name in ("base", "workload", "seed", "pairs"):
         if getattr(args, name) is None:
