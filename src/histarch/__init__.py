@@ -13,7 +13,7 @@ from .bsp import (Blocked, BspArchive, BspNode, NewLeaf, Region, Revisit,
                   RoiSuggestion, SearchPoint, Subtree, uniform_point)
 from .cmaes import (CmaState, StopReason, cma_check_stop, cma_init, cma_run,
                     cma_sample, cma_update, default_lambda, stagnation_window)
-from .cnrga import evaluate_via_archive, generations, maybe_prune
+from .cnrga import generations, maybe_prune, store_via_archive
 from .errors import (BudgetExhaustedError, DomainError, HistarchError,
                      InputError, ParameterError, StructuralError)
 from .harness import ExperimentConfig, ExperimentResult, recompute_stats, run_experiment

@@ -11,10 +11,13 @@ revisit's redraw with the revisited leaf's (``Revisit.cell``); the
 archive starts each walk there or, for a point outside that subtree's
 half-open cell, at the root. Domain redraws and the initial uniform
 population walk from the root.
-``generations`` is the GA's only loop and ends by itself where
-``evaluate_via_archive`` returns None, on a spent budget or a full
-archive: the cNrGA baselines drain every generation, and the hybrid
-leaves one at the first leaf that fires the ROI query.
+``store_via_archive`` stores a candidate and evaluates nothing; a
+generation evaluates the points it stored in one
+``BudgetedEvaluator.evaluate_batch`` call, in insertion order, when it
+ends, and so evaluates each stored point exactly once.
+``generations`` is the GA's only loop and ends by itself on a spent
+budget or a full archive: the cNrGA baselines drain every generation,
+and the hybrid leaves one at the first leaf that fires the ROI query.
 ``maybe_prune`` halves the archive once it holds LRU_CAPACITY points;
 only the cNrGA-LRU baseline's driver calls it, before each generation. The
 hybrid's explorer and both cNrGA baselines run the same GA: POP_SIZE and
@@ -40,29 +43,24 @@ LRU_CAPACITY = 10_000
 LRU_FRACTION = 0.5
 
 
-def evaluate_via_archive(coords, archive: BspArchive, evaluator, rng,
-                         within: Subtree | None = None) -> NewLeaf | None:
-    """Insert, dodge revisits and blocked cells, evaluate exactly once.
+def store_via_archive(coords, archive: BspArchive, rng,
+                      within: Subtree | None = None) -> NewLeaf | None:
+    """Insert, dodge revisits and blocked cells, store exactly once.
 
     The first insert is given ``within`` (see ``BspArchive.insert``). A
     revisit is replaced by a uniform draw from the revisited leaf's cell,
     inserted with that cell (``Revisit.cell``); after MAX_REVISIT_RETRIES
     consecutive revisits, by a uniform domain draw, as is a blocked
-    outcome. Returns the NewLeaf, whose ``node.point`` was evaluated, or
-    None, having evaluated and stored nothing, when no evaluation is left
-    or when MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws in a row
-    stored nothing: blocked cells cover the domain, or every free cell is
-    too small to split in floating point. ``evaluator`` must be callable
-    and expose ``remaining``.
+    outcome. Returns the NewLeaf, whose ``node.point`` is stored with a
+    NaN fitness and is not evaluated, or None, having stored nothing, when
+    MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws in a row stored
+    nothing: blocked cells cover the domain, or every free cell is too
+    small to split in floating point.
     """
-    if evaluator.remaining <= 0:
-        return None
     revisit_streak = 0
     for _ in range(MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS + 1):
         outcome = archive.insert(coords, within)
         if isinstance(outcome, NewLeaf):
-            point = outcome.node.point
-            point.fitness = evaluator(point.coords)
             return outcome
         revisit_streak = 0 if isinstance(outcome, Blocked) else revisit_streak + 1
         if 0 < revisit_streak <= MAX_REVISIT_RETRIES:
@@ -104,13 +102,24 @@ def generations(archive: BspArchive, evaluator, rng):
     The first generation is POP_SIZE uniform domain draws; each later
     one is POP_SIZE - 1 crossover children of the population, whose
     best individual completes the next. Each pair's crossover is drawn
-    before either child is evaluated, so a short last pair still consumes
-    the RNG for its discarded second child. The population is replaced
-    once a generation has all its members: one the caller leaves before
-    that is bred again from the same parents (the initial one is drawn
-    again), and the points it evaluated stay in the archive.
-    The GA ends where ``evaluate_via_archive`` returns None for a drawn
-    candidate, on a spent budget or a full archive: no generation follows.
+    before either child is stored, so a short last pair still consumes
+    the RNG for its discarded second child. A generation yields each
+    point it stores as it stores it, with a NaN fitness; when it ends,
+    drained, on a spent budget, on a full archive or closed by its caller,
+    it evaluates every point it stored in one ``evaluate_batch`` call, in
+    insertion order, and sets each point's fitness. This generator closes
+    each generation before it tests the budget or breeds the next one; a
+    caller that leaves a generation and reads the evaluator or the
+    fitnesses first closes it itself. The population is replaced once a
+    generation has all its members: one the caller leaves before that is
+    bred again from the same parents (the initial one is drawn again),
+    and the points it stored stay in the archive, evaluated.
+    The GA ends before a candidate when the points a generation stored
+    equal the evaluations left, or when ``store_via_archive`` returns
+    None for it on a full archive: no generation follows.
+    An objective that raises leaves the points its generation stored in
+    the archive with a NaN fitness, and ``evaluator.used`` counts none of
+    them; the error ends the run.
     Children are routed from the subtree of their parents' bounding box,
     taken when the generation is first iterated, so after whatever the
     caller did to the archive between generations.
@@ -123,13 +132,25 @@ def generations(archive: BspArchive, evaluator, rng):
         if parents:
             genes = np.array([p.coords for p in parents])
             within = archive.subtree(genes.min(axis=0), genes.max(axis=0))
-        for coords in candidates:
-            leaf = evaluate_via_archive(coords, archive, evaluator, rng, within)
-            if leaf is None:
-                ended = True
-                return
-            population.append(leaf.node.point)
-            yield leaf
+        start = len(population)  # after the elite, which an earlier generation evaluated
+        try:
+            for coords in candidates:
+                # the budget gate: once the points stored take every
+                # evaluation left, the GA ends before this candidate
+                leaf = None
+                if len(population) - start < evaluator.remaining:
+                    leaf = store_via_archive(coords, archive, rng, within)
+                if leaf is None:
+                    ended = True
+                    return
+                population.append(leaf.node.point)
+                yield leaf
+        finally:
+            stored = population[start:]
+            if stored:
+                values = evaluator.evaluate_batch([p.coords for p in stored])
+                for point, value in zip(stored, values.tolist()):
+                    point.fitness = value
 
     def children_of(parents):
         for left in range(POP_SIZE - 1, 0, -2):
@@ -137,7 +158,8 @@ def generations(archive: BspArchive, evaluator, rng):
 
     parents = []
     # the budget test ends the GA after a generation that completed on the
-    # last evaluation and so saw no None: the LRU driver would prune at another
+    # last evaluation and so met no budget gate: the LRU driver would prune
+    # at another
     while evaluator.remaining and not ended:
         if parents:
             population = [min(parents, key=lambda p: p.fitness)]
@@ -145,7 +167,9 @@ def generations(archive: BspArchive, evaluator, rng):
         else:
             population = []
             candidates = (uniform_point(*archive.domain.bounds, rng) for _ in range(POP_SIZE))
-        yield evaluated(candidates, population, parents)
+        generation = evaluated(candidates, population, parents)
+        yield generation
+        generation.close()
         if len(population) == POP_SIZE:
             parents = population
 

@@ -4,17 +4,18 @@ The hybrid runs the non-revisiting GA (``cnrga.generations``) as its
 explorer and asks the archive (``roi_trigger``) about each leaf the GA
 adds. When a leaf lands at depth lv+k, with (lv, k) derived from the
 budget and the CMA-ES population size, the GA leaves its generation at
-that leaf. The region of interest is the cell of the leaf's depth-lv
-ancestor, a ``Subtree``: the leaf points under it seed a CMA-ES state,
-whose initial step size its longest side sets, and one ``cma_run``
-exploits it out of the shared evaluation budget. CMA-ES candidates are
-evaluated directly and never inserted into the archive, so the
-blocked-cell bookkeeping stays a statement about the explorer only. When
-CMA-ES stops, the archive blocks the ROI's cell and the GA breeds an
-unfinished generation again from the same parents (the initial
-population is drawn again). An ROI that fires on the last evaluation is
-neither exploited nor blocked. The run ends when the GA does, and
-``_finalize``, every driver's one tail, closes the record.
+that leaf and closes it, so the points the generation stored are
+evaluated before CMA-ES starts. The region of interest is the cell of
+the leaf's depth-lv ancestor, a ``Subtree``: the leaf points under it
+seed a CMA-ES state, whose initial step size its longest side sets, and
+one ``cma_run`` exploits it out of the shared evaluation budget. CMA-ES
+candidates are evaluated directly and never inserted into the archive,
+so the blocked-cell bookkeeping stays a statement about the explorer
+only. When CMA-ES stops, the archive blocks the ROI's cell and the GA
+breeds an unfinished generation again from the same parents (the
+initial population is drawn again). An ROI that fires on the last
+evaluation is neither exploited nor blocked. The run ends when the GA
+does, and ``_finalize``, every driver's one tail, closes the record.
 """
 
 from __future__ import annotations
@@ -111,10 +112,12 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
     for generation in generations(archive, evaluator, rng):
         # the GA stops at the first leaf that fires the ROI query and,
         # unless that leaf completed the generation, breeds it again after
-        # the exploit phase; an ROI found once the budget is gone is
-        # neither exploited nor blocked
+        # the exploit phase; the generation is closed, and so evaluated,
+        # before the budget is read or CMA-ES starts, and an ROI found once
+        # the budget is gone is neither exploited nor blocked
         roi = next(filter(None, (archive.roi_trigger(leaf, lv, k)
                                  for leaf in generation)), None)
+        generation.close()
         if roi is None or evaluator.remaining == 0:
             continue
         _close_phase(phases, EXPLORE, evaluator.used)

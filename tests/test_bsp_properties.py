@@ -37,7 +37,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from histarch import (Blocked, BspArchive, DomainError, InputError, NewLeaf, Problem, Region,
-                      Revisit, StructuralError, evaluate_via_archive)
+                      Revisit, StructuralError, store_via_archive)
 from histarch.benchmarks import BudgetedEvaluator, sphere
 from histarch.bsp import _in_box
 from util import (RootWalkArchive, ScriptedRng, depth_of, leaf_cells, locate_brute,
@@ -320,15 +320,13 @@ def test_cell_draw_on_a_split_face_walks_from_the_root():
     # 3.25 + 1.75 * (1 - 2**-53) to exactly 5.0, which a root walk sends
     # above the split, into (8, 6)'s cell.
     domain = Region(np.zeros(2), np.full(2, 10.0))
-    problem = Problem("sphere", domain, sphere, 0.0, "unimodal", np.zeros(2))
     archives, points = [], []
     for archive in (BspArchive(domain), RootWalkArchive(domain)):
-        ev = BudgetedEvaluator(problem, 10)
         rng = np.random.default_rng(0)
         for coords in ([2.0, 5.0], [8.0, 6.0], [4.5, 5.0]):
-            evaluate_via_archive(np.array(coords), archive, ev, rng)
+            store_via_archive(np.array(coords), archive, rng)
         rigged = ScriptedRng([np.nextafter(1.0, 0.0), 0.5], n=1)
-        points.append(evaluate_via_archive(np.array([4.5, 5.0]), archive, ev, rigged))
+        points.append(store_via_archive(np.array([4.5, 5.0]), archive, rigged))
         archives.append(archive)
     fast, ref = points
     assert fast.node.point.coords.tolist() == [5.0, 5.0]

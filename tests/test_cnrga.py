@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from histarch import (BspArchive, NewLeaf, Region, Revisit, SearchPoint,
-                      evaluate_via_archive, generations, maybe_prune, run_algorithm)
+from histarch import (BspArchive, NewLeaf, Region, Revisit, SearchPoint, generations,
+                      maybe_prune, run_algorithm, store_via_archive, uniform_point)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
+from histarch.cmaes import cma_run
 from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
 from histarch.hr import run_cnrga
 from util import (LoggingProblem, RootWalkArchive, ScriptedRng, record_digest,
@@ -17,87 +18,87 @@ def box_problem(dim=2, lo=0.0, hi=10.0, f=sphere, name="box"):
                    "unimodal", np.zeros(dim))
 
 
-def test_fresh_archive_single_evaluation():
+def test_fresh_archive_stores_at_the_root_unevaluated():
     problem = box_problem()
-    ev = BudgetedEvaluator(problem, 10)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(0)
-    leaf = evaluate_via_archive(np.array([3.0, 4.0]), ar, ev, rng)
+    leaf = store_via_archive(np.array([3.0, 4.0]), ar, rng)
     assert isinstance(leaf, NewLeaf) and leaf.node is ar.root and leaf.depth == 0
     point = leaf.node.point
-    assert ev.used == 1
-    assert point.fitness == 25.0
+    assert ar.n_points == 1
+    assert np.isnan(point.fitness)
     assert np.array_equal(point.coords, [3.0, 4.0])
 
 
 def test_duplicate_is_replaced_by_mutant_in_leaf_cell():
     problem = box_problem()
-    ev = BudgetedEvaluator(problem, 10)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(1)
-    evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
-    evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
+    store_via_archive(np.array([2.0, 5.0]), ar, rng)
+    store_via_archive(np.array([8.0, 6.0]), ar, rng)
     cell = Region(*walk_region(ar, ar.root.below))  # leaf currently holding (2, 5)
-    point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng).node.point
-    assert ev.used == 3  # one evaluation despite the revisit
+    point = store_via_archive(np.array([2.0, 5.0]), ar, rng).node.point
+    assert ar.n_points == 3  # one stored point despite the revisit
     assert np.abs(point.coords - np.array([2.0, 5.0])).max() > 0
     assert cell.contains(point.coords)
 
 
 def test_blocked_half_redirects_everything_right():
     problem = box_problem()
-    ev = BudgetedEvaluator(problem, 20_000)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(2)
-    evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
-    evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
+    store_via_archive(np.array([2.0, 5.0]), ar, rng)
+    store_via_archive(np.array([8.0, 6.0]), ar, rng)
     ar.block(subtree_of(ar, ar.root.below))  # left half x < 5
     for _ in range(10_000):
         coords = np.array([rng.uniform(0.0, 5.0), rng.uniform(0.0, 10.0)])
-        point = evaluate_via_archive(coords, ar, ev, rng).node.point
+        point = store_via_archive(coords, ar, rng).node.point
         assert point.coords[0] >= 5.0
 
 
-def _archive_state(ar, ev):
-    return ar.n_points, ar._clock, ar.dump(), ev.used
+def _archive_state(ar):
+    return ar.n_points, ar._clock, ar.dump()
 
 
 def test_whole_domain_blocked_signals_exhaustion():
     problem = box_problem()
-    ev = BudgetedEvaluator(problem, 10)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(3)
-    evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
+    store_via_archive(np.array([2.0, 5.0]), ar, rng)
     ar.block(subtree_of(ar, ar.root))
-    n_points, clock, dump, used = _archive_state(ar, ev)
-    assert evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng) is None
+    state = _archive_state(ar)
+    assert store_via_archive(np.array([1.0, 1.0]), ar, rng) is None
     # none of the 1 + MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS Blocked inserts
     # ticks the LRU clock or stamps a node
-    assert _archive_state(ar, ev) == (n_points, clock, dump, used)
+    assert _archive_state(ar) == state
 
 
-def test_no_budget_left_ends_before_any_insert():
+def test_no_budget_left_ends_before_any_insert(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 5)
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 2)
     ar = BspArchive(problem.domain)
-    rng = np.random.default_rng(3)
-    evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rng)
-    evaluate_via_archive(np.array([8.0, 6.0]), ar, ev, rng)
-    before, state = rng.bit_generator.state, _archive_state(ar, ev)
-    assert evaluate_via_archive(np.array([1.0, 1.0]), ar, ev, rng) is None
-    assert _archive_state(ar, ev) == state and rng.bit_generator.state == before
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    gens = generations(ar, ev, rng)
+    stored = [leaf.node.point.coords.tolist() for leaf in next(gens)]
+    # the third candidate is drawn, meets the two stored points, which equal
+    # the evaluations left, and ends the GA before its insert
+    drawn = [uniform_point(*problem.domain.bounds, ref) for _ in range(3)]
+    assert stored == drawn[:2]
+    assert ev.used == ar.n_points == ar._clock == 2
+    assert same_rng_state(rng, ref)
+    assert next(gens, None) is None
 
 
 def test_revisit_cascade_falls_back_to_domain_sample():
     problem = box_problem()
-    ev = BudgetedEvaluator(problem, 10)
     ar = BspArchive(problem.domain)
     real = np.random.default_rng(4)
-    evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, real)
+    store_via_archive(np.array([2.0, 5.0]), ar, real)
     # every draw maps to 10 * (0.2, 0.5) == (2, 5) in the one-leaf cell [0, 10]^2
     rigged = ScriptedRng([0.2, 0.5], n=150)
-    point = evaluate_via_archive(np.array([2.0, 5.0]), ar, ev, rigged).node.point
-    assert ev.used == 2
+    point = store_via_archive(np.array([2.0, 5.0]), ar, rigged).node.point
+    assert ar.n_points == 2
     assert np.abs(point.coords - np.array([2.0, 5.0])).max() > 0
 
 
@@ -256,14 +257,22 @@ def test_unfinished_generation_is_bred_again(monkeypatch):
     ev = BudgetedEvaluator(problem, 500)
     ar = BspArchive(problem.domain)
     gens = generations(ar, ev, np.random.default_rng(13))
-    # an unfinished initial population is drawn again in full
-    abandoned = [leaf.node.point for _, leaf in zip(range(7), next(gens))]
+    # an unfinished initial population is drawn again in full; closing the
+    # generation left evaluates the points it stored
+    left = next(gens)
+    abandoned = [leaf.node.point for _, leaf in zip(range(7), left)]
+    assert ev.used == 0 and all(np.isnan(p.fitness) for p in abandoned)
+    left.close()
+    assert ev.used == ar.n_points == 7
     initial = [leaf.node.point for leaf in next(gens)]
     assert len(abandoned) == 7 and len(initial) == 20
     assert ev.used == ar.n_points == 27
     # an unfinished crossover generation is bred again from the same parents
-    for _, _ in zip(range(5), next(gens)):
+    left = next(gens)
+    for _, _ in zip(range(5), left):
         pass
+    left.close()
+    assert ev.used == ar.n_points == 27 + 5
     children = [leaf.node.point for leaf in next(gens)]
     assert len(children) == 19
     assert ev.used == ar.n_points == 27 + 5 + 19
@@ -276,6 +285,135 @@ def test_unfinished_generation_is_bred_again(monkeypatch):
     for (parents, _), (pop, _), new in zip(bred, bred[1:], (children, last)):
         assert pop[0] is min(parents, key=lambda p: p.fitness)
         assert [id(p) for p in pop[1:]] == [id(p) for p in new]
+
+
+def unevaluated(archive):
+    return sum(np.isnan(leaf.point.fitness) for leaf in archive.iter_leaves())
+
+
+def test_each_generation_is_one_objective_call_in_insertion_order(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 10)
+    blocks = []
+
+    def f(x):
+        blocks.append(np.array(x, dtype=float))
+        return rastrigin(x)
+
+    problem = Problem("counting", rastr_problem(2).domain, f, 0.0, "multimodal")
+    ev, ar, completed = run_generations(problem, 95, seed=14)
+    # 10 initial draws, nine generations of 9 children, and 4 of a tenth
+    assert [len(block) for block in blocks] == [len(new) for new in completed]
+    assert [len(new) for new in completed] == [10] + [9] * 9 + [4]
+    for block, new in zip(blocks, completed):
+        assert block.tobytes() == np.array([p.coords for p in new]).tobytes()
+        assert [p.fitness for p in new] == rastrigin(block).tolist()
+    assert ev.used == ar.n_points == 95
+
+
+def test_generation_meeting_the_budget_stores_exactly_the_remaining_points(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 10)
+    problem = rastr_problem(2)
+    ev = BudgetedEvaluator(problem, 16)
+    ar = BspArchive(problem.domain)
+    gens = generations(ar, ev, np.random.default_rng(15))
+    assert len(list(next(gens))) == 10
+    ev.evaluate_batch(np.zeros((3, 2)))  # spent elsewhere, as CMA-ES spends
+    children = [leaf.node.point for leaf in next(gens)]
+    assert len(children) == ev.budget - 10 - 3
+    assert ev.remaining == 0 and ar.n_points == 13
+    assert unevaluated(ar) == 0
+    assert next(gens, None) is None
+
+
+def test_every_generation_is_evaluated_before_the_next(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 10)
+    problem = rastr_problem(2)
+    ev = BudgetedEvaluator(problem, 300)
+    ar = BspArchive(problem.domain)
+    for i, generation in enumerate(generations(ar, ev, np.random.default_rng(16))):
+        # the previous generation, drained or left, is closed by now
+        assert ev.used == ar.n_points and unevaluated(ar) == 0
+        for _ in zip(range(3 + i % 9), generation):
+            pass
+    assert ev.used == ar.n_points == 300 and unevaluated(ar) == 0
+
+
+def test_a_generation_left_full_is_evaluated_before_the_budget_test_and_the_elite(
+        monkeypatch):
+    bred = spy_on_parents(monkeypatch)
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 10)
+    problem = rastr_problem(2)
+    ev = BudgetedEvaluator(problem, 10 + 9 + 9)
+    ar = BspArchive(problem.domain)
+    gens = generations(ar, ev, np.random.default_rng(19))
+    # each generation is left after its last member, never drained, so only
+    # the close in ``generations`` evaluates it
+    for size in (10, 9, 9):
+        assert len([leaf for _, leaf in zip(range(size), next(gens))]) == size
+    assert next(gens, None) is None  # the last one spent the budget
+    assert ev.used == ar.n_points == 28 and unevaluated(ar) == 0
+    (initial, _), (second, _) = bred
+    assert second[0] is min(initial, key=lambda p: p.fitness) is not initial[0]
+
+
+def test_hr_evaluates_the_generation_it_leaves_before_cma_es(monkeypatch):
+    archives, checked, exploited = [], [], [0]
+
+    class Recorded(BspArchive):
+        def __init__(self, domain):
+            super().__init__(domain)
+            archives.append(self)
+
+    def spy(state, evaluator, rng):
+        (ar,) = archives
+        checked.append((evaluator.used - exploited[0], ar.n_points, unevaluated(ar)))
+        used = evaluator.used
+        reason = cma_run(state, evaluator, rng)
+        exploited[0] += evaluator.used - used
+        return reason
+
+    monkeypatch.setattr("histarch.hr.BspArchive", Recorded)
+    monkeypatch.setattr("histarch.hr.cma_run", spy)
+    rec = run_algorithm(rastr_problem(10), "hr", 4000, np.random.default_rng(3))
+    assert len(checked) == sum(p.kind == "exploit" for p in rec.phases) > 0
+    assert all(explored == n_points and nan == 0 for explored, n_points, nan in checked)
+
+
+def test_generation_filling_the_archive_is_evaluated_before_the_ga_ends(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 10)
+    # [1e15, 1e15 + 1] holds 9 floats per axis, so few points fill the archive
+    problem = box_problem(lo=1e15, hi=1e15 + 1.0)
+    ev, ar, completed = run_generations(problem, 1000, seed=17)
+    assert ev.remaining > 0
+    assert 0 < len(completed[-1]) < 9  # ended mid-way, on a full archive
+    assert ev.used == ar.n_points == sum(map(len, completed))
+    assert unevaluated(ar) == 0
+
+
+class _ObjectiveFailure(Exception):
+    pass
+
+
+def test_objective_that_raises_leaves_its_generation_stored_unevaluated(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 10)
+    blocks = [0]
+
+    def f(x):
+        blocks[0] += 1
+        if blocks[0] == 2:
+            raise _ObjectiveFailure
+        return rastrigin(x)
+
+    problem = Problem("raising", rastr_problem(2).domain, f, 0.0, "multimodal")
+    ev = BudgetedEvaluator(problem, 100)
+    ar = BspArchive(problem.domain)
+    with pytest.raises(_ObjectiveFailure):
+        for generation in generations(ar, ev, np.random.default_rng(18)):
+            for _ in generation:
+                pass
+    # the second generation's 9 children stay stored, none of them counted
+    assert ev.used == 10 and ar.n_points == 19
+    assert unevaluated(ar) == 9
 
 
 @pytest.mark.parametrize("algo", ["cnrga", "cnrga_lru", "hr"])
@@ -348,11 +486,10 @@ def test_inserts_given_a_subtree_start_at_its_node(algo, monkeypatch):
 # -- memory management ---------------------------------------------------------
 
 def grow_archive(problem, n, seed=11):
-    ev = BudgetedEvaluator(problem, n + 10)
     ar = BspArchive(problem.domain)
     rng = np.random.default_rng(seed)
     while ar.n_points < n:
-        evaluate_via_archive(uniform_array(problem.domain, rng), ar, ev, rng)
+        store_via_archive(uniform_array(problem.domain, rng), ar, rng)
     return ar
 
 

@@ -6,11 +6,13 @@ its prune hooks, ``iter_leaves`` and ``BspNode.parent`` for the tree
 shape, and it counts calls to ``BudgetedEvaluator.__call__``. A change
 that deletes one of them breaks the benchmark; this test runs one traced
 cycle, and its replay, of each workload to catch that, and checks its
-reconcile checks and its seed-0 results fingerprint. ``hr_cmaes_10d`` is
-the one workload whose evaluations pass through
-``BudgetedEvaluator.evaluate_batch``; the two cNrGA workloads exercise the
-archive and the prune hooks. The three cycles take about 20 s on a 2-vCPU
-virtual machine. The benchmark runs from a copy of ``src`` and
+reconcile checks, its seed-0 results fingerprint and its traced count of
+objective calls. All three workloads evaluate through
+``BudgetedEvaluator.evaluate_batch``: CMA-ES one block per generation, the
+GA one block per generation of stored points, so the count moves when the
+evaluation is batched differently. The two cNrGA workloads also exercise
+the archive and the prune hooks. The three cycles take about 20 s on a
+2-vCPU virtual machine. The benchmark runs from a copy of ``src`` and
 ``perfbench`` so that its output files stay under the test's temporary
 directory.
 """
@@ -30,6 +32,8 @@ FINGERPRINTS = {
     "cnrga_lru_10d": "d41cc86c12a87242d7c2a5eaf6b38c15dad63f6a6b78e2f748e1986349433fa7",
     "cnrga_10d": "20ca560b714dd73e428491ba86174eb8af569237073fd95942bae2c0111435ba",
 }
+# workload -> its traced ``benchmarks.objective`` calls in one cycle at seed 0
+OBJECTIVE_CALLS = {"hr_cmaes_10d": 46_912, "cnrga_lru_10d": 812, "cnrga_10d": 812}
 # a reconcile check passes when the name it counts is not traced at all
 RECONCILED = ("benchmarks.BudgetedEvaluator", "bsp.insert", "cmaes.cma_sample")
 
@@ -53,3 +57,4 @@ def test_one_traced_cycle_runs_and_reconciles(tmp_path, workload):
     assert details["reconcile"] and all(details["reconcile"].values()), details["reconcile"]
     assert not set(RECONCILED) & set(details["absent"])
     assert details["fingerprint"] == FINGERPRINTS[workload]
+    assert details["functions"]["benchmarks.objective"]["calls"] == OBJECTIVE_CALLS[workload]
