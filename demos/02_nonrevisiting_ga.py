@@ -22,12 +22,10 @@ evaluator = BudgetedEvaluator(problem, budget)
 archive = BspArchive(problem.domain)
 rng = np.random.default_rng(0)
 
-# one lazy iterator of new leaves per generation, until the budget is spent;
-# generation 0 is the initial population, and the elite keeps the best point
-# in every later one
-for generation, leaves in enumerate(generations(archive, evaluator, rng)):
-    for _ in leaves:
-        pass
+# the GA pauses after each generation but its last, once that generation
+# is evaluated; generation 0 is the initial population, and the elite
+# keeps the best point in every later one
+for generation, _ in enumerate(generations(archive, evaluator, rng)):
     if generation and generation % 5 == 0:
         print(f"gen {generation:3d}  evals {evaluator.used:5d}  "
               f"best {evaluator.best:.6g}")

@@ -15,13 +15,14 @@ population walk from the root.
 generation evaluates the points it stored in one
 ``BudgetedEvaluator.evaluate_batch`` call, in insertion order, when it
 ends, and so evaluates each stored point exactly once.
-``generations`` is the GA's only loop and ends by itself on a spent
-budget or a full archive: the cNrGA baselines drain every generation,
-and the hybrid leaves one at the first leaf that fires the ROI query.
-``maybe_prune`` halves the archive once it holds LRU_CAPACITY points;
-only the cNrGA-LRU baseline's driver calls it, before each generation. The
-hybrid's explorer and both cNrGA baselines run the same GA: POP_SIZE and
-CROSSOVER_RATE are module constants.
+``generations`` is the GA's only loop and pauses between generations,
+after each one is evaluated; it ends by itself on a spent budget or a
+full archive. Its ``stop`` query, asked after each stored leaf, ends a
+generation early: the hybrid passes its ROI query, and the cNrGA
+baselines pass none. ``maybe_prune`` halves the archive once it holds
+LRU_CAPACITY points; only the cNrGA-LRU baseline's driver calls it,
+between generations. The hybrid's explorer and both cNrGA baselines run
+the same GA: POP_SIZE and CROSSOVER_RATE are module constants.
 """
 
 from __future__ import annotations
@@ -96,85 +97,73 @@ def crossover_pair(individuals, rng):
     return np.where(swap, p2.coords, p1.coords), np.where(swap, p1.coords, p2.coords)
 
 
-def generations(archive: BspArchive, evaluator, rng):
-    """The GA as one lazy iterator of NewLeafs per generation, until it ends.
+def generations(archive: BspArchive, evaluator, rng, stop=lambda leaf: None):
+    """The GA as one flat loop that pauses between generations.
 
     The first generation is POP_SIZE uniform domain draws; each later
     one is POP_SIZE - 1 crossover children of the population, whose
     best individual completes the next. Each pair's crossover is drawn
     before either child is stored, so a short last pair still consumes
-    the RNG for its discarded second child. A generation yields each
-    point it stores as it stores it, with a NaN fitness; when it ends,
-    drained, on a spent budget, on a full archive or closed by its caller,
-    it evaluates every point it stored in one ``evaluate_batch`` call, in
-    insertion order, and sets each point's fitness. This generator closes
-    each generation before it tests the budget or breeds the next one; a
-    caller that leaves a generation and reads the evaluator or the
-    fitnesses first closes it itself. The population is replaced once a
-    generation has all its members: one the caller leaves before that is
-    bred again from the same parents (the initial one is drawn again),
-    and the points it stored stay in the archive, evaluated.
+    the RNG for its discarded second child. A generation stores its
+    candidates one at a time and calls ``stop(leaf)`` after each stored
+    leaf, whose point's fitness is still NaN; a truthy result ends the
+    generation at that leaf. It then evaluates every point it stored in
+    one ``evaluate_batch`` call, in insertion order, and sets each
+    point's fitness. Between generations it yields the truthy result
+    that ended the generation just evaluated, or None, but only when
+    another generation can follow: budget is left and the archive took
+    every candidate it was offered. The population is replaced once a
+    generation has all its members: one that ``stop`` ends before that
+    is bred again from the same parents (the initial one is drawn
+    again), and the points it stored stay in the archive, evaluated.
     The GA ends before a candidate when the points a generation stored
     equal the evaluations left, or when ``store_via_archive`` returns
-    None for it on a full archive: no generation follows.
+    None for it on a full archive.
     An objective that raises leaves the points its generation stored in
     the archive with a NaN fitness, and ``evaluator.used`` counts none of
     them; the error ends the run.
     Children are routed from the subtree of their parents' bounding box,
-    taken when the generation is first iterated, so after whatever the
-    caller did to the archive between generations.
+    taken when their generation starts, so after whatever the caller did
+    to the archive between generations.
     """
-    ended = False  # a candidate found no budget left or the archive full
-
-    def evaluated(candidates, population, parents):
-        nonlocal ended
-        within = None
-        if parents:
-            genes = np.array([p.coords for p in parents])
-            within = archive.subtree(genes.min(axis=0), genes.max(axis=0))
-        start = len(population)  # after the elite, which an earlier generation evaluated
-        try:
-            for coords in candidates:
-                # the budget gate: once the points stored take every
-                # evaluation left, the GA ends before this candidate
-                leaf = None
-                if len(population) - start < evaluator.remaining:
-                    leaf = store_via_archive(coords, archive, rng, within)
-                if leaf is None:
-                    ended = True
-                    return
-                population.append(leaf.node.point)
-                yield leaf
-        finally:
-            stored = population[start:]
-            if stored:
-                values = evaluator.evaluate_batch([p.coords for p in stored])
-                for point, value in zip(stored, values.tolist()):
-                    point.fitness = value
-
-    def children_of(parents):
-        for left in range(POP_SIZE - 1, 0, -2):
-            yield from crossover_pair(parents, rng)[:left]
-
     parents = []
-    # the budget test ends the GA after a generation that completed on the
-    # last evaluation and so met no budget gate: the LRU driver would prune
-    # at another
-    while evaluator.remaining and not ended:
+    while True:
         if parents:
             population = [min(parents, key=lambda p: p.fitness)]
-            candidates = children_of(parents)
+            genes = np.array([p.coords for p in parents])
+            within = archive.subtree(genes.min(axis=0), genes.max(axis=0))
+            candidates = (child for left in range(POP_SIZE - 1, 0, -2)
+                          for child in crossover_pair(parents, rng)[:left])
         else:
-            population = []
+            population, within = [], None
             candidates = (uniform_point(*archive.domain.bounds, rng) for _ in range(POP_SIZE))
-        generation = evaluated(candidates, population, parents)
-        yield generation
-        generation.close()
+        start, leaf, signal = len(population), None, None
+        for coords in candidates:
+            # the budget gate: once the points stored take every
+            # evaluation left, the GA ends before this candidate
+            leaf = None
+            if len(population) - start < evaluator.remaining:
+                leaf = store_via_archive(coords, archive, rng, within)
+            if leaf is None:
+                break
+            population.append(leaf.node.point)
+            signal = stop(leaf)
+            if signal:
+                break
+        stored = population[start:]
+        if stored:
+            values = evaluator.evaluate_batch([p.coords for p in stored])
+            for point, value in zip(stored, values.tolist()):
+                point.fitness = value
+        if leaf is None or not evaluator.remaining:
+            return
+        yield signal or None
         if len(population) == POP_SIZE:
             parents = population
 
 
 def maybe_prune(archive: BspArchive):
-    """LRU-prune once the stored-point count reaches LRU_CAPACITY."""
+    """LRU-prune once the stored-point count reaches LRU_CAPACITY; the
+    cNrGA-LRU driver calls it between generations."""
     if archive.n_points >= LRU_CAPACITY:
         archive.prune_lru(LRU_FRACTION)

@@ -3,19 +3,20 @@
 The hybrid runs the non-revisiting GA (``cnrga.generations``) as its
 explorer and asks the archive (``roi_trigger``) about each leaf the GA
 adds. When a leaf lands at depth lv+k, with (lv, k) derived from the
-budget and the CMA-ES population size, the GA leaves its generation at
-that leaf and closes it, so the points the generation stored are
-evaluated before CMA-ES starts. The region of interest is the cell of
-the leaf's depth-lv ancestor, a ``Subtree``: the leaf points under it
-seed a CMA-ES state, whose initial step size its longest side sets, and
-one ``cma_run`` exploits it out of the shared evaluation budget. CMA-ES
-candidates are evaluated directly and never inserted into the archive,
-so the blocked-cell bookkeeping stays a statement about the explorer
-only. When CMA-ES stops, the archive blocks the ROI's cell and the GA
-breeds an unfinished generation again from the same parents (the
-initial population is drawn again). An ROI that fires on the last
-evaluation is neither exploited nor blocked. The run ends when the GA
-does, and ``_finalize``, every driver's one tail, closes the record.
+budget and the CMA-ES population size, the GA ends its generation at
+that leaf and pauses between generations, so the points the generation
+stored are evaluated before CMA-ES starts. The region of interest is
+the cell of the leaf's depth-lv ancestor, a ``Subtree``: the leaf
+points under it seed a CMA-ES state, whose initial step size its
+longest side sets, and one ``cma_run`` exploits it out of the shared
+evaluation budget. CMA-ES candidates are evaluated directly and never
+inserted into the archive, so the blocked-cell bookkeeping stays a
+statement about the explorer only. When CMA-ES stops, the archive
+blocks the ROI's cell and the GA breeds an unfinished generation again
+from the same parents (the initial population is drawn again). The GA
+does not pause after its last generation, so an ROI that fires on the
+last evaluation is neither exploited nor blocked. The run ends when the
+GA does, and ``_finalize``, every driver's one tail, closes the record.
 """
 
 from __future__ import annotations
@@ -109,16 +110,13 @@ def hr_run(problem: Problem, budget: int, rng, dump_tree: bool = False) -> RunRe
     evaluator = BudgetedEvaluator(problem, budget)
     archive = BspArchive(problem.domain)
     phases: list[Phase] = []
-    for generation in generations(archive, evaluator, rng):
-        # the GA stops at the first leaf that fires the ROI query and,
-        # unless that leaf completed the generation, breeds it again after
-        # the exploit phase; the generation is closed, and so evaluated,
-        # before the budget is read or CMA-ES starts, and an ROI found once
-        # the budget is gone is neither exploited nor blocked
-        roi = next(filter(None, (archive.roi_trigger(leaf, lv, k)
-                                 for leaf in generation)), None)
-        generation.close()
-        if roi is None or evaluator.remaining == 0:
+    # the GA ends a generation at the first leaf that fires the ROI query
+    # and, if budget is left, pauses with that ROI once the generation is
+    # evaluated; unless that leaf completed the generation, the GA breeds
+    # it again after the exploit phase
+    for roi in generations(archive, evaluator, rng,
+                           lambda leaf: archive.roi_trigger(leaf, lv, k)):
+        if roi is None:
             continue
         _close_phase(phases, EXPLORE, evaluator.used)
         state = seed_cma_from_roi(roi, lam, problem.domain)
@@ -169,14 +167,12 @@ def run_cmaes_restart(problem: Problem, budget: int, rng) -> RunRecord:
 
 def run_cnrga(problem: Problem, budget: int, rng, lru: bool,
               dump_tree: bool = False) -> RunRecord:
-    """Pure non-revisiting GA; with ``lru``, LRU-pruned before every generation."""
+    """Pure non-revisiting GA; with ``lru``, LRU-pruned between generations."""
     evaluator = BudgetedEvaluator(problem, budget)
     archive = BspArchive(problem.domain)
-    for generation in generations(archive, evaluator, rng):
+    for _ in generations(archive, evaluator, rng):
         if lru:
             maybe_prune(archive)
-        for _ in generation:
-            pass
     name = "cnrga_lru" if lru else "cnrga"
     return _finalize(name, problem, evaluator, [],
                      archive.dump() if dump_tree else None)

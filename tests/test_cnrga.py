@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -73,21 +75,43 @@ def test_whole_domain_blocked_signals_exhaustion():
     assert _archive_state(ar) == state
 
 
+ENDED = object()  # what ``LeaveAt.run`` returns when the GA ends instead of pausing
+
+
+class LeaveAt:
+    """A ``stop`` for ``generations`` that records the points the running
+    generation stores, each still unevaluated, and ends that generation at
+    its ``leave_at``-th leaf when ``leave_at`` is set."""
+
+    def __init__(self):
+        self.points, self.leave_at = [], None
+
+    def __call__(self, leaf):
+        assert np.isnan(leaf.node.point.fitness)
+        self.points.append(leaf.node.point)
+        return len(self.points) == self.leave_at
+
+    def run(self, gens, leave_at=None):
+        """Run ``gens`` to its next pause: what it yields, or ENDED when the
+        GA ends instead, and the points of the generation that ran."""
+        self.points, self.leave_at = [], leave_at
+        return next(gens, ENDED), self.points
+
+
 def test_no_budget_left_ends_before_any_insert(monkeypatch):
     monkeypatch.setattr("histarch.cnrga.POP_SIZE", 5)
     problem = box_problem()
     ev = BudgetedEvaluator(problem, 2)
     ar = BspArchive(problem.domain)
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    gens = generations(ar, ev, rng)
-    stored = [leaf.node.point.coords.tolist() for leaf in next(gens)]
+    stop = LeaveAt()
     # the third candidate is drawn, meets the two stored points, which equal
-    # the evaluations left, and ends the GA before its insert
+    # the evaluations left, and ends the GA before its insert: it never pauses
+    assert stop.run(generations(ar, ev, rng, stop))[0] is ENDED
     drawn = [uniform_point(*problem.domain.bounds, ref) for _ in range(3)]
-    assert stored == drawn[:2]
+    assert [p.coords.tolist() for p in stop.points] == drawn[:2]
     assert ev.used == ar.n_points == ar._clock == 2
     assert same_rng_state(rng, ref)
-    assert next(gens, None) is None
 
 
 def test_revisit_cascade_falls_back_to_domain_sample():
@@ -189,13 +213,16 @@ def test_crossover_pair_matches_reference(rate, monkeypatch):
 # -- generation loop ---------------------------------------------------------
 
 def run_generations(problem, budget, seed):
-    """Drain ``generations`` to the end of the budget; also returns the new
+    """Run ``generations`` to the end of the budget; also returns the new
     points of each generation."""
     ev = BudgetedEvaluator(problem, budget)
     ar = BspArchive(problem.domain)
-    rng = np.random.default_rng(seed)
-    completed = [[leaf.node.point for leaf in leaves] for leaves in generations(ar, ev, rng)]
-    return ev, ar, completed
+    stop = LeaveAt()
+    gens = generations(ar, ev, np.random.default_rng(seed), stop)
+    completed = []
+    while stop.run(gens)[0] is None:
+        completed.append(stop.points)
+    return ev, ar, completed + [stop.points]
 
 
 def rastr_problem(dim):
@@ -240,10 +267,10 @@ def test_pure_copy_generation_mutates_everything(monkeypatch):
     problem = rastr_problem(2)
     ev = BudgetedEvaluator(problem, 500)
     ar = BspArchive(problem.domain)
-    rng = np.random.default_rng(10)
-    gens = generations(ar, ev, rng)
-    parents = {tuple(leaf.node.point.coords) for leaf in next(gens)}
-    children = [leaf.node.point for leaf in next(gens)]  # the elite is not yielded again
+    stop = LeaveAt()
+    gens = generations(ar, ev, np.random.default_rng(10), stop)
+    parents = {tuple(p.coords) for p in stop.run(gens)[1]}
+    children = stop.run(gens)[1]  # the elite is not stored again
     assert len(children) == 19
     for child in children:
         assert tuple(child.coords) not in parents
@@ -256,29 +283,27 @@ def test_unfinished_generation_is_bred_again(monkeypatch):
     problem = rastr_problem(2)
     ev = BudgetedEvaluator(problem, 500)
     ar = BspArchive(problem.domain)
-    gens = generations(ar, ev, np.random.default_rng(13))
-    # an unfinished initial population is drawn again in full; closing the
-    # generation left evaluates the points it stored
-    left = next(gens)
-    abandoned = [leaf.node.point for _, leaf in zip(range(7), left)]
-    assert ev.used == 0 and all(np.isnan(p.fitness) for p in abandoned)
-    left.close()
+    stop = LeaveAt()
+    gens = generations(ar, ev, np.random.default_rng(13), stop)
+    # an unfinished initial population is drawn again in full; the GA
+    # evaluates the points of the generation left before it pauses
+    assert stop.run(gens, leave_at=7)[0] is True
+    abandoned = stop.points
     assert ev.used == ar.n_points == 7
-    initial = [leaf.node.point for leaf in next(gens)]
+    assert not any(np.isnan(p.fitness) for p in abandoned)
+    assert stop.run(gens)[0] is None
+    initial = stop.points
     assert len(abandoned) == 7 and len(initial) == 20
     assert ev.used == ar.n_points == 27
     # an unfinished crossover generation is bred again from the same parents
-    left = next(gens)
-    for _, _ in zip(range(5), left):
-        pass
-    left.close()
+    assert stop.run(gens, leave_at=5)[0] is True
     assert ev.used == ar.n_points == 27 + 5
-    children = [leaf.node.point for leaf in next(gens)]
+    children = stop.run(gens)[1]
     assert len(children) == 19
     assert ev.used == ar.n_points == 27 + 5 + 19
-    # a generation left after its last child, but not drained, is complete
-    last = [leaf.node.point for _, leaf in zip(range(19), next(gens))]
-    next(next(gens))
+    # a generation left at its last child is complete
+    last = stop.run(gens, leave_at=19)[1]
+    stop.run(gens, leave_at=1)
     assert [len(pop) for pop, _ in bred] == [20, 20, 20]
     assert [id(p) for p in bred[0][0]] == [id(p) for p in initial]
     assert bred[0][1] == 3 + 20 // 2  # three pairs for five children
@@ -315,14 +340,15 @@ def test_generation_meeting_the_budget_stores_exactly_the_remaining_points(monke
     problem = rastr_problem(2)
     ev = BudgetedEvaluator(problem, 16)
     ar = BspArchive(problem.domain)
-    gens = generations(ar, ev, np.random.default_rng(15))
-    assert len(list(next(gens))) == 10
+    stop = LeaveAt()
+    gens = generations(ar, ev, np.random.default_rng(15), stop)
+    assert len(stop.run(gens)[1]) == 10
     ev.evaluate_batch(np.zeros((3, 2)))  # spent elsewhere, as CMA-ES spends
-    children = [leaf.node.point for leaf in next(gens)]
+    paused, children = stop.run(gens)
     assert len(children) == ev.budget - 10 - 3
     assert ev.remaining == 0 and ar.n_points == 13
     assert unevaluated(ar) == 0
-    assert next(gens, None) is None
+    assert paused is ENDED
 
 
 def test_every_generation_is_evaluated_before_the_next(monkeypatch):
@@ -330,11 +356,17 @@ def test_every_generation_is_evaluated_before_the_next(monkeypatch):
     problem = rastr_problem(2)
     ev = BudgetedEvaluator(problem, 300)
     ar = BspArchive(problem.domain)
-    for i, generation in enumerate(generations(ar, ev, np.random.default_rng(16))):
-        # the previous generation, drained or left, is closed by now
+    stop = LeaveAt()
+    gens = generations(ar, ev, np.random.default_rng(16), stop)
+    for i in itertools.count():
+        # the generation ends at its (3 + i % 9)-th leaf or, with fewer
+        # members, completes; either way it is evaluated before the pause
+        paused, points = stop.run(gens, leave_at=3 + i % 9)
+        if paused is ENDED:
+            break
+        assert paused is (True if len(points) == 3 + i % 9 else None)
         assert ev.used == ar.n_points and unevaluated(ar) == 0
-        for _ in zip(range(3 + i % 9), generation):
-            pass
+    assert i > 30
     assert ev.used == ar.n_points == 300 and unevaluated(ar) == 0
 
 
@@ -345,12 +377,13 @@ def test_a_generation_left_full_is_evaluated_before_the_budget_test_and_the_elit
     problem = rastr_problem(2)
     ev = BudgetedEvaluator(problem, 10 + 9 + 9)
     ar = BspArchive(problem.domain)
-    gens = generations(ar, ev, np.random.default_rng(19))
-    # each generation is left after its last member, never drained, so only
-    # the close in ``generations`` evaluates it
-    for size in (10, 9, 9):
-        assert len([leaf for _, leaf in zip(range(size), next(gens))]) == size
-    assert next(gens, None) is None  # the last one spent the budget
+    stop = LeaveAt()
+    gens = generations(ar, ev, np.random.default_rng(19), stop)
+    # ``stop`` ends each generation at its last member; the last one spends
+    # the budget, so the GA ends without a pause
+    for size, paused in ((10, True), (9, True), (9, ENDED)):
+        assert stop.run(gens, leave_at=size)[0] is paused
+        assert len(stop.points) == size
     assert ev.used == ar.n_points == 28 and unevaluated(ar) == 0
     (initial, _), (second, _) = bred
     assert second[0] is min(initial, key=lambda p: p.fitness) is not initial[0]
@@ -408,9 +441,8 @@ def test_objective_that_raises_leaves_its_generation_stored_unevaluated(monkeypa
     ev = BudgetedEvaluator(problem, 100)
     ar = BspArchive(problem.domain)
     with pytest.raises(_ObjectiveFailure):
-        for generation in generations(ar, ev, np.random.default_rng(18)):
-            for _ in generation:
-                pass
+        for _ in generations(ar, ev, np.random.default_rng(18)):
+            pass
     # the second generation's 9 children stay stored, none of them counted
     assert ev.used == 10 and ar.n_points == 19
     assert unevaluated(ar) == 9

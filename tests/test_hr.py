@@ -129,21 +129,33 @@ def assert_phases_partition(rec):
     assert cursor == rec.evals_used + 1
 
 
-def test_tiny_budget_blocks_only_exploited_regions():
+def test_tiny_budget_blocks_only_exploited_regions(monkeypatch):
     # the budget equals the initial population: an ROI it fires is exploited
     # at once; one that fires with no budget left is neither exploited nor
-    # blocked
+    # blocked (seed 47: the 100th leaf is the first to fire)
+    fired = []  # the stored-point count at each ROI the query returns
+    trigger = BspArchive.roi_trigger
+
+    def spy(archive, leaf, lv, k):
+        roi = trigger(archive, leaf, lv, k)
+        if roi is not None:
+            fired.append(archive.n_points)
+        return roi
+
+    monkeypatch.setattr(BspArchive, "roi_trigger", spy)
     problem = make_problem(2, sphere_f)
-    exploit_runs = 0
-    for seed in range(20):
+    exploit_runs = last_fires = 0
+    for seed in [*range(20), 47]:
+        fired.clear()
         rec = hr_run(problem, 100, np.random.default_rng(seed), dump_tree=True)
         assert rec.evals_used == 100
         assert_phases_partition(rec)
         exploits = sum(ph.kind == "exploit" for ph in rec.phases)
         blocked = sum(line.split(" ")[4] == "1" for line in rec.tree_dump.splitlines())
-        assert blocked == exploits
+        assert blocked == exploits == (bool(fired) and fired[0] < 100)
         exploit_runs += exploits > 0
-    assert exploit_runs > 0
+        last_fires += fired == [100]
+    assert exploit_runs > 0 and last_fires > 0
 
 
 def test_sphere_run_exploits_and_beats_explore_alone():
@@ -287,6 +299,22 @@ def test_cnrga_lru_respects_capacity_at_boundaries(monkeypatch):
     assert prunes
     assert all(n_points <= 1000 for _, n_points in prunes)
 
+
+
+def test_cnrga_lru_never_prunes_after_the_last_generation(monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 10)
+    monkeypatch.setattr("histarch.cnrga.LRU_CAPACITY", 30)
+    prunes = spy_on_prunes(monkeypatch)
+    problem = make_problem(2, rastrigin, lo=-5.12, hi=5.12)
+    # 10 + 5 * 9 evaluations: six generations; the archive holds 37 points
+    # after the fourth (pruned to 19, floor(37 / 2) removed) and after the
+    # sixth, which spends the last evaluation
+    rec = run_cnrga(problem, 55, np.random.default_rng(4), lru=True, dump_tree=True)
+    assert rec.evals_used == 55
+    # one check between each two generations; one on the empty archive
+    # before the first generation would change nothing
+    assert [n_points for _, n_points in prunes if n_points] == [10, 19, 28, 19, 28]
+    assert count_leaves(rec.tree_dump) == 37 >= 30
 
 EXHAUSTION_RUNS = """
 import json, sys, time
