@@ -10,7 +10,9 @@ inserted with the parents' subtree (``BspArchive.subtree``), and a
 revisit's redraw with the revisited leaf's (``Revisit.cell``); the
 archive starts each walk there or, for a point outside that subtree's
 half-open cell, at the root. Domain redraws and the initial uniform
-population walk from the root.
+population walk from the root. ``offspring`` breeds all of a crossover
+generation's children from one block of draws when it starts, before
+any child is stored.
 ``store_via_archive`` stores a candidate and evaluates nothing; a
 generation evaluates the points it stored in one
 ``BudgetedEvaluator.evaluate_batch`` call, in insertion order, when it
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsp import BspArchive, Blocked, NewLeaf, SearchPoint, Subtree, uniform_point
+from .bsp import BspArchive, Blocked, NewLeaf, Subtree, uniform_point
 
 MAX_REVISIT_RETRIES = 100
 # MAX_REVISIT_RETRIES + MAX_BLOCKED_DRAWS redraws in a row that store
@@ -72,29 +74,26 @@ def store_via_archive(coords, archive: BspArchive, rng,
     return None
 
 
-def tournament_pick(individuals, rng) -> SearchPoint:
-    """Fittest of TOURNAMENT_SIZE draws with replacement; the first drawn
-    wins a tie. Scalar draws give the indices and generator state of one
-    sized draw (the bit generator buffers 32-bit halves) at lower cost."""
-    n = len(individuals)
-    best = individuals[rng.integers(0, n)]
-    for _ in range(TOURNAMENT_SIZE - 1):
-        other = individuals[rng.integers(0, n)]
-        if other.fitness < best.fitness:
-            best = other
-    return best
-
-
-def crossover_pair(individuals, rng):
-    """Two offspring coordinate vectors from tournament parents.
-
-    Each coordinate is swapped between the offspring with probability
-    CROSSOVER_RATE, so every gene comes verbatim from one of the parents.
-    """
-    p1 = tournament_pick(individuals, rng)
-    p2 = tournament_pick(individuals, rng)
-    swap = rng.random(p1.coords.size) < CROSSOVER_RATE
-    return np.where(swap, p2.coords, p1.coords), np.where(swap, p1.coords, p2.coords)
+def offspring(parents, genes, rng) -> np.ndarray:
+    """The POP_SIZE - 1 crossover children of ``parents``, whose
+    coordinates are the rows of ``genes``, as one array. Pair k's parents
+    win tournaments of TOURNAMENT_SIZE draws with replacement, all drawn
+    in one block; the first draw wins a tie. Its children, rows 2k and
+    2k + 1, swap each coordinate with probability CROSSOVER_RATE, so every
+    gene comes verbatim from a parent; an even population's last row is
+    cut."""
+    pairs = POP_SIZE // 2
+    fitness = np.array([p.fitness for p in parents])
+    drawn = rng.integers(0, len(parents), (pairs, 2, TOURNAMENT_SIZE))
+    winners = drawn[..., 0]
+    for t in range(1, TOURNAMENT_SIZE):
+        winners = np.where(fitness[drawn[..., t]] < fitness[winners], drawn[..., t], winners)
+    swap = rng.random((pairs, genes.shape[1])) < CROSSOVER_RATE
+    p1, p2 = genes[winners[:, 0]], genes[winners[:, 1]]
+    children = np.empty((2 * pairs, genes.shape[1]))
+    children[0::2] = np.where(swap, p2, p1)
+    children[1::2] = np.where(swap, p1, p2)
+    return children[:POP_SIZE - 1]
 
 
 def generations(archive: BspArchive, evaluator, rng, stop=lambda leaf: None):
@@ -102,12 +101,11 @@ def generations(archive: BspArchive, evaluator, rng, stop=lambda leaf: None):
 
     The first generation is POP_SIZE uniform domain draws; each later
     one is POP_SIZE - 1 crossover children of the population, whose
-    best individual completes the next. Each pair's crossover is drawn
-    before either child is stored, so a short last pair still consumes
-    the RNG for its discarded second child. A generation stores its
-    candidates one at a time and calls ``stop(leaf)`` after each stored
-    leaf, whose point's fitness is still NaN; a truthy result ends the
-    generation at that leaf. It then evaluates every point it stored in
+    best individual completes the next; ``offspring`` draws them all
+    when the generation starts. A generation stores its candidates one
+    at a time and calls ``stop(leaf)`` after each stored leaf, whose
+    point's fitness is still NaN; a truthy result ends the generation
+    at that leaf. It then evaluates every point it stored in
     one ``evaluate_batch`` call, in insertion order, and sets each
     point's fitness. Between generations it yields the truthy result
     that ended the generation just evaluated, or None, but only when
@@ -121,7 +119,8 @@ def generations(archive: BspArchive, evaluator, rng, stop=lambda leaf: None):
     None for it on a full archive.
     An objective that raises leaves the points its generation stored in
     the archive with a NaN fitness, and ``evaluator.used`` counts none of
-    them; the error ends the run.
+    them; nothing is rolled back. The error ends the run, which the
+    harness records as failed.
     Children are routed from the subtree of their parents' bounding box,
     taken when their generation starts, so after whatever the caller did
     to the archive between generations.
@@ -132,8 +131,7 @@ def generations(archive: BspArchive, evaluator, rng, stop=lambda leaf: None):
             population = [min(parents, key=lambda p: p.fitness)]
             genes = np.array([p.coords for p in parents])
             within = archive.subtree(genes.min(axis=0), genes.max(axis=0))
-            candidates = (child for left in range(POP_SIZE - 1, 0, -2)
-                          for child in crossover_pair(parents, rng)[:left])
+            candidates = offspring(parents, genes, rng)
         else:
             population, within = [], None
             candidates = (uniform_point(*archive.domain.bounds, rng) for _ in range(POP_SIZE))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from histarch import (BspArchive, NewLeaf, Region, Revisit, SearchPoint, generat
                       maybe_prune, run_algorithm, store_via_archive, uniform_point)
 from histarch.benchmarks import BudgetedEvaluator, Problem, rastrigin, sphere
 from histarch.cmaes import cma_run
-from histarch.cnrga import LRU_CAPACITY, crossover_pair, tournament_pick
+from histarch.cnrga import LRU_CAPACITY, TOURNAMENT_SIZE, offspring
 from histarch.hr import run_cnrga
 from util import (LoggingProblem, RootWalkArchive, ScriptedRng, record_digest,
-                  ref_crossover_pair, ref_tournament_pick, same_rng_state, spy_on_parents,
+                  ref_offspring, same_rng_state, spy_on_parents,
                   spy_on_prunes, subtree_of, tiling_relative_error, uniform_array,
                   walk_region)
 
@@ -135,79 +136,64 @@ def _toy_population(coords_list):
     return pts
 
 
+def _bred(pop, rng):
+    """``offspring`` of ``pop``, with its genes, as ``generations`` calls it."""
+    return offspring(pop, np.array([p.coords for p in pop]), rng)
+
+
 def test_zero_crossover_rate_copies_parents(monkeypatch):
     monkeypatch.setattr("histarch.cnrga.CROSSOVER_RATE", 0.0)
     pop = _toy_population([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     rng = np.random.default_rng(5)
     for _ in range(20):
-        c1, c2 = crossover_pair(pop, rng)
-        assert any(np.array_equal(c1, p.coords) for p in pop)
-        assert any(np.array_equal(c2, p.coords) for p in pop)
+        for child in _bred(pop, rng):
+            assert any(np.array_equal(child, p.coords) for p in pop)
 
 
 def test_full_crossover_rate_swaps_whole_genomes(monkeypatch):
     monkeypatch.setattr("histarch.cnrga.CROSSOVER_RATE", 1.0)
     pop = _toy_population([[1.0, 2.0], [3.0, 4.0]])
-    rng = np.random.default_rng(6)
-    c1, c2 = crossover_pair(pop, rng)
-    mats = {tuple(c1), tuple(c2)}
-    assert mats <= {(1.0, 2.0), (3.0, 4.0)}
+    children = _bred(pop, np.random.default_rng(6))
+    assert {tuple(child) for child in children} <= {(1.0, 2.0), (3.0, 4.0)}
 
 
 def test_gene_conservation_under_crossover():
     rng = np.random.default_rng(7)
     pop = _toy_population(rng.uniform(0, 10, size=(6, 4)))
+    pool = {(d, p.coords[d]) for p in pop for d in range(4)}
     for _ in range(50):
-        c1, c2 = crossover_pair(pop, rng)
-        pool = {(d, p.coords[d]) for p in pop for d in range(4)}
-        for c in (c1, c2):
+        for child in _bred(pop, rng):
             for d in range(4):
-                assert (d, c[d]) in pool
+                assert (d, child[d]) in pool
 
 
-class _TiedPoints:
-    """``n`` points built on demand; fitness repeats every five indices,
-    so tournaments tie often at any population size."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        return SearchPoint(np.array([float(i), -0.5 * i]), float(i % 5), int(i))
-
-
-@pytest.mark.parametrize("n", [2, 7, 100, 2**31])
-def test_tournament_pick_matches_reference(n):
-    pop = _TiedPoints(n)
-    fast, ref = np.random.default_rng(n % 97), np.random.default_rng(n % 97)
-    ties = 0
-    for _ in range(300):
+@pytest.mark.parametrize("pop_size", [7, 20])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+def test_offspring_matches_reference(rate, pop_size, monkeypatch):
+    monkeypatch.setattr("histarch.cnrga.CROSSOVER_RATE", rate)
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", pop_size)
+    rng = np.random.default_rng(8)
+    pop = _toy_population(rng.uniform(-5.0, 5.0, size=(pop_size, 10)))
+    for point in pop:
+        i = point.eval_index
+        point.fitness = math.inf if i % 3 == 2 else float(i % 2)
+    fitness = np.array([p.fitness for p in pop])
+    fast, ref = np.random.default_rng(9), np.random.default_rng(9)
+    ties = inf_ties = 0
+    for _ in range(100):
         probe = np.random.default_rng()
         probe.bit_generator.state = ref.bit_generator.state
-        i, j = probe.integers(0, n, 2)
-        ties += i != j and i % 5 == j % 5
-        assert tournament_pick(pop, fast).eval_index == ref_tournament_pick(pop, ref).eval_index
+        drawn = probe.integers(0, pop_size, (pop_size // 2, 2, TOURNAMENT_SIZE))
+        tied = (drawn[..., 0] != drawn[..., 1]) & (fitness[drawn[..., 0]] == fitness[drawn[..., 1]])
+        ties += tied.sum()
+        inf_ties += (tied & np.isinf(fitness[drawn[..., 0]])).sum()
+        children = _bred(pop, fast)
+        assert children.shape == (pop_size - 1, 10)
+        assert children.tobytes() == ref_offspring(pop, rate, pop_size, ref).tobytes()
         fast.random(3)  # draws of another width in between
         ref.random(3)
     assert same_rng_state(fast, ref)
-    assert ties > 0 or n < 7
-
-
-@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
-def test_crossover_pair_matches_reference(rate, monkeypatch):
-    monkeypatch.setattr("histarch.cnrga.CROSSOVER_RATE", rate)
-    rng = np.random.default_rng(8)
-    pop = _toy_population(rng.uniform(-5.0, 5.0, size=(20, 10)))
-    for point in pop:
-        point.fitness = float(point.eval_index % 3)
-    fast, ref = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(300):
-        for child, expected in zip(crossover_pair(pop, fast), ref_crossover_pair(pop, rate, ref)):
-            assert child.tobytes() == expected.tobytes()
-    assert same_rng_state(fast, ref)
+    assert ties > inf_ties > 0
 
 
 # -- generation loop ---------------------------------------------------------
@@ -230,6 +216,15 @@ def rastr_problem(dim):
                    rastrigin, 0.0, "multimodal", np.zeros(dim))
 
 
+def test_stored_points_own_their_coordinates(monkeypatch):
+    # children are rows of one block; no stored point may hold a view of it
+    monkeypatch.setattr("histarch.cnrga.POP_SIZE", 10)
+    ev, ar, completed = run_generations(rastr_problem(2), 100, seed=20)
+    points = [p for new in completed for p in new]
+    assert len(points) == ev.used == 100
+    assert all(p.coords.base is None for p in points)
+
+
 def test_no_duplicate_evaluations_over_run(monkeypatch):
     monkeypatch.setattr("histarch.cnrga.POP_SIZE", 50)
     logger = LoggingProblem(rastr_problem(2))
@@ -248,7 +243,7 @@ def test_budget_exactness_and_elitism(monkeypatch):
     assert ev.used == 900
     assert ar.n_points == 900
     # 30 initial draws, then 30 generations of 29 children; the budget is
-    # spent with the last of them, so no 31st generation draws a pair
+    # spent with the last of them, so no 31st generation is bred
     assert [len(new) for new in completed] == [30] + [29] * 30
     populations = [pop for pop, _ in bred]
     assert len(populations) == 30
@@ -306,7 +301,7 @@ def test_unfinished_generation_is_bred_again(monkeypatch):
     stop.run(gens, leave_at=1)
     assert [len(pop) for pop, _ in bred] == [20, 20, 20]
     assert [id(p) for p in bred[0][0]] == [id(p) for p in initial]
-    assert bred[0][1] == 3 + 20 // 2  # three pairs for five children
+    assert [calls for _, calls in bred] == [2, 1, 1]  # left at five children, bred again
     for (parents, _), (pop, _), new in zip(bred, bred[1:], (children, last)):
         assert pop[0] is min(parents, key=lambda p: p.fitness)
         assert [id(p) for p in pop[1:]] == [id(p) for p in new]

@@ -186,16 +186,13 @@ def test_explorer_breeds_a_paused_generation_again(monkeypatch):
     bred = spy_on_parents(monkeypatch)
     rec = hr_run(make_problem(2, sphere_f), 5000, np.random.default_rng(3))
     assert sum(ph.kind == "exploit" for ph in rec.phases) >= 2
-    # every population is complete, keeps the previous one's best first,
-    # and is bred from at least once per pair of children; one that an
-    # exploit phase paused is bred from again
-    pairs = POP_SIZE // 2
+    # every population is complete and keeps the previous one's best
+    # first; one that an exploit phase paused is bred from again
     assert len(bred) >= 2
     assert all(len(pop) == POP_SIZE for pop, _ in bred)
     for (parents, _), (pop, _) in zip(bred, bred[1:]):
         assert pop[0] is min(parents, key=lambda p: p.fitness)
-    assert all(calls >= pairs for _, calls in bred[:-1])
-    assert any(calls > pairs for _, calls in bred)
+    assert any(calls > 1 for _, calls in bred)
 
 
 def test_blocked_boxes_distinct_and_respected():
@@ -233,19 +230,16 @@ def test_trace_is_non_increasing_and_shared():
     assert rec.final_fitness == values[-1]
 
 
-# digests of the seeded runs in the test below. The cNrGA entries date from
-# when the archive ran the ROI trigger on every insert. The hr entry moved
-# when an ROI fired by the initial population began to be exploited at once
-# (at budgets 100 and 200 the trigger fires there) and an ROI found with no
-# budget left stopped being exploited or blocked; a reference loop on the
-# earlier per-generation GA functions with these rules gives the same
-# digest. The cmaes entry was recorded once ``cma_run`` owned the CMA-ES
+# digests of the seeded runs in the test below. The hr, cnrga and cnrga_lru
+# entries moved when a crossover generation's children came to be bred
+# from one block of draws (``offspring``), which reorders the GA's random
+# stream. The cmaes entry was recorded once ``cma_run`` owned the CMA-ES
 # budget rule.
 RUN_DIGESTS = {
     "cmaes": "ab9da229e3855739e2a68ae592774d7bbf68b90673aff65292377586723a8f32",
-    "hr": "4708dc072a4e77fddc18872922edd9a408d8eae5f130f6522d9eba99d68dc808",
-    "cnrga": "1929298949e413f54d4e5658580a234a13cb7b8ce258ceb32e75553de6200899",
-    "cnrga_lru": "8b675d503b9764683a92056defbc50e6f695e6e0d386d6ea626366ea14ea6c40",
+    "hr": "e5f27e82a557095795978a2e4e9dc1d871349c9152c80d313257a3a8c58cb680",
+    "cnrga": "8f9c53cec36bef1a9b5c22cf43aca6738488e7483c6b781eaa2a4834b7634839",
+    "cnrga_lru": "a88acbab974d1f67e967d6fb2dae0bd986208de127fcae0d30719cb73de79adc",
 }
 
 

@@ -28,12 +28,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 # workload -> its results fingerprint at seed 0
 FINGERPRINTS = {
-    "hr_cmaes_10d": "f55b26b833dda5165bd7d210f9ba9f9ac73004e18d66a2eb21d32970f841ecc6",
-    "cnrga_lru_10d": "d41cc86c12a87242d7c2a5eaf6b38c15dad63f6a6b78e2f748e1986349433fa7",
-    "cnrga_10d": "20ca560b714dd73e428491ba86174eb8af569237073fd95942bae2c0111435ba",
+    "hr_cmaes_10d": "f2afe074079e4ca99378500c54876b98465e1a563baba7b4b66894c89242f3a3",
+    "cnrga_lru_10d": "ea6eeb39b151daecda894f203948e4765e02f1a548d42f6dc523c9c1d884c429",
+    "cnrga_10d": "aead633824998a473c74bb96a79e41ed038aea550d1562c80b4e92528b7d8b17",
 }
 # workload -> its traced ``benchmarks.objective`` calls in one cycle at seed 0
-OBJECTIVE_CALLS = {"hr_cmaes_10d": 46_912, "cnrga_lru_10d": 812, "cnrga_10d": 812}
+OBJECTIVE_CALLS = {"hr_cmaes_10d": 46_807, "cnrga_lru_10d": 812, "cnrga_10d": 812}
 # a reconcile check passes when the name it counts is not traced at all
 RECONCILED = ("benchmarks.BudgetedEvaluator", "bsp.insert", "cmaes.cma_sample")
 

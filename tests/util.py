@@ -21,7 +21,7 @@ from histarch.benchmarks import (SCHWEFEL_OFFSET, BudgetedEvaluator, Problem,
 from histarch.bsp import BspArchive, BspNode, Subtree, uniform_point
 from histarch.cmaes import (COV_CONDITION_LIMIT, STAGNATION_TOL, TOL_FUN,
                             TOL_X_FACTOR, StopReason)
-from histarch.cnrga import TOURNAMENT_SIZE, crossover_pair, maybe_prune
+from histarch.cnrga import TOURNAMENT_SIZE, maybe_prune, offspring
 from histarch.errors import InputError
 
 
@@ -362,11 +362,11 @@ def ref_cma_update(state, candidates, fitnesses):
 
 
 # -- reference explorer primitives --------------------------------------
-# The cNrGA explorer's per-candidate primitives as first written: one sized
-# index draw per tournament, masked copies for crossover, numpy's bounded
-# uniform draw and np.argmax over the coordinate gaps. The library must
-# reproduce their outputs bit for bit and leave the generator in the same
-# state.
+# The cNrGA explorer's primitives as first written: crossover children
+# built one row at a time from the generation's block of draws, numpy's
+# bounded uniform draw and np.argmax over the coordinate gaps. The library
+# must reproduce their outputs bit for bit and leave the generator in the
+# same state.
 
 def same_rng_state(rng_a, rng_b):
     return rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -381,20 +381,22 @@ def uniform_array(region, rng):
     return np.array(uniform_point(*region.bounds, rng))
 
 
-def ref_tournament_pick(individuals, rng):
-    idx = rng.integers(0, len(individuals), TOURNAMENT_SIZE)
-    return min((individuals[i] for i in idx), key=lambda p: p.fitness)
-
-
-def ref_crossover_pair(individuals, rate, rng):
-    p1 = ref_tournament_pick(individuals, rng)
-    p2 = ref_tournament_pick(individuals, rng)
-    c1 = p1.coords.copy()
-    c2 = p2.coords.copy()
-    swap = rng.random(c1.size) < rate
-    c1[swap] = p2.coords[swap]
-    c2[swap] = p1.coords[swap]
-    return c1, c2
+def ref_offspring(parents, rate, pop_size, rng):
+    """A crossover generation's pop_size - 1 children, one row at a time,
+    from the draws ``offspring`` makes: every pair's tournament indices,
+    then every pair's swap uniforms. Pair k's parents are its two
+    tournaments' winners, the first drawn winning a tie (``min`` keeps
+    the first of equal keys), and its children are rows 2k and 2k + 1."""
+    pairs = pop_size // 2
+    drawn = rng.integers(0, len(parents), (pairs, 2, TOURNAMENT_SIZE)).tolist()
+    uniforms = rng.random((pairs, parents[0].coords.size)).tolist()
+    rows = []
+    for tournaments, u in zip(drawn, uniforms):
+        p1, p2 = (min((parents[i] for i in draws), key=lambda p: p.fitness).coords.tolist()
+                  for draws in tournaments)
+        rows.append([b if v < rate else a for a, b, v in zip(p1, p2, u)])
+        rows.append([a if v < rate else b for a, b, v in zip(p1, p2, u)])
+    return np.array(rows[:pop_size - 1])
 
 
 class ScriptedRng:
@@ -421,16 +423,17 @@ class RootWalkArchive(BspArchive):
 
 
 def spy_on_parents(monkeypatch):
-    """Record each population the GA breeds from, with its crossover count."""
-    bred = []  # [population list, crossover_pair calls]
+    """Record each population the GA breeds from, with the number of
+    generations bred from it."""
+    bred = []  # [population list, offspring calls]
 
-    def spy(individuals, rng):
-        if not bred or bred[-1][0] is not individuals:
-            bred.append([individuals, 0])
+    def spy(parents, genes, rng):
+        if not bred or bred[-1][0] is not parents:
+            bred.append([parents, 0])
         bred[-1][1] += 1
-        return crossover_pair(individuals, rng)
+        return offspring(parents, genes, rng)
 
-    monkeypatch.setattr("histarch.cnrga.crossover_pair", spy)
+    monkeypatch.setattr("histarch.cnrga.offspring", spy)
     return bred
 
 
