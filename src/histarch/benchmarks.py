@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bsp import Region, _in_box, _shape_error
+from .bsp import Region, _shape_error
 from .errors import BudgetExhaustedError, DomainError, InputError, ParameterError
 
 # location and value of the maximum of x*sin(sqrt(x)), which the Schwefel
@@ -69,10 +69,12 @@ class BudgetedEvaluator:
     A non-finite objective value (NaN or +-inf) is returned as +inf, so it
     ranks worst everywhere, and is counted in ``non_finite``. The domain is
     read once, when the evaluator is built; ``problem.f`` on every call.
-    Calling the evaluator evaluates one point; ``evaluate_batch`` evaluates
-    a block of points in one ``problem.f`` call and then accounts each row
-    through ``__call__``, so every evaluation passes ``__call__`` once, in
-    order. Each evaluates all it is handed, or raises and changes nothing.
+    ``evaluate_batch`` evaluates an (n, D) block of points in one
+    ``problem.f`` call and then accounts each row, in order, through
+    ``__call__(row, value=v)``, so every evaluation passes ``__call__``
+    once. ``ev(x)`` evaluates the point ``x`` as the one-row block, so
+    ``problem.f`` is handed shape (1, D). Either evaluates all it is
+    handed, or raises and changes nothing.
     """
 
     def __init__(self, problem: Problem, budget: int):
@@ -86,10 +88,8 @@ class BudgetedEvaluator:
         self.best_coords = None
         self.best_at = 0
         self.non_finite = 0
-        # a Region never changes, so its shape and bounds are read here: as
-        # Python floats for one point, as read-only arrays for a block
+        # a Region never changes, so its shape and bounds are read here
         self._shape = problem.domain.lower.shape
-        self._lower, self._upper = problem.domain.bounds
         self._box = (problem.domain.lower, problem.domain.upper)
 
     @property
@@ -97,23 +97,16 @@ class BudgetedEvaluator:
         return self.budget - self.used
 
     def __call__(self, coords: np.ndarray, *, value: float | None = None) -> float:
-        """Evaluate ``coords`` and account it. ``value``, which only
-        ``evaluate_batch`` passes, is the point's objective value for a
-        point it has already shape- and box-tested. An objective that
-        raises spends no budget."""
+        """Without ``value``, evaluate the point ``coords`` as the one-row
+        block, under ``evaluate_batch``'s rules. With ``value``, which only
+        ``evaluate_batch`` passes once its tests are done, account the row
+        ``coords``: the per-row call the benchmark counts, one per evaluation."""
+        if value is None:
+            return float(self.evaluate_batch(np.asarray(coords, dtype=float)[np.newaxis])[0])
         if self.used >= self.budget:
             raise BudgetExhaustedError(
                 f"budget of {self.budget} evaluations exhausted on {self.problem.name}")
         coords = np.asarray(coords, dtype=float)
-        if value is None:
-            # Region.contains's shape and box tests on this one conversion:
-            # neither a wrong shape nor a point outside the box (NaN
-            # included) spends budget
-            if coords.shape != self._shape:
-                raise _shape_error(len(self._lower), coords.shape)
-            if not _in_box(self._lower, self._upper, coords.tolist()):
-                raise DomainError(f"evaluation outside the domain of {self.problem.name}")
-            value = float(self.problem.f(coords))
         self.used += 1
         if not math.isfinite(value):
             self.non_finite += 1
@@ -138,7 +131,7 @@ class BudgetedEvaluator:
         values."""
         block = np.ascontiguousarray(block, dtype=float)
         if block.shape[1:] != self._shape:
-            raise _shape_error(len(self._lower), block.shape)
+            raise _shape_error(self._shape[0], block.shape)
         n = len(block)
         if n > self.remaining:
             raise BudgetExhaustedError(f"{n} rows exceed the {self.remaining} evaluations "

@@ -29,19 +29,21 @@ EXPECTED = {"evals_per_s": ("10/10", "gain"), "run_s_p50": ("0/10", "regression"
             "peak_rss_mb": ("0/10", "unresolved"), "setup_s": ("0/10", "within bound")}
 
 
-def result(values, side):
+def result(values, side, digest):
     metrics = {name: {"value": pair[0 if side == "base" else 1]}
                for name, pair in values.items()}
     return {"metrics": metrics, "failed": 0, "attempted": 6, "correct": True,
-            "fingerprints": {"hr_cmaes_10d": "f55b"}}
+            "fingerprints": {"hr_cmaes_10d": digest}}
 
 
-def write_log(path, pairs, cut_last=False, workload="hr_cmaes_10d"):
+def write_log(path, pairs, cut_last=False, workload="hr_cmaes_10d",
+              digest=lambda side, i: "f55b"):
     lines = [{"workload": workload, "base": "0" * 40, "seed": 0, "seconds": 15,
               "pairs": len(pairs)}]
     for i, values in enumerate(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        lines += [{"side": side, "result": result(values, side)} for side in order]
+        lines += [{"side": side, "result": result(values, side, digest(side, i))}
+                  for side in order]
     if cut_last:
         lines.pop()
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
@@ -66,7 +68,25 @@ def test_report_rebuilds_each_verdict_from_a_log(tmp_path, capsys):
     out = capsys.readouterr().out
     assert table(out) == EXPECTED
     assert "base: 0 of 60 runs failed" in out
-    assert "fingerprints: match" in out
+    assert out[out.index("fingerprints:"):].splitlines() == [
+        "fingerprints: match", "  hr_cmaes_10d: f55b"]
+
+
+def test_differing_fingerprints_print_under_each_sides_name(tmp_path, capsys):
+    # the change moved the results, and its own runs disagree from pair 5 on
+    log = tmp_path / "ab.jsonl"
+    write_log(log, PAIRS, digest=lambda side, i: "f55b" if side == "base" else
+              "a1e0" if i < 5 else "c0de")
+    assert ab.main(["--report", str(log)]) == 0
+    out = capsys.readouterr().out
+    assert out[out.index("fingerprints:"):].splitlines() == [
+        "fingerprints: DIFFER (3 distinct sets)",
+        "  base:",
+        "    hr_cmaes_10d: f55b",
+        "  change set 1 of 2, its own runs disagree:",
+        "    hr_cmaes_10d: a1e0",
+        "  change set 2 of 2, its own runs disagree:",
+        "    hr_cmaes_10d: c0de"]
 
 
 def test_wide_base_spread_is_resolved_when_every_change_run_is_better(tmp_path, capsys):

@@ -1,14 +1,18 @@
 import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from histarch import (BudgetExhaustedError, DomainError, InputError, ParameterError,
                       Region, make_suite)
 from histarch.benchmarks import (BudgetedEvaluator, Problem, ellipsoid_weights,
                                  random_rotation, rastrigin, sphere)
 from histarch.cmaes import default_lambda
-from util import reference_suite, uniform_array
+from util import reference_suite, rowwise, uniform_array
 
 SUITE_NAMES = ["sphere", "rot_ellipsoid", "rosenbrock", "rastrigin", "sr_rastrigin",
                "ackley", "griewank", "schwefel", "hybrid", "composition"]
@@ -163,7 +167,7 @@ def test_evaluator_keeps_best_so_far_trace():
 
 def test_non_finite_values_rank_as_inf_and_are_counted():
     values = iter([float("nan"), float("-inf"), 3.0, float("inf")])
-    p = Problem("p", Region(np.full(1, -1.0), np.ones(1)), lambda x: next(values),
+    p = Problem("p", Region(np.full(1, -1.0), np.ones(1)), rowwise(lambda x: next(values)),
                 None, "unimodal")
     ev = BudgetedEvaluator(p, budget=4)
     assert [ev(np.zeros(1)) for _ in range(4)] == [float("inf"), float("inf"), 3.0,
@@ -252,11 +256,14 @@ def test_batch_accounts_each_row_as_one_call_would():
     # the closed box: rows on the lower and upper faces are inside
     blocks.append(np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 0.5, 1.0]]))
     batched, seen = spy_evaluator(budget=20)
-    per_row, _ = spy_evaluator(budget=20)
+    per_row, seen_per_row = spy_evaluator(budget=20)
     for block in blocks:
         values = batched.evaluate_batch(block)
         assert values.tolist() == [per_row(row) for row in block]
     assert [len(b) for b in seen] == [4, 1, 6, 3]
+    # a point is evaluated as the one-row block
+    assert [b.shape for b in seen_per_row] == [(1, 3)] * 14
+    assert np.array_equal(np.concatenate(seen_per_row), np.concatenate(blocks))
     for name in ("used", "trace", "best", "best_at", "non_finite"):
         assert getattr(batched, name) == getattr(per_row, name), name
     assert np.array_equal(batched.best_coords, per_row.best_coords)
@@ -331,3 +338,120 @@ def test_objective_that_raises_spends_no_budget():
     with pytest.raises(Failure):
         ev.evaluate_batch(np.zeros((4, 3)))
     assert ev.used == 0 and ev.trace == []
+
+
+# -- budget exactness as a property ---------------------------------------
+
+DIM = 3
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def coordinate(draw, lo, hi, hostile):
+    """Strictly inside [lo, hi] (or rounded onto a face), on a face, at +-0
+    and, if ``hostile``, one float outside a face, NaN or +-inf."""
+    kind = draw(st.integers(0, 15 if hostile else 10))
+    if kind < 7:
+        return lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+    return (lo, hi, 0.0, -0.0, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+            *NON_FINITE)[kind - 7]
+
+
+@st.composite
+def evaluator_scripts(draw):
+    """A 3-D box, a budget, an objective that is its first coordinate where
+    the second lies at or below ``cut`` and ``bad`` (NaN or +-inf) above it,
+    and up to 10 calls, ``ev(x)`` or ``ev.evaluate_batch(block)``, some of
+    a wrong shape."""
+    lower = draw(st.lists(st.floats(-4.0, 4.0), min_size=DIM, max_size=DIM))
+    upper = [lo + draw(st.floats(0.25, 8.0)) for lo in lower]
+    budget = draw(st.integers(1, 12))
+    cut = draw(st.floats(lower[1], upper[1]))
+    bad = draw(st.sampled_from(NON_FINITE))
+    calls = []
+    for _ in range(draw(st.integers(0, 10))):
+        point = draw(st.booleans())
+        if point:
+            right, wrong = (DIM,), [(DIM - 1,), (DIM + 1,), (1, DIM), ()]
+        else:
+            n = draw(st.integers(0, 4))
+            right, wrong = (n, DIM), [(n, DIM - 1), (n, DIM + 1), (DIM,), ()]
+        shape = draw(st.sampled_from([right] * 12 + wrong))
+        width = shape[-1] if shape else 1
+        rows = []
+        for _ in range(math.prod(shape) // width if shape else 1):
+            hostile = draw(st.booleans())
+            rows.append([coordinate(draw, lower[j % DIM], upper[j % DIM], hostile)
+                         for j in range(width)])
+        calls.append((point, np.array(rows, dtype=float).reshape(shape)))
+    return (lower, upper), budget, (cut, bad), calls
+
+
+def oracle_call(state, box, objective, point, x):
+    """The evaluator's documented rules in plain Python: the error class a
+    call raises, or the values it returns. Only an accepted call changes
+    ``state``, counting its rows in order."""
+    lower, upper = box
+    if not (x.shape == (DIM,) if point else x.ndim == 2 and x.shape[1] == DIM):
+        return InputError
+    rows = [x.tolist()] if point else x.tolist()
+    if len(rows) > state.budget - state.used:
+        return BudgetExhaustedError
+    if not all(lo <= v <= hi for row in rows for lo, v, hi in zip(lower, row, upper)):
+        return DomainError
+    values = []
+    for row in rows:
+        state.used += 1
+        value = objective(row)
+        if not math.isfinite(value):
+            state.non_finite += 1
+            value = math.inf
+        if value < state.best:
+            state.best, state.best_at, state.best_coords = value, state.used, row
+            state.trace.append((state.used, value))
+        values.append(value)
+    return values
+
+
+def accounts(ev):
+    """Everything an evaluator, or the oracle's state, has counted, floats
+    as their bits."""
+    coords = None if ev.best_coords is None else [bits(v) for v in ev.best_coords]
+    return (ev.used, [(i, bits(v)) for i, v in ev.trace], bits(ev.best), ev.best_at, coords,
+            ev.non_finite)
+
+
+@seed(2019)
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(evaluator_scripts())
+def test_evaluator_counts_exactly_what_it_accepts(script):
+    # a refused call raises, never runs the objective and changes nothing;
+    # an accepted one counts each row once, in order, ranks a non-finite
+    # value as +inf and counts it, and extends the trace at each strict
+    # improvement; ev(x) obeys the rules of the one-row block
+    box, budget, (cut, bad), calls = script
+    seen = []
+
+    def f(x):
+        seen.append(x.shape)
+        return np.where(x[..., 1] > cut, bad, x[..., 0])
+
+    ev = BudgetedEvaluator(Problem("script", Region(*box), f, 0.0, "unimodal"), budget)
+    state = SimpleNamespace(budget=budget, used=0, trace=[], best=math.inf, best_at=0,
+                            best_coords=None, non_finite=0)
+    for point, x in calls:
+        n_seen = len(seen)
+        expected = oracle_call(state, box, lambda row: bad if row[1] > cut else row[0], point, x)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                ev(x) if point else ev.evaluate_batch(x)
+            assert len(seen) == n_seen
+        else:
+            result = ev(x) if point else ev.evaluate_batch(x)
+            if point:
+                assert type(result) is float
+                result = [result]
+            else:
+                assert result.dtype == float and result.shape == (len(x),)
+            assert [bits(v) for v in result] == [bits(v) for v in expected]
+            assert seen[n_seen:] == ([(1, DIM) if point else x.shape] if len(expected) else [])
+        assert accounts(ev) == accounts(state)

@@ -43,7 +43,9 @@ the change won (ties count for neither side) and a verdict:
 - ``within bound``: none of these.
 
 It then prints the failed runs and whether every run printed the same
-results fingerprints. Standard library only.
+results fingerprints. When they differ, it prints each side's sets under
+the side's name and says when one side's own runs disagree. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -162,13 +164,32 @@ def report(runs: dict, end_to_end: list[dict], workload: str) -> dict[str, str]:
         wrong = sum(not r["correct"] for r in runs[side])
         print(f"{side}: {failed} of {attempted} runs failed, {wrong} benchmark runs "
               "reported failed checks")
-    prints = {json.dumps(r["fingerprints"], sort_keys=True)
-              for side in ("base", "change") for r in runs[side]}
-    agreement = "match" if len(prints) == 1 else f"DIFFER ({len(prints)} distinct sets)"
-    print(f"fingerprints: {agreement}")
-    for name, digest in sorted(json.loads(min(prints)).items()):
-        print(f"  {name}: {digest}")
+    print_fingerprints(runs)
     return verdicts
+
+
+def print_fingerprints(runs: dict) -> None:
+    """Print whether every run printed the same fingerprints, and the
+    digests: once if they match, else each side's sets under its name,
+    saying when a side's own runs disagree."""
+    prints = {side: sorted({json.dumps(r["fingerprints"], sort_keys=True) for r in runs[side]})
+              for side in ("base", "change")}
+    distinct = set(prints["base"] + prints["change"])
+
+    def digests(one: str, indent: str) -> None:
+        for name, digest in sorted(json.loads(one).items()):
+            print(f"{indent}{name}: {digest}")
+
+    if len(distinct) == 1:
+        print("fingerprints: match")
+        digests(distinct.pop(), "  ")
+        return
+    print(f"fingerprints: DIFFER ({len(distinct)} distinct sets)")
+    for side, sets in prints.items():
+        for k, one in enumerate(sets, 1):
+            disagree = f" set {k} of {len(sets)}, its own runs disagree" if len(sets) > 1 else ""
+            print(f"  {side}{disagree}:")
+            digests(one, "    ")
 
 
 def read_log(path: Path) -> tuple[str, dict]:
